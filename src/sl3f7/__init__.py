@@ -6,7 +6,7 @@ classes named by characteristic-polynomial labels [i,j].  This package
 computes the catalog exactly (labels, orders 19/57, centralizers, Sylow-19
 structure, the parabolic maximal subgroup) and decides simultaneous
 conjugacy for commuting tuples, with every count reproduced by exhaustive
-scans over the 7^9 matrix-code space.
+scans over the group's det-1 elements in matrix-code order.
 """
 
 from .classify import (

@@ -163,18 +163,18 @@ def cmd_centralizer(args: argparse.Namespace) -> int:
 
 def cmd_class_size(args: argparse.Namespace) -> int:
     m = _read_matrix(args)
-    report = scan.centralizer(m, threads=args.threads, progress=_progress_enabled())
-    size = GROUP_ORDER // report.size
+    size = scan.class_size(m, threads=args.threads, progress=_progress_enabled())
+    centralizer_size = GROUP_ORDER // size
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
             "kind": "class_size",
             "subject": format_matrix(m),
-            "centralizer_size": report.size,
+            "centralizer_size": centralizer_size,
             "class_size": size,
         })
     else:
-        print(f"centralizer size: {report.size}")
+        print(f"centralizer size: {centralizer_size}")
         print(f"class size:       {size}")
     return 0
 

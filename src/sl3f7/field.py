@@ -141,10 +141,6 @@ def cubic_has_fp_root(p: CubicPoly) -> bool:
     return any(cubic_eval_fp(p, lam) == 0 for lam in range(P))
 
 
-def cubic_fp_roots(p: CubicPoly) -> list[int]:
-    return [lam for lam in range(P) if cubic_eval_fp(p, lam) == 0]
-
-
 def cubic_eval_ext(p: CubicPoly, a: ExtScalar) -> ExtScalar:
     a2 = ext_mul(a, a)
     a3 = ext_mul(a2, a)

@@ -14,7 +14,6 @@ Mat3 = tuple[int, ...]
 
 CODE_SPACE = 7**9  # 40_353_607
 GROUP_ORDER = 5_630_688  # |SL3(F7)| = 2^5 * 3^3 * 7^3 * 19
-GL_ORDER = 33_784_128  # |GL3(F7)| = (7^3 - 1)(7^3 - 7)(7^3 - 7^2)
 
 IDENTITY: Mat3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 

@@ -1,15 +1,20 @@
 """Exhaustive, partitionable scans over SL3(F7) and derived censuses.
 
-The scan substrate is the base-7 MatCode space [0, 7^9).  Every scan
-streams over disjoint code ranges in chunks, evaluates a vectorized
-kernel per chunk, and merges partial results by addition or union, so
-results are independent of the chunking and of thread count.  The group
-is never materialized; only small result sets (centralizers, orbits
-under a cap) are collected, keyed by MatCode.
+Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
+element rank k is generated on demand from two small lookup tables (row
+pairs and the third rows completing them to det 1), so no 7^9 decode and
+no det filter precedes a kernel, and the group is never materialized.
+Every scan splits the ranks into disjoint chunks, evaluates a vectorized
+kernel on each chunk's digit planes, and merges partial results by
+addition or concatenation, so results are independent of the chunking and
+of thread count.  Only the det counts count_sl3 and count_invertible scan
+all 7^9 codes; count_sl3 is the independent oracle that the stream is
+exactly the det-1 set.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -38,7 +43,7 @@ from .matrix3 import (
 )
 
 SCHEMA = "sl3f7/v1"
-DEFAULT_CHUNK = 1 << 21
+DEFAULT_CHUNK = 1 << 18  # element ranks per chunk (codes per chunk in the 7^9 det counts)
 
 _T = TypeVar("_T")
 
@@ -60,10 +65,77 @@ class UnsupportedOrder(ValueError):
 
 
 def default_threads() -> int:
+    """Thread count from SL3F7_THREADS; 1, with a warning, when it is not a positive integer."""
+    raw = os.environ.get("SL3F7_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SL3F7_THREADS", "1")))
+        n = int(raw)
     except ValueError:
+        n = 0
+    if n < 1:
+        print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
+              file=sys.stderr)
         return 1
+    return n
+
+
+def _decode_planes(codes: np.ndarray) -> np.ndarray:
+    """Base-7 digit planes of MatCodes: shape (9, len(codes)) int16."""
+    q = np.array(codes, dtype=np.int64)
+    out = np.empty((9, q.size), dtype=np.int16)
+    for k in range(9):
+        out[k] = q % 7
+        q //= 7
+    return out
+
+
+def _code_planes(lo: int, hi: int) -> np.ndarray:
+    """Digit planes of every code in [lo, hi), det-1 or not."""
+    return _decode_planes(np.arange(lo, hi, dtype=np.int64))
+
+
+@functools.cache
+def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of the det-1 element stream, built on first use.
+
+    A MatCode holds row 1 in its least and row 3 in its most significant
+    base-343 digit, so ascending codes order the rows (r3, r2, r1)
+    lexicographically.  det = r1 . (r2 x r3): each of the 114_912 pairs
+    (r3, r2) with r2 x r3 != 0 is completed to det 1 by exactly the 49 r1
+    with r1 . c = 1, c = r2 x r3.  Returns, in code order,
+      pair_planes (6, 114912): the entries of rows 2 and 3 of each pair;
+      pair_cross (114912,): the row code of c = r2 x r3;
+      pair_base (114912,): the MatCode of the pair with r1 = 0;
+      solution_blocks (343, 3, 49): for row code c, the entries of its 49
+        r1 as planes, ascending (zeros for c = 0).
+    """
+    x, y, z = rows = _decode_planes(np.arange(343))[:3]
+    dot = (x[:, None] * x + y[:, None] * y + z[:, None] * z) % 7  # [c, r1] = r1 . c
+    _, r1 = np.nonzero(dot[1:] == 1)  # 49 per nonzero c, ascending r1 within each
+    solutions = np.concatenate([np.zeros(49, dtype=np.int64), r1]).reshape(343, 49)
+    # cross products r2 x r3 on the grid [r3, r2]
+    cx = (y[None, :] * z[:, None] - z[None, :] * y[:, None]) % 7
+    cy = (z[None, :] * x[:, None] - x[None, :] * z[:, None]) % 7
+    cz = (x[None, :] * y[:, None] - y[None, :] * x[:, None]) % 7
+    cross = cx + 7 * cy + 49 * cz
+    r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
+    pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
+    solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
+    return pair_planes, cross[r3, r2], 343 * r2 + 343**2 * r3, solution_blocks
+
+
+def _element_planes(lo: int, hi: int) -> np.ndarray:
+    """Digit planes of the det-1 elements of ranks [lo, hi) in MatCode order.
+
+    Rank k is solution k mod 49 of pair k // 49; the pairs covering the
+    ranks are expanded 49-fold and the window [lo, hi) is cut from them.
+    """
+    pair_planes, pair_cross, _, solution_blocks = _stream_tables()
+    first, last = lo // 49, -(-hi // 49)
+    window = slice(lo - 49 * first, hi - 49 * first)
+    out = np.empty((9, hi - lo), dtype=np.int16)
+    out[3:] = np.repeat(pair_planes[:, first:last], 49, axis=1)[:, window]
+    out[:3] = solution_blocks[pair_cross[first:last]].transpose(1, 0, 2).reshape(3, -1)[:, window]
+    return out
 
 
 def _chunk_ranges(start: int, stop: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -71,15 +143,18 @@ def _chunk_ranges(start: int, stop: int, chunk_size: int) -> list[tuple[int, int
 
 
 def _map_chunks(
-    worker: Callable[[int, int], _T],
-    start: int,
-    stop: int,
+    kernel: Callable[[np.ndarray], _T],
+    source: Callable[[int, int], np.ndarray] = _element_planes,
+    start: int = 0,
+    stop: int = GROUP_ORDER,
     *,
     chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
     progress: bool = False,
 ) -> Iterator[_T]:
-    """Apply worker to disjoint code ranges, yielding results in range order."""
+    """Apply kernel to the planes source(lo, hi) of disjoint ranges of
+    [start, stop), yielding results in range order.  By default the ranges
+    are ranks of the det-1 element stream, i.e. the whole group."""
     ranges = _chunk_ranges(start, stop, chunk_size)
     threads = default_threads() if threads is None else max(1, threads)
     done = 0
@@ -88,32 +163,25 @@ def _map_chunks(
     def report() -> None:
         if progress and ranges:
             pct = 100.0 * done / len(ranges)
-            print(f"\rscanning codes: {pct:5.1f}% ({time.time() - t0:.1f}s)",
+            print(f"\rscanning: {pct:5.1f}% ({time.time() - t0:.1f}s)",
                   end="", file=sys.stderr, flush=True)
 
+    def worker(r: tuple[int, int]) -> _T:
+        return kernel(source(*r))
+
     if threads == 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            yield worker(lo, hi)
+        for r in ranges:
+            yield worker(r)
             done += 1
             report()
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for out in ex.map(lambda r: worker(*r), ranges):
+            for out in ex.map(worker, ranges):
                 yield out
                 done += 1
                 report()
     if progress and ranges:
         print(file=sys.stderr)
-
-
-def _digit_planes(lo: int, hi: int) -> np.ndarray:
-    """Base-7 digit planes of codes in [lo, hi): shape (9, hi-lo) int16."""
-    q = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((9, hi - lo), dtype=np.int16)
-    for k in range(9):
-        out[k] = (q % 7).astype(np.int16)
-        q //= 7
-    return out
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
@@ -130,16 +198,12 @@ def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mul_planes_const(x: np.ndarray, m: Mat3, side: str) -> np.ndarray:
-    """x @ m (side="right") or m @ x (side="left") with m a fixed matrix."""
+def _mul_planes_const(x: np.ndarray, m: Mat3) -> np.ndarray:
+    """x @ m with m a fixed matrix, reduced mod 7."""
     out = np.empty_like(x)
     for i in range(3):
         for j in range(3):
-            if side == "right":
-                acc = x[3 * i] * m[j] + x[3 * i + 1] * m[3 + j] + x[3 * i + 2] * m[6 + j]
-            else:
-                acc = m[3 * i] * x[j] + m[3 * i + 1] * x[3 + j] + m[3 * i + 2] * x[6 + j]
-            out[3 * i + j] = acc % 7
+            out[3 * i + j] = (x[3 * i] * m[j] + x[3 * i + 1] * m[3 + j] + x[3 * i + 2] * m[6 + j]) % 7
     return out
 
 
@@ -173,6 +237,11 @@ def _eq_identity(d: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
+    """Codes of g m g^-1 for the det-1 planes g."""
+    return _encode_planes(_mul_planes(_mul_planes_const(g, m), _adjugate_planes(g)))
+
+
 def _require_sl3(m: Mat3) -> None:
     if det(m) != 1:
         raise NotInSL3(f"det = {det(m)}, expected 1")
@@ -191,10 +260,14 @@ def enumerate_sl3(
     """Yield the det-1 matrices whose codes lie in [start, stop), ascending."""
     if not (0 <= start <= stop <= CODE_SPACE):
         raise ValueError(f"partition [{start}, {stop}) not within [0, {CODE_SPACE})")
-    for lo, hi in _chunk_ranges(start, stop, chunk_size):
-        d = _digit_planes(lo, hi)
-        for off in np.flatnonzero(_det_plane(d) == 1):
-            yield decode(lo + int(off))
+    pair_base = _stream_tables()[2]
+    # pairs whose codes base .. base + 342 can meet [start, stop)
+    first = max(int(np.searchsorted(pair_base, start, "right")) - 1, 0)
+    last = int(np.searchsorted(pair_base, stop, "left"))
+    for lo, hi in _chunk_ranges(49 * first, 49 * last, chunk_size):
+        codes = _encode_planes(_element_planes(lo, hi))
+        for code in codes[(codes >= start) & (codes < stop)]:
+            yield decode(int(code))
 
 
 def count_sl3(
@@ -205,12 +278,9 @@ def count_sl3(
     threads: int | None = None,
     progress: bool = False,
 ) -> int:
-    """Number of det-1 matrices with codes in [start, stop)."""
-
-    def worker(lo: int, hi: int) -> int:
-        return int(np.count_nonzero(_det_plane(_digit_planes(lo, hi)) == 1))
-
-    return sum(_map_chunks(worker, start, stop, chunk_size=chunk_size,
+    """Number of det-1 matrices with codes in [start, stop), by det over every code."""
+    return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) == 1)),
+                           _code_planes, start, stop, chunk_size=chunk_size,
                            threads=threads, progress=progress))
 
 
@@ -222,11 +292,9 @@ def count_invertible(
     threads: int | None = None,
 ) -> int:
     """Number of det != 0 matrices in the range (GL3 count on the full range)."""
-
-    def worker(lo: int, hi: int) -> int:
-        return int(np.count_nonzero(_det_plane(_digit_planes(lo, hi)) != 0))
-
-    return sum(_map_chunks(worker, start, stop, chunk_size=chunk_size, threads=threads))
+    return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) != 0)),
+                           _code_planes, start, stop, chunk_size=chunk_size,
+                           threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +334,20 @@ class ScanSummary:
         return "\n".join(lines) + "\n"
 
 
-def _census_chunk(lo: int, hi: int) -> tuple[int, np.ndarray]:
-    d = _digit_planes(lo, hi)
-    sl = _det_plane(d) == 1
-    ds = d[:, sl]
-    a, b, c, dd, e, f, g, h, i = ds
-    tr = (a + e + i) % 7
-    jc = (a * e - b * dd + e * i - f * h + a * i - c * g) % 7
+def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace and principal-minor sum: the label pair (i, j) of each det-1 plane."""
+    a, b, c, dd, e, f, g, h, i = d
+    return (a + e + i) % 7, (a * e - b * dd + e * i - f * h + a * i - c * g) % 7
+
+
+def _census_chunk(d: np.ndarray) -> tuple[int, np.ndarray]:
+    tr, jc = _char_planes(d)
     has_root = np.zeros(tr.shape, dtype=bool)
     for lam in range(1, 7):  # lam = 0 never solves t^3 - i t^2 + j t - 1 = 0
         has_root |= (lam**3 - tr * lam * lam + jc * lam - 1) % 7 == 0
     ef = ~has_root
     counts = np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
-    return int(np.count_nonzero(sl)), counts
-
-
-_census_cache: dict[tuple[int, int], ScanSummary] = {}
+    return d.shape[1], counts
 
 
 def census(
@@ -293,15 +359,11 @@ def census(
     """Full-group census: group order plus eigenfree counts by trace and label.
 
     Deterministic for any chunk size or thread count (partial results merge
-    by pointwise addition); results are cached per partitioning.
+    by pointwise addition).
     """
-    threads = default_threads() if threads is None else max(1, threads)
-    key = (chunk_size, threads)
-    if key in _census_cache:
-        return _census_cache[key]
     group_order = 0
     counts = np.zeros(49, dtype=np.int64)
-    for n, part in _map_chunks(_census_chunk, 0, CODE_SPACE, chunk_size=chunk_size,
+    for n, part in _map_chunks(_census_chunk, chunk_size=chunk_size,
                                threads=threads, progress=progress):
         group_order += n
         counts += part
@@ -311,14 +373,12 @@ def census(
     by_trace: dict[int, int] = {}
     for label, n in by_label.items():
         by_trace[label.i] = by_trace.get(label.i, 0) + n
-    summary = ScanSummary(
+    return ScanSummary(
         group_order=group_order,
         eigenfree_total=int(counts.sum()),
         by_trace=by_trace,
         by_label=by_label,
     )
-    _census_cache[key] = summary
-    return summary
 
 
 def label_member_codes(
@@ -331,35 +391,26 @@ def label_member_codes(
     if not is_eigenfree_label(label):
         raise NotEigenfree(f"{label} is not an eigenvector-free label")
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        d = _digit_planes(lo, hi)
-        sl = _det_plane(d) == 1
-        ds = d[:, sl]
-        a, b, c, dd, e, f, g, h, i = ds
-        mask = (a + e + i) % 7 == label.i
-        mask &= (a * e - b * dd + e * i - f * h + a * i - c * g) % 7 == label.j
-        return lo + np.flatnonzero(sl)[mask]
+    def kernel(d: np.ndarray) -> np.ndarray:
+        tr, jc = _char_planes(d)
+        return _encode_planes(d[:, (tr == label.i) & (jc == label.j)])
 
-    parts = list(_map_chunks(worker, 0, CODE_SPACE, chunk_size=chunk_size, threads=threads))
-    return np.concatenate(parts)
+    return np.concatenate(list(_map_chunks(kernel, chunk_size=chunk_size, threads=threads)))
 
 
 # ---------------------------------------------------------------------------
 # centralizers, conjugacy classes, conjugator search
 
 
-def _commute_chunk(lo: int, hi: int, a: Mat3, b: Mat3) -> np.ndarray:
-    """Codes g in [lo, hi) with det(g) = 1 and g*a = b*g, ascending."""
-    d = _digit_planes(lo, hi)
-    sl = _det_plane(d) == 1
-    ds = d[:, sl]
-    mask = np.ones(ds.shape[1], dtype=bool)
+def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
+    """Codes of the g among the det-1 planes d with g*a = b*g, ascending."""
+    mask = np.ones(d.shape[1], dtype=bool)
     for i in range(3):
         for j in range(3):
-            ga = ds[3 * i] * a[j] + ds[3 * i + 1] * a[3 + j] + ds[3 * i + 2] * a[6 + j]
-            bg = b[3 * i] * ds[j] + b[3 * i + 1] * ds[3 + j] + b[3 * i + 2] * ds[6 + j]
+            ga = d[3 * i] * a[j] + d[3 * i + 1] * a[3 + j] + d[3 * i + 2] * a[6 + j]
+            bg = b[3 * i] * d[j] + b[3 * i + 1] * d[3 + j] + b[3 * i + 2] * d[6 + j]
             mask &= (ga - bg) % 7 == 0
-    return lo + np.flatnonzero(sl)[mask]
+    return _encode_planes(d[:, mask])
 
 
 def intertwiner_codes(
@@ -373,19 +424,17 @@ def intertwiner_codes(
 ) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g).
 
-    With first_only, the scan stops at the minimal-code solution and the
-    result has length <= 1.
+    With first_only, the scan runs on one thread, stops at the minimal-code
+    solution and the result has length <= 1.
     """
+    kernel = functools.partial(_commute_chunk, a=a, b=b)
     if first_only:
-        for lo, hi in _chunk_ranges(0, CODE_SPACE, chunk_size):
-            hits = _commute_chunk(lo, hi, a, b)
+        for hits in _map_chunks(kernel, chunk_size=chunk_size, threads=1):
             if hits.size:
                 return hits[:1]
         return np.empty(0, dtype=np.int64)
-    parts = list(_map_chunks(lambda lo, hi: _commute_chunk(lo, hi, a, b),
-                             0, CODE_SPACE, chunk_size=chunk_size,
-                             threads=threads, progress=progress))
-    return np.concatenate(parts)
+    return np.concatenate(list(_map_chunks(kernel, chunk_size=chunk_size,
+                                           threads=threads, progress=progress)))
 
 
 @dataclass(frozen=True)
@@ -411,7 +460,6 @@ class CentralizerReport:
 
 
 _ELEMENT_LIST_CAP = 1024
-_centralizer_cache: dict[tuple, CentralizerReport] = {}
 
 
 def centralizer(
@@ -421,30 +469,23 @@ def centralizer(
     threads: int | None = None,
     progress: bool = False,
 ) -> CentralizerReport:
-    """All g in SL3(F7) with g*m = m*g, by full scan over the code space."""
+    """All g in SL3(F7) with g*m = m*g, by full scan over the group."""
     _require_sl3(m)
-    threads = default_threads() if threads is None else max(1, threads)
-    key = (m, chunk_size, threads)
-    if key in _centralizer_cache:
-        return _centralizer_cache[key]
     codes = intertwiner_codes(m, m, chunk_size=chunk_size, threads=threads,
                               progress=progress)
     size = int(codes.size)
     if size > _ELEMENT_LIST_CAP:
         # every element of SL3(F7) has order at most 57, so any subgroup
         # larger than that cannot be cyclic
-        report = CentralizerReport(m, size, False, None, None)
-    else:
-        elements = tuple(int(c) for c in codes)
-        generator = None
-        for c in elements:
-            g = decode(c)
-            if mat_order(g) == size:
-                generator = g
-                break
-        report = CentralizerReport(m, size, generator is not None, generator, elements)
-    _centralizer_cache[key] = report
-    return report
+        return CentralizerReport(m, size, False, None, None)
+    elements = tuple(int(c) for c in codes)
+    generator = None
+    for c in elements:
+        g = decode(c)
+        if mat_order(g) == size:
+            generator = g
+            break
+    return CentralizerReport(m, size, generator is not None, generator, elements)
 
 
 def class_size(m: Mat3, **scan_kwargs) -> int:
@@ -471,16 +512,7 @@ def orbit_oracle(
     """
     _require_sl3(m)
     seen = np.zeros(CODE_SPACE, dtype=bool)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        d = _digit_planes(lo, hi)
-        sl = _det_plane(d) == 1
-        g = d[:, sl]
-        gm = _mul_planes_const(g, m, "right")
-        conj = _mul_planes(gm, _adjugate_planes(g))
-        return _encode_planes(conj)
-
-    for codes in _map_chunks(worker, 0, CODE_SPACE, chunk_size=chunk_size,
+    for codes in _map_chunks(lambda g: _conjugate_codes(g, m), chunk_size=chunk_size,
                              threads=threads, progress=progress):
         seen[codes] = True
         if int(np.count_nonzero(seen)) > cap:
@@ -491,20 +523,25 @@ def orbit_oracle(
 # ---------------------------------------------------------------------------
 # Sylow-19 counting, normalizers, order absence
 
-
-def _power19_chunk(lo: int, hi: int) -> int:
-    d = _digit_planes(lo, hi)
-    sl = _det_plane(d) == 1
-    g = d[:, sl]
-    g2 = _mul_planes(g, g)
-    g4 = _mul_planes(g2, g2)
-    g8 = _mul_planes(g4, g4)
-    g16 = _mul_planes(g8, g8)
-    g19 = _mul_planes(_mul_planes(g16, g2), g)
-    return int(np.count_nonzero(_eq_identity(g19)))
+_POWER_EXPONENTS = (1, 3, 9, 19, 27)
 
 
-_order19_cache: dict[tuple[int, int], int] = {}
+def _power_chunk(g: np.ndarray) -> np.ndarray:
+    """For each k in _POWER_EXPONENTS, how many of the planes g have g^k = I."""
+    g3 = _mul_planes(_mul_planes(g, g), g)
+    g9 = _mul_planes(_mul_planes(g3, g3), g3)
+    g27 = _mul_planes(_mul_planes(g9, g9), g9)
+    g16 = g
+    for _ in range(4):
+        g16 = _mul_planes(g16, g16)
+    g19 = _mul_planes(g16, g3)
+    return np.array([np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9, g19, g27)])
+
+
+def _power_counts(**scan_kwargs) -> dict[int, int]:
+    """k -> number of g in SL3 with g^k = I, for k in 1, 3, 9, 19, 27, in one pass."""
+    totals = sum(_map_chunks(_power_chunk, **scan_kwargs))
+    return dict(zip(_POWER_EXPONENTS, totals.tolist()))
 
 
 def count_order19_elements(
@@ -514,14 +551,8 @@ def count_order19_elements(
     progress: bool = False,
 ) -> int:
     """Number of elements of order exactly 19 (g^19 = I and g != I)."""
-    threads = default_threads() if threads is None else max(1, threads)
-    key = (chunk_size, threads)
-    if key not in _order19_cache:
-        with_identity = sum(_map_chunks(_power19_chunk, 0, CODE_SPACE,
-                                        chunk_size=chunk_size, threads=threads,
-                                        progress=progress))
-        _order19_cache[key] = with_identity - 1
-    return _order19_cache[key]
+    counts = _power_counts(chunk_size=chunk_size, threads=threads, progress=progress)
+    return counts[19] - 1
 
 
 def sylow19_count(**scan_kwargs) -> int:
@@ -553,19 +584,10 @@ def normalizer_of_cyclic(
     member_codes = np.sort(np.array(
         [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int64))
 
-    def worker(lo: int, hi: int) -> int:
-        d = _digit_planes(lo, hi)
-        sl = _det_plane(d) == 1
-        g = d[:, sl]
-        gm = _mul_planes_const(g, p_generator, "right")
-        conj = _mul_planes(gm, _adjugate_planes(g))
-        return int(np.count_nonzero(np.isin(_encode_planes(conj), member_codes)))
+    def kernel(g: np.ndarray) -> int:
+        return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
 
-    return sum(_map_chunks(worker, 0, CODE_SPACE, chunk_size=chunk_size,
-                           threads=threads, progress=progress))
-
-
-_absence_cache: dict[tuple[int, int, int], bool] = {}
+    return sum(_map_chunks(kernel, chunk_size=chunk_size, threads=threads, progress=progress))
 
 
 def order_absence_check(
@@ -578,29 +600,8 @@ def order_absence_check(
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    threads = default_threads() if threads is None else max(1, threads)
-    key = (n, chunk_size, threads)
-    if key in _absence_cache:
-        return _absence_cache[key]
-
-    def worker(lo: int, hi: int) -> int:
-        d = _digit_planes(lo, hi)
-        sl = _det_plane(d) == 1
-        g = d[:, sl]
-        g3 = _mul_planes(_mul_planes(g, g), g)
-        lower, upper = g, g3
-        if n >= 9:
-            g9 = _mul_planes(_mul_planes(g3, g3), g3)
-            lower, upper = g3, g9
-        if n == 27:
-            g27 = _mul_planes(_mul_planes(upper, upper), upper)
-            lower, upper = upper, g27
-        return int(np.count_nonzero(_eq_identity(upper) & ~_eq_identity(lower)))
-
-    present = sum(_map_chunks(worker, 0, CODE_SPACE, chunk_size=chunk_size,
-                              threads=threads, progress=progress))
-    _absence_cache[key] = present == 0
-    return _absence_cache[key]
+    counts = _power_counts(chunk_size=chunk_size, threads=threads, progress=progress)
+    return counts[n] == counts[n // 3]
 
 
 # ---------------------------------------------------------------------------

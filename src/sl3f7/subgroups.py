@@ -27,7 +27,7 @@ from .matrix3 import (
     mat_inv,
     mat_mul,
 )
-from .scan import SCHEMA, _encode_planes, _mul_planes_const
+from .scan import SCHEMA, _decode_planes, _encode_planes, _mul_planes_const
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -65,13 +65,7 @@ def in_parabolic(m: Mat3) -> bool:
 @functools.cache
 def parabolic_size() -> int:
     """Direct count of the 7^7 entry tuples (d = g = 0) with det = 1."""
-    codes = np.arange(7**7, dtype=np.int64)
-    digits = np.empty((7, codes.size), dtype=np.int16)
-    q = codes
-    for k in range(7):
-        digits[k] = (q % 7).astype(np.int16)
-        q //= 7
-    a, b, c, e, f, h, i = digits
+    a, b, c, e, f, h, i = _decode_planes(np.arange(7**7))[:7]
     dets = (a * (e * i - f * h)) % 7  # block form: det = a * det([[e,f],[h,i]])
     return int(np.count_nonzero(dets == 1))
 
@@ -99,8 +93,8 @@ def generator_closure(
     frontier = start
     size = 1
     while frontier.size:
-        planes = _frontier_planes(frontier)
-        neighbors = [_encode_planes(_mul_planes_const(planes, g, "right")) for g in step_mats]
+        planes = _decode_planes(frontier)
+        neighbors = [_encode_planes(_mul_planes_const(planes, g)) for g in step_mats]
         merged = np.unique(np.concatenate(neighbors))
         fresh = merged[~visited[merged]]
         visited[fresh] = True
@@ -109,15 +103,6 @@ def generator_closure(
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
         frontier = fresh
     return size
-
-
-def _frontier_planes(codes: np.ndarray) -> np.ndarray:
-    out = np.empty((9, codes.size), dtype=np.int16)
-    q = codes.copy()
-    for k in range(9):
-        out[k] = (q % 7).astype(np.int16)
-        q //= 7
-    return out
 
 
 # Transvections and torus elements generating H (certified by a closure run

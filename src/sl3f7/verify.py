@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import classify, scan, simconj, subgroups
 from .classify import ClassLabel
 from .field import CubicPoly, EXT_ONE, cubic_roots_ext, ext_pow
@@ -78,11 +80,23 @@ def _conj(g: Mat3, m: Mat3) -> Mat3:
 # checks; each returns (ok, detail)
 
 
+def _stream_is_det1(threads: int | None) -> bool:
+    """The element stream behind every group scan is strictly ascending,
+    all det 1 and GROUP_ORDER long: with count_sl3 = GROUP_ORDER, it is
+    exactly the det-1 set."""
+    last, total, ok = -1, 0, True
+    for codes, dets in scan._map_chunks(
+            lambda d: (scan._encode_planes(d), scan._det_plane(d)), threads=threads):
+        ok = ok and codes[0] > last and bool(np.all(np.diff(codes) > 0) & np.all(dets == 1))
+        last, total = int(codes[-1]), total + codes.size
+    return ok and total == GROUP_ORDER
+
+
 def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:
     t0 = time.time()
     n = scan.count_sl3(threads=threads)
     dt = time.time() - t0
-    ok = n == GROUP_ORDER and dt <= 60.0
+    ok = n == GROUP_ORDER and dt <= 60.0 and _stream_is_det1(threads)
     budget = "within 60s budget" if dt <= 60.0 else f"OVER BUDGET: {dt:.1f}s > 60s"
     return ok, f"count={n} (expected {GROUP_ORDER}), {budget}"
 
@@ -263,14 +277,12 @@ def check_commuting_reps(full: bool, threads: int | None) -> tuple[bool, str]:
 
 
 def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...]) -> Mat3 | None:
-    """Brute-force oracle: stream every g with g*A1 = B1*g over the full
-    code space and test the remaining coordinates exactly."""
-    a1, b1 = t1[0], t2[0]
-    for lo, hi in scan._chunk_ranges(0, CODE_SPACE, scan.DEFAULT_CHUNK):
-        for code in scan._commute_chunk(lo, hi, a1, b1):
-            g = decode(int(code))
-            if all(_conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
-                return g
+    """Brute-force oracle: every g with g*A1 = B1*g, found by a full group
+    scan, with the remaining coordinates tested exactly."""
+    for code in scan.intertwiner_codes(t1[0], t2[0]):
+        g = decode(int(code))
+        if all(_conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
+            return g
     return None
 
 

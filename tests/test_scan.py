@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sl3f7 import scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotEigenfree, NotInSL3
@@ -58,6 +61,54 @@ class TestEnumerate:
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
             list(scan.enumerate_sl3(0, CODE_SPACE + 1))
+
+    @seed(0x5137)
+    @settings(max_examples=25, deadline=None)
+    @given(start=st.integers(0, CODE_SPACE), width=st.integers(0, 3_000))
+    def test_random_windows_match_pure_python_filter(self, start, width):
+        stop = min(start + width, CODE_SPACE)
+        expected = [c for c in range(start, stop) if det(decode(c)) == 1]
+        assert [encode(m) for m in scan.enumerate_sl3(start, stop)] == expected
+
+
+class TestElementStream:
+    def test_full_pass_is_ascending_det_one_and_group_sized(self):
+        # with count_sl3() == GROUP_ORDER (acceptance check 1), this makes the
+        # stream exactly the det-1 set
+        parts = list(scan._map_chunks(lambda d: (scan._encode_planes(d), scan._det_plane(d))))
+        codes = np.concatenate([c for c, _ in parts])
+        assert codes.size == GROUP_ORDER
+        assert np.all(np.diff(codes) > 0)
+        assert all(np.all(dets == 1) for _, dets in parts)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return (scan.census(threads=1), scan.intertwiner_codes(M0, M0, threads=1))
+
+    @pytest.mark.parametrize("chunk_size,threads", [(1000, 1), (200_003, 2), (200_003, 3)])
+    def test_scans_independent_of_partitioning(self, reference, chunk_size, threads):
+        census, centralizer_codes = reference
+        kw = {"chunk_size": chunk_size, "threads": threads}
+        assert scan.census(**kw) == census
+        assert np.array_equal(scan.intertwiner_codes(M0, M0, **kw), centralizer_codes)
+        assert scan._power_counts(**kw) == {1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
+
+
+class TestDefaultThreads:
+    @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
+    def test_bad_value_warns_once_and_falls_back_to_one(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SL3F7_THREADS", value)
+        assert scan.default_threads() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warning:")
+        assert err.count("\n") == 1
+
+    def test_valid_or_unset_value_is_silent(self, monkeypatch, capsys):
+        monkeypatch.setenv("SL3F7_THREADS", "3")
+        assert scan.default_threads() == 3
+        monkeypatch.delenv("SL3F7_THREADS")
+        assert scan.default_threads() == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestCensus:

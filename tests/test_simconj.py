@@ -37,11 +37,10 @@ def conj(g: Mat3, m: Mat3) -> Mat3:
 
 def oracle_simultaneous_witness(t1, t2) -> Mat3 | None:
     """Brute force: every g with g*A1 = B1*g, tested on all coordinates."""
-    for lo, hi in scan._chunk_ranges(0, scan.CODE_SPACE, scan.DEFAULT_CHUNK):
-        for code in scan._commute_chunk(lo, hi, t1[0], t2[0]):
-            g = decode(int(code))
-            if all(conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
-                return g
+    for code in scan.intertwiner_codes(t1[0], t2[0]):
+        g = decode(int(code))
+        if all(conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
+            return g
     return None
 
 
