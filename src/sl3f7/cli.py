@@ -146,7 +146,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_centralizer(args: argparse.Namespace) -> int:
     m = _read_matrix(args)
-    report = scan.centralizer(m, threads=args.threads, progress=_progress_enabled())
+    report = scan.centralizer(m)
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -163,7 +163,7 @@ def cmd_centralizer(args: argparse.Namespace) -> int:
 
 def cmd_class_size(args: argparse.Namespace) -> int:
     m = _read_matrix(args)
-    size = scan.class_size(m, threads=args.threads, progress=_progress_enabled())
+    size = scan.class_size(m)
     centralizer_size = GROUP_ORDER // size
     if args.format == "json":
         _emit_json({
@@ -180,9 +180,9 @@ def cmd_class_size(args: argparse.Namespace) -> int:
 
 
 def cmd_sylow(args: argparse.Namespace) -> int:
-    n19 = scan.sylow19_count(threads=args.threads, progress=_progress_enabled())
     elements = scan.count_order19_elements(threads=args.threads,
                                            progress=_progress_enabled())
+    n19 = scan.sylow19_count(elements)
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
@@ -198,8 +198,7 @@ def cmd_sylow(args: argparse.Namespace) -> int:
 
 def cmd_normalizer(args: argparse.Namespace) -> int:
     m = _read_matrix(args)
-    size = scan.normalizer_of_cyclic(m, threads=args.threads,
-                                     progress=_progress_enabled())
+    size = scan.normalizer_of_cyclic(m)
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,

@@ -1,4 +1,10 @@
-"""Exhaustive, partitionable scans over SL3(F7) and derived censuses.
+"""Exhaustive, partitionable scans over SL3(F7) and the algebraic answers they check.
+
+Centralizers, class sizes, conjugators and normalizers are answered by
+linear algebra, not by scanning: the g with g*a = b*g form the nullspace
+of a 9x9 system over F7, and intertwiners() keeps the det-1 members of
+that space.  The group scans below are the exhaustive oracles for those
+answers and for the counts of the paper.
 
 Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
@@ -25,6 +31,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .classify import ClassLabel, NotEigenfree, NotInSL3, is_eigenfree_label
+from .field import fp_inv
 from .matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
@@ -72,10 +79,16 @@ def default_threads() -> int:
     except ValueError:
         n = 0
     if n < 1:
-        print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
-              file=sys.stderr)
+        _warn_bad_threads(raw)
         return 1
     return n
+
+
+@functools.cache
+def _warn_bad_threads(raw: str) -> None:
+    """Once per process and value, although every scan reads SL3F7_THREADS."""
+    print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
+          file=sys.stderr)
 
 
 def _decode_planes(codes: np.ndarray) -> np.ndarray:
@@ -417,29 +430,79 @@ def intertwiner_codes(
     a: Mat3,
     b: Mat3,
     *,
-    first_only: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
     progress: bool = False,
 ) -> np.ndarray:
-    """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g).
-
-    With first_only, the scan runs on one thread, stops at the minimal-code
-    solution and the result has length <= 1.
-    """
+    """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
+    ascending, by full group scan.  Exhaustive oracle for intertwiners."""
     kernel = functools.partial(_commute_chunk, a=a, b=b)
-    if first_only:
-        for hits in _map_chunks(kernel, chunk_size=chunk_size, threads=1):
-            if hits.size:
-                return hits[:1]
-        return np.empty(0, dtype=np.int64)
     return np.concatenate(list(_map_chunks(kernel, chunk_size=chunk_size,
                                            threads=threads, progress=progress)))
 
 
+def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
+    """Basis of the space {g in M3(F7) : g*a = b*g}, one row of 9 entries
+    per dimension, by Gaussian elimination over F7."""
+    # equation 3i + j: (g a - b g)_ij = sum_k g_ik a_kj - b_ik g_kj = 0
+    rows = [[0] * 9 for _ in range(9)]
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                rows[3 * i + j][3 * i + k] += a[3 * k + j]
+                rows[3 * i + j][3 * k + j] -= b[3 * i + k]
+    rows = [[v % 7 for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(9):
+        r = len(pivots)
+        hit = next((i for i in range(r, 9) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = fp_inv(rows[r][col])
+        rows[r] = [v * inv % 7 for v in rows[r]]
+        for i in range(9):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % 7 for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(9) if c not in pivots):
+        v = [0] * 9
+        v[free] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free] % 7
+        basis.append(v)
+    return np.array(basis, dtype=np.int16).reshape(-1, 9)
+
+
+def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
+    """Codes of all g in SL3 with g*a = b*g, ascending, without a group scan.
+
+    The solutions in M3(F7) are the nullspace of a 9x9 system, of
+    dimension d.  For conjugate a, b, d is 3 when a is cyclic (its
+    commutant is F7[a] = span{I, a, a^2}), 5 when a is derogatory but not
+    scalar, and 9 when a = b is scalar; otherwise d <= 6.  All 7^d members
+    are expanded as digit planes and the det-1 ones kept, except for d = 9:
+    then every element intertwines, and the element stream is encoded
+    instead of building 7^9 planes.
+
+    The codes come out ascending with no sort: the reduced-echelon basis
+    vector of free entry f is 1 at f, 0 at the other free entries and
+    nonzero only at pivot entries below f, so counting the coefficients
+    with the highest free entry as the top digit counts the codes upward.
+    """
+    basis = _intertwiner_basis(a, b)
+    d = basis.shape[0]
+    if d == 9:
+        return np.concatenate(list(_map_chunks(_encode_planes)))
+    planes = (basis.T @ _decode_planes(np.arange(7**d))[:d]) % 7
+    return _encode_planes(planes[:, _det_plane(planes) == 1])
+
+
 @dataclass(frozen=True)
 class CentralizerReport:
-    """Centralizer of a det-1 matrix, found by full scan."""
+    """Centralizer of a det-1 matrix, the det-1 solutions of g*m = m*g."""
 
     subject: Mat3
     size: int
@@ -462,17 +525,12 @@ class CentralizerReport:
 _ELEMENT_LIST_CAP = 1024
 
 
-def centralizer(
-    m: Mat3,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> CentralizerReport:
-    """All g in SL3(F7) with g*m = m*g, by full scan over the group."""
+def centralizer(m: Mat3) -> CentralizerReport:
+    """All g in SL3(F7) with g*m = m*g, from intertwiners(m, m); the
+    generator, when the centralizer is cyclic, is its least-code element
+    of full order."""
     _require_sl3(m)
-    codes = intertwiner_codes(m, m, chunk_size=chunk_size, threads=threads,
-                              progress=progress)
+    codes = intertwiners(m, m)
     size = int(codes.size)
     if size > _ELEMENT_LIST_CAP:
         # every element of SL3(F7) has order at most 57, so any subgroup
@@ -488,10 +546,10 @@ def centralizer(
     return CentralizerReport(m, size, generator is not None, generator, elements)
 
 
-def class_size(m: Mat3, **scan_kwargs) -> int:
+def class_size(m: Mat3) -> int:
     """Conjugacy-class size by orbit-stabilizer: |SL3| / |centralizer|."""
-    report = centralizer(m, **scan_kwargs)
-    q, r = divmod(GROUP_ORDER, report.size)
+    _require_sl3(m)
+    q, r = divmod(GROUP_ORDER, intertwiners(m, m).size)
     if r:
         raise AssertionError("centralizer size does not divide the group order")
     return q
@@ -555,13 +613,16 @@ def count_order19_elements(
     return counts[19] - 1
 
 
-def sylow19_count(**scan_kwargs) -> int:
+def sylow19_count(order19_elements: int | None = None, **scan_kwargs) -> int:
     """Number of Sylow 19-subgroups: order-19 elements come 18 per subgroup.
 
+    Derived from the given count of order-19 elements, or from one power
+    pass (count_order19_elements with scan_kwargs) when none is given.
     Validated to be an integer congruent to 1 mod 19 that divides
     2^5 * 3^3 * 7^3.
     """
-    elements = count_order19_elements(**scan_kwargs)
+    elements = (count_order19_elements(**scan_kwargs) if order19_elements is None
+                else order19_elements)
     n19, rem = divmod(elements, 18)
     if rem:
         raise NonIntegerCount(f"{elements} order-19 elements not divisible by 18")
@@ -570,17 +631,32 @@ def sylow19_count(**scan_kwargs) -> int:
     return n19
 
 
-def normalizer_of_cyclic(
+def _require_order19(p: Mat3) -> None:
+    _require_sl3(p)
+    if mat_order(p) != 19:
+        raise WrongOrder(f"generator has order {mat_order(p)}, expected 19")
+
+
+def normalizer_of_cyclic(p_generator: Mat3) -> int:
+    """Size of N(<P>) = {g : g P g^-1 in <P>} for an order-19 generator P.
+
+    Conjugation keeps the order, so g P g^-1 is one of P^k, k = 1..18, and
+    N(<P>) is the disjoint union of the 18 intertwiner sets of (P, P^k).
+    """
+    _require_order19(p_generator)
+    return sum(intertwiners(p_generator, mat_pow(p_generator, k)).size for k in range(1, 19))
+
+
+def normalizer_oracle(
     p_generator: Mat3,
     *,
     chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
     progress: bool = False,
 ) -> int:
-    """Size of N(<P>) = {g : g P g^-1 in <P>} for an order-19 generator P."""
-    _require_sl3(p_generator)
-    if mat_order(p_generator) != 19:
-        raise WrongOrder(f"generator has order {mat_order(p_generator)}, expected 19")
+    """|N(<P>)| by full group scan, counting the g with g P g^-1 among the
+    19 powers of P.  Exhaustive oracle for normalizer_of_cyclic."""
+    _require_order19(p_generator)
     member_codes = np.sort(np.array(
         [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int64))
 
@@ -588,6 +664,11 @@ def normalizer_of_cyclic(
         return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
 
     return sum(_map_chunks(kernel, chunk_size=chunk_size, threads=threads, progress=progress))
+
+
+def _order_absent(counts: dict[int, int], n: int) -> bool:
+    """Read from _power_counts: no g has g^n = I with g^(n/3) != I."""
+    return counts[n] == counts[n // 3]
 
 
 def order_absence_check(
@@ -600,8 +681,8 @@ def order_absence_check(
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    counts = _power_counts(chunk_size=chunk_size, threads=threads, progress=progress)
-    return counts[n] == counts[n // 3]
+    return _order_absent(
+        _power_counts(chunk_size=chunk_size, threads=threads, progress=progress), n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Verification harness: every acceptance check behind `sl3f7 verify`.
 
 Each check reproduces one exact claim about SL3(F7) (integer equalities,
-zero tolerance).  The quick suite trims sampling volume and skips the
+zero tolerance).  The algebraic answers (centralizers, class sizes, the
+normalizer) are compared with the brute-force scans kept as their
+oracles.  The quick suite trims sampling volume and skips the
 generator-closure run; the full suite runs everything at full scale.
 The pytest acceptance module drives the same registry.
 """
@@ -149,7 +151,9 @@ def check_eigenvalue_orders(full: bool, threads: int | None) -> tuple[bool, str]
 
 
 def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
-    rep = scan.centralizer(M04, threads=threads)
+    rep = scan.centralizer(M04)
+    algebraic_ok = np.array_equal(scan.intertwiners(M04, M04),
+                                  scan.intertwiner_codes(M04, M04, threads=threads))
     powers = set()
     p = M04
     for _ in range(57):
@@ -162,6 +166,7 @@ def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
         and rep.elements is not None
         and set(rep.elements) == powers
         and table_total == 57
+        and algebraic_ok
     )
     return ok, (f"size={rep.size}, cyclic={rep.is_cyclic}, "
                 f"elements = the 57 powers, (b,d)-table total={table_total}")
@@ -172,10 +177,12 @@ def check_conjugacy(full: bool, threads: int | None) -> tuple[bool, str]:
     labels = list(cat.labels) if full else list(cat.labels)[:3]
     sizes_ok = True
     for label in labels:
-        report = scan.centralizer(cat.representative_of[label], threads=threads)
+        m = cat.representative_of[label]
+        report = scan.centralizer(m)
+        oracle = scan.intertwiner_codes(m, m, threads=threads)
         sizes_ok = sizes_ok and report.size == 57 and report.is_cyclic
-        sizes_ok = sizes_ok and scan.class_size(cat.representative_of[label],
-                                                threads=threads) == 98_784
+        sizes_ok = sizes_ok and report.elements == tuple(oracle.tolist())
+        sizes_ok = sizes_ok and scan.class_size(m) == 98_784
     orbit_labels = [ClassLabel(0, 4), ClassLabel(0, 2)] if full else [ClassLabel(0, 4)]
     orbits_ok = True
     budget_ok = True
@@ -227,9 +234,10 @@ def check_power_bijections(full: bool, threads: int | None) -> tuple[bool, str]:
 
 def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
     elements = scan.count_order19_elements(threads=threads)
-    n19 = scan.sylow19_count(threads=threads)
+    n19 = scan.sylow19_count(elements)
     ok = (
         n19 == 32_928
+        and n19 * scan.normalizer_of_cyclic(M02) == GROUP_ORDER
         and n19 % 19 == 1
         and elements == 592_704
         and elements == 18 * n19
@@ -239,15 +247,17 @@ def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
 
 
 def check_normalizer(full: bool, threads: int | None) -> tuple[bool, str]:
-    n = scan.normalizer_of_cyclic(M02, threads=threads)
-    ok = n == 171 and n % 57 == 0 and n // 19 == 9
+    n = scan.normalizer_of_cyclic(M02)
+    ok = (n == scan.normalizer_oracle(M02, threads=threads) == 171
+          and n % 57 == 0 and n // 19 == 9)
     return ok, f"|N(<P>)|={n} = 3^2 * 19"
 
 
 def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
-    absent9 = scan.order_absence_check(9, threads=threads)
-    absent27 = scan.order_absence_check(27, threads=threads)
-    present3 = not scan.order_absence_check(3, threads=threads)
+    counts = scan._power_counts(threads=threads)
+    absent9 = scan._order_absent(counts, 9)
+    absent27 = scan._order_absent(counts, 27)
+    present3 = not scan._order_absent(counts, 3)
     ok = absent9 and absent27 and present3
     return ok, f"order 9 absent={absent9}, order 27 absent={absent27}, order 3 present={present3}"
 

@@ -1,10 +1,12 @@
 import json
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import random_sl3
 from sl3f7 import scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotEigenfree, NotInSL3
 from sl3f7.matrix3 import (
@@ -15,6 +17,8 @@ from sl3f7.matrix3 import (
     decode,
     det,
     encode,
+    mat,
+    mat_inv,
     mat_mul,
     mat_scale,
     scalar_mat,
@@ -95,6 +99,11 @@ class TestElementStream:
 
 
 class TestDefaultThreads:
+    @pytest.fixture(autouse=True)
+    def fresh_warning(self):
+        # the warning is printed once per process and value
+        scan._warn_bad_threads.cache_clear()
+
     @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
     def test_bad_value_warns_once_and_falls_back_to_one(self, monkeypatch, capsys, value):
         monkeypatch.setenv("SL3F7_THREADS", value)
@@ -109,6 +118,13 @@ class TestDefaultThreads:
         monkeypatch.delenv("SL3F7_THREADS")
         assert scan.default_threads() == 1
         assert capsys.readouterr().err == ""
+
+    def test_bad_value_warns_once_per_process(self, monkeypatch, capsys):
+        monkeypatch.setenv("SL3F7_THREADS", "x")
+        assert scan.default_threads() == scan.default_threads() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warning:")
+        assert err.count("\n") == 1
 
 
 class TestCensus:
@@ -236,6 +252,11 @@ class TestSylow:
         assert elements == 18 * scan.sylow19_count()
         assert elements == 6 * 98_784
 
+    def test_given_count_is_not_rescanned(self):
+        assert scan.sylow19_count(592_704) == 32_928
+        with pytest.raises(scan.NonIntegerCount):
+            scan.sylow19_count(592_705)
+
 
 class TestNormalizer:
     def test_m2_normalizer(self):
@@ -339,15 +360,57 @@ class TestParameterTable:
         assert family == set(scan.centralizer(M0).elements)
 
 
+def conj(g: Mat3, m: Mat3) -> Mat3:
+    return mat_mul(mat_mul(g, m), mat_inv(g))
+
+
+def intertwiner_pair(kind: str, rng: random.Random) -> tuple[Mat3, Mat3]:
+    """A random pair (a, b) of the given kind, each conjugated at random."""
+    labels = list(KNOWN_REPRESENTATIVES)
+    if kind == "conjugate":
+        a = conj(random_sl3(rng), KNOWN_REPRESENTATIVES[rng.choice(labels)])
+        return a, conj(random_sl3(rng), a)
+    if kind == "non-conjugate":
+        la, lb = rng.sample(labels, 2)
+        return (conj(random_sl3(rng), KNOWN_REPRESENTATIVES[la]),
+                conj(random_sl3(rng), KNOWN_REPRESENTATIVES[lb]))
+    if kind == "derogatory":  # solution space of dimension 5
+        d = mat((1, 0, 0, 0, 1, 0, 0, 0, 2))
+        return conj(random_sl3(rng), d), conj(random_sl3(rng), d)
+    # a scalar against a non-scalar sharing its eigenvalue: dimension 6
+    lam, mu = rng.sample(range(1, 7), 2)
+    return scalar_mat(lam), conj(random_sl3(rng), mat((lam, 0, 0, 0, lam, 0, 0, 0, mu)))
+
+
 class TestIntertwiner:
-    def test_first_only_returns_minimal_code(self):
-        hits = scan.intertwiner_codes(M0, M0, first_only=True)
-        assert hits.size == 1
-        g: Mat3 = decode(int(hits[0]))
+    # each example costs one oracle scan of the whole group
+    @seed(0x1A7E)
+    @settings(max_examples=8, deadline=None)
+    @given(kind=st.sampled_from(["conjugate", "non-conjugate", "derogatory", "scalar"]),
+           pair_seed=st.integers(0, 2**32 - 1))
+    @example(kind="conjugate", pair_seed=0)
+    @example(kind="non-conjugate", pair_seed=0)
+    @example(kind="derogatory", pair_seed=0)
+    @example(kind="scalar", pair_seed=0)
+    def test_matches_oracle_scan(self, kind, pair_seed):
+        a, b = intertwiner_pair(kind, random.Random(pair_seed))
+        assert np.array_equal(scan.intertwiners(a, b), scan.intertwiner_codes(a, b))
+
+    def test_equal_scalars_give_the_whole_group(self):
+        codes = scan.intertwiners(scalar_mat(2), scalar_mat(2))
+        assert codes.size == GROUP_ORDER
+        assert np.all(np.diff(codes) > 0)
+
+    def test_different_scalars_give_nothing(self):
+        assert scan.intertwiners(scalar_mat(2), scalar_mat(4)).size == 0
+        assert scan.intertwiner_codes(scalar_mat(2), scalar_mat(4)).size == 0
+
+    def test_least_intertwiner_is_oracle_minimum(self):
+        least = int(scan.intertwiners(M0, M0)[0])
+        g: Mat3 = decode(least)
         assert mat_mul(g, M0) == mat_mul(M0, g)
-        all_codes = scan.centralizer(M0).elements
-        assert int(hits[0]) == min(all_codes)
+        assert least == int(scan.intertwiner_codes(M0, M0).min())
 
     def test_different_labels_never_conjugate(self):
-        hits = scan.intertwiner_codes(M0, mat_scale(2, M0), first_only=True)
-        assert hits.size == 0
+        assert scan.intertwiners(M0, mat_scale(2, M0)).size == 0
+        assert scan.intertwiner_codes(M0, mat_scale(2, M0)).size == 0

@@ -7,6 +7,7 @@ from sl3f7.matrix3 import (
     IDENTITY,
     Mat3,
     decode,
+    encode,
     mat,
     mat_inv,
     mat_mul,
@@ -104,6 +105,11 @@ class TestFindConjugator:
         g = find_conjugator(rep, M2)
         assert g is not None
         assert conj(g, rep) == M2
+
+    def test_least_code_matches_oracle_minimum(self, rng):
+        a = conj(random_sl3(rng), M0)
+        b = conj(random_sl3(rng), a)
+        assert encode(find_conjugator(a, b)) == int(scan.intertwiner_codes(a, b).min())
 
 
 class TestDecide:
