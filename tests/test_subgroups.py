@@ -2,10 +2,13 @@ import os
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import random_sl3
+from sl3f7 import scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
-from sl3f7.matrix3 import GROUP_ORDER, IDENTITY, det, mat, mat_mul
+from sl3f7.matrix3 import GROUP_ORDER, IDENTITY, decode, det, mat, mat_mul, mat_order
 from sl3f7.schema import validate_document
 from sl3f7.subgroups import (
     PARABOLIC_GENERATORS,
@@ -74,6 +77,19 @@ class TestClosure:
 
     def test_parabolic_generators_generate_h(self):
         assert generator_closure(PARABOLIC_GENERATORS) == PARABOLIC_ORDER
+
+    def test_identity_alone_ends_on_an_empty_level(self):
+        # the first level's candidates are all visited, so the dedupe sees []
+        assert generator_closure((IDENTITY,), cap=1) == 1
+
+    # the cap is the exact answer, so a closure that revisits or double
+    # counts an element raises ClosureCapExceeded instead of looping on
+    @seed(0xC105)
+    @settings(max_examples=60, deadline=None)
+    @given(rank=st.integers(0, GROUP_ORDER - 1))
+    def test_cyclic_closure_is_the_element_order(self, rank):
+        g = decode(int(scan._encode_planes(scan._element_planes(rank, rank + 1))[0]))
+        assert generator_closure((g,), cap=mat_order(g)) == mat_order(g)
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
