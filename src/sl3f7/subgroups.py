@@ -27,7 +27,7 @@ from .matrix3 import (
     mat_inv,
     mat_mul,
 )
-from .scan import SCHEMA, _decode_planes, _encode_planes, _mul_planes_const
+from .scan import SCHEMA, _decode_planes, _encode_planes, _mod7, _mul_planes_const
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -66,7 +66,7 @@ def in_parabolic(m: Mat3) -> bool:
 def parabolic_size() -> int:
     """Direct count of the 7^7 entry tuples (d = g = 0) with det = 1."""
     a, b, c, e, f, h, i = _decode_planes(np.arange(7**7))[:7]
-    dets = (a * (e * i - f * h)) % 7  # block form: det = a * det([[e,f],[h,i]])
+    dets = _mod7(a * (e * i - f * h))  # block form: det = a * det([[e,f],[h,i]])
     return int(np.count_nonzero(dets == 1))
 
 
@@ -79,6 +79,9 @@ def generator_closure(
 
     The frontier multiplies on the right by each generator and its inverse;
     visited states live in a flat presence bitmap over the 7^9 code space.
+    Right multiplication by s maps each row r of g to r*s on its own, so each
+    step s gets a 343-entry table T of row codes, and a neighbour code is
+    T[r1] + 343 T[r2] + 343^2 T[r3] (_right_steps): no plane product per level.
     Each level's candidates are deduplicated by sorting: the visited ones
     are dropped, the rest sorted and the first of each run of equal codes
     kept, which leaves the same ascending frontier np.unique would give.
@@ -88,20 +91,14 @@ def generator_closure(
     """
     if not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(tuple(gens))
-    step_mats = []
-    for g in gens.gens:
-        step_mats.append(g)
-        step_mats.append(mat_inv(g))
+    tables = [_row_table(s) for g in gens.gens for s in (g, mat_inv(g))]
 
     visited = np.zeros(CODE_SPACE, dtype=bool)
-    start = np.array([encode(IDENTITY)], dtype=np.int64)
-    visited[start] = True
-    frontier = start
+    frontier = np.array([encode(IDENTITY)], dtype=np.int32)
+    visited[frontier] = True
     size = 1
     while frontier.size:
-        planes = _decode_planes(frontier)
-        neighbors = [_encode_planes(_mul_planes_const(planes, g)) for g in step_mats]
-        candidates = np.concatenate(neighbors)
+        candidates = _right_steps(frontier, tables)
         fresh = np.sort(candidates[~visited[candidates]])
         fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # also right for an empty level
         visited[fresh] = True
@@ -110,6 +107,20 @@ def generator_closure(
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
         frontier = fresh
     return size
+
+
+def _row_table(s: Mat3) -> np.ndarray:
+    """Row code r -> code of r*s as row 1, 2 and 3 (times 1, 343, 343^2): (3, 343) int32."""
+    rows = _encode_planes(_mul_planes_const(_decode_planes(np.arange(343)), s))
+    return (np.array([[1], [343], [343**2]]) * rows).astype(np.int32)
+
+
+def _right_steps(codes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """Codes g*s for the int32 codes g, one block per step s given by its _row_table."""
+    high = codes // 343
+    r3 = high // 343
+    r1, r2 = codes - 343 * high, high - 343 * r3
+    return np.concatenate([t[0, r1] + t[1, r2] + t[2, r3] for t in tables])
 
 
 # Transvections and torus elements generating H (certified by a closure run

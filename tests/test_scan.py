@@ -76,6 +76,49 @@ class TestEnumerate:
         assert [encode(m) for m in scan.enumerate_sl3(start, stop)] == expected
 
 
+class TestCountDifferential:
+    # the 7^9 det counts against a pure-Python det on random code windows, so
+    # check 1's 5_630_688 is not the only guard on the vectorized decode
+    @seed(0xDE7)
+    @settings(max_examples=25, deadline=None)
+    @given(start=st.integers(0, CODE_SPACE), width=st.integers(0, 3_000),
+           chunk_size=st.integers(100, 4_000))
+    def test_det_counts_match_pure_python(self, start, width, chunk_size):
+        stop = min(start + width, CODE_SPACE)
+        dets = [det(decode(c)) for c in range(start, stop)]
+        assert scan.count_sl3(start, stop, chunk_size=chunk_size) == dets.count(1)
+        assert (scan.count_invertible(start, stop, chunk_size=chunk_size)
+                == len(dets) - dets.count(0))
+
+
+class TestExactArithmetic:
+    def test_mod7_is_remainder_on_every_int16_but_the_minimum(self):
+        # -32768 is outside the domain: 7 * (x // 7) overflows int16 there
+        x = np.arange(-32_767, 32_768, dtype=np.int16)
+        got = scan._mod7(x)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, np.remainder(x, 7))
+
+    @pytest.mark.parametrize("dtype,bound", [(np.int32, 2**30), (np.int64, 2**62)])
+    def test_mod7_is_remainder_on_wide_samples(self, dtype, bound):
+        rng = np.random.default_rng(0x3707)
+        x = np.concatenate([rng.integers(-bound, bound, 20_000),
+                            [0, 1, -1, 6, 7, -7, -8, bound, -bound]]).astype(dtype)
+        assert np.array_equal(scan._mod7(x), np.remainder(x, 7))
+
+    def test_decode_and_encode_round_trip_and_match_scalar_codes(self):
+        rng = random.Random(0xC0DE)
+        codes = np.array([0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(3_000)],
+                         dtype=np.int64)
+        planes = scan._decode_planes(codes)
+        assert planes.dtype == np.int16
+        assert [tuple(col) for col in planes.T.tolist()] == [decode(int(c)) for c in codes]
+        back = scan._encode_planes(planes)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, codes)
+        assert [encode(decode(int(c))) for c in codes] == codes.tolist()
+
+
 class TestElementStream:
     def test_full_pass_is_ascending_det_one_and_group_sized(self):
         # with count_sl3() == GROUP_ORDER (acceptance check 1), this makes the

@@ -1,6 +1,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -8,7 +9,18 @@ from hypothesis import strategies as st
 from conftest import random_sl3
 from sl3f7 import scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
-from sl3f7.matrix3 import GROUP_ORDER, IDENTITY, decode, det, mat, mat_mul, mat_order
+from sl3f7.matrix3 import (
+    CODE_SPACE,
+    GROUP_ORDER,
+    IDENTITY,
+    decode,
+    det,
+    encode,
+    mat,
+    mat_inv,
+    mat_mul,
+    mat_order,
+)
 from sl3f7.schema import validate_document
 from sl3f7.subgroups import (
     PARABOLIC_GENERATORS,
@@ -19,6 +31,8 @@ from sl3f7.subgroups import (
     X,
     Y,
     Z,
+    _right_steps,
+    _row_table,
     generator_closure,
     in_parabolic,
     maximality_witness,
@@ -94,6 +108,16 @@ class TestClosure:
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
             generator_closure((M2,), cap=5)
+
+    # closure sizes cannot catch a transposed table: X^T, Y^T, Z^T also
+    # generate G, and the transposed H generators give a group of order 98784
+    @pytest.mark.parametrize("gens", [(X, Y, Z), PARABOLIC_GENERATORS], ids=["XYZ", "H"])
+    def test_row_table_steps_are_right_products(self, gens):
+        rng = random.Random(0x7AB1)
+        codes = [0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(2_000)]
+        steps = [s for g in gens for s in (g, mat_inv(g))]
+        got = _right_steps(np.array(codes, dtype=np.int32), [_row_table(s) for s in steps])
+        assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError):
