@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain precondition violated, 4 semantic input error.  Long scans print
-progress to stderr only; stdout stays machine-clean.
+3 domain precondition violated, 4 semantic input error.  Errors and
+warnings go to stderr only; stdout stays machine-clean.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ _PRECONDITION_ERRORS = (
     UnsupportedOrder, InParabolic, ZeroInverse, ZeroElement,
 )
 _SEMANTIC_ERRORS = (NotCommuting, EmptyAfterScalarStrip)
-
-
-def _progress_enabled() -> bool:
-    return sys.stderr.isatty()
 
 
 def _add_matrix_arg(p: argparse.ArgumentParser) -> None:
@@ -127,7 +123,7 @@ def cmd_power_table(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    summary = scan.census(threads=args.threads, progress=_progress_enabled())
+    summary = scan.census(threads=args.threads)
     if args.format == "json":
         _emit_json(summary.to_json())
     elif args.format == "csv":
@@ -180,8 +176,7 @@ def cmd_class_size(args: argparse.Namespace) -> int:
 
 
 def cmd_sylow(args: argparse.Namespace) -> int:
-    elements = scan.count_order19_elements(threads=args.threads,
-                                           progress=_progress_enabled())
+    elements = scan.count_order19_elements(threads=args.threads)
     n19 = scan.sylow19_count(elements)
     if args.format == "json":
         _emit_json({

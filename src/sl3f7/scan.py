@@ -10,11 +10,13 @@ Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
 pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
-Every scan splits the ranks into disjoint chunks, evaluates a vectorized
-kernel on each chunk's digit planes, and merges partial results by
-addition or concatenation, so results are independent of the chunking and
-of thread count.  Kernels reduce mod 7 with _mod7, not %, which numpy does
-not vectorize (15x slower on int16).  Only the det counts count_sl3 and count_invertible scan
+Every scan splits the ranks into disjoint chunks of CHUNK ranks, a fixed
+internal constant, evaluates a vectorized kernel on each chunk's digit
+planes, and merges partial results by addition or concatenation, so
+results are independent of the chunking and of thread count, the only
+setting of a scan; the tests vary CHUNK to show the former.  Kernels
+reduce mod 7 with _mod7, not %, which numpy does not vectorize (15x
+slower on int16).  Only the det counts count_sl3 and count_invertible scan
 all 7^9 codes; count_sl3 is the independent oracle that the stream is
 exactly the det-1 set.
 """
@@ -24,7 +26,6 @@ from __future__ import annotations
 import functools
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -45,13 +46,14 @@ from .matrix3 import (
     format_matrix,
     has_fp_eigenvalue,
     is_scalar,
+    mat_mul,
     mat_order,
     mat_pow,
     trace,
 )
 
 SCHEMA = "sl3f7/v1"
-DEFAULT_CHUNK = 1 << 18  # element ranks per chunk (codes per chunk in the 7^9 det counts)
+CHUNK = 1 << 18  # element ranks per chunk (codes per chunk in the 7^9 det counts)
 
 _T = TypeVar("_T")
 
@@ -160,8 +162,8 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _chunk_ranges(start: int, stop: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, stop)) for lo in range(start, stop, chunk_size)]
+def _chunk_ranges(start: int, stop: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + CHUNK, stop)) for lo in range(start, stop, CHUNK)]
 
 
 def _map_chunks(
@@ -170,23 +172,13 @@ def _map_chunks(
     start: int = 0,
     stop: int = GROUP_ORDER,
     *,
-    chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
-    progress: bool = False,
 ) -> Iterator[_T]:
     """Apply kernel to the planes source(lo, hi) of disjoint ranges of
-    [start, stop), yielding results in range order.  By default the ranges
-    are ranks of the det-1 element stream, i.e. the whole group."""
-    ranges = _chunk_ranges(start, stop, chunk_size)
+    [start, stop), CHUNK long, yielding results in range order.  By default
+    the ranges are ranks of the det-1 element stream, i.e. the whole group."""
+    ranges = _chunk_ranges(start, stop)
     threads = default_threads() if threads is None else max(1, threads)
-    done = 0
-    t0 = time.time()
-
-    def report() -> None:
-        if progress and ranges:
-            pct = 100.0 * done / len(ranges)
-            print(f"\rscanning: {pct:5.1f}% ({time.time() - t0:.1f}s)",
-                  end="", file=sys.stderr, flush=True)
 
     def worker(r: tuple[int, int]) -> _T:
         return kernel(source(*r))
@@ -194,16 +186,9 @@ def _map_chunks(
     if threads == 1 or len(ranges) <= 1:
         for r in ranges:
             yield worker(r)
-            done += 1
-            report()
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for out in ex.map(worker, ranges):
-                yield out
-                done += 1
-                report()
-    if progress and ranges:
-        print(file=sys.stderr)
+            yield from ex.map(worker, ranges)
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
@@ -217,15 +202,6 @@ def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for i in range(3):
         for j in range(3):
             out[3 * i + j] = _mod7(x[3 * i] * y[j] + x[3 * i + 1] * y[3 + j] + x[3 * i + 2] * y[6 + j])
-    return out
-
-
-def _mul_planes_const(x: np.ndarray, m: Mat3) -> np.ndarray:
-    """x @ m with m a fixed matrix, reduced mod 7."""
-    out = np.empty_like(x)
-    for i in range(3):
-        for j in range(3):
-            out[3 * i + j] = _mod7(x[3 * i] * m[j] + x[3 * i + 1] * m[3 + j] + x[3 * i + 2] * m[6 + j])
     return out
 
 
@@ -261,7 +237,8 @@ def _eq_identity(d: np.ndarray) -> np.ndarray:
 
 def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
     """Codes of g m g^-1 for the det-1 planes g."""
-    return _encode_planes(_mul_planes(_mul_planes_const(g, m), _adjugate_planes(g)))
+    return _encode_planes(_mul_planes(_mul_planes(g, np.array(m, dtype=np.int16)),
+                                      _adjugate_planes(g)))
 
 
 def _require_sl3(m: Mat3) -> None:
@@ -273,12 +250,7 @@ def _require_sl3(m: Mat3) -> None:
 # enumeration and counting
 
 
-def enumerate_sl3(
-    start: int = 0,
-    stop: int = CODE_SPACE,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> Iterator[Mat3]:
+def enumerate_sl3(start: int = 0, stop: int = CODE_SPACE) -> Iterator[Mat3]:
     """Yield the det-1 matrices whose codes lie in [start, stop), ascending."""
     if not (0 <= start <= stop <= CODE_SPACE):
         raise ValueError(f"partition [{start}, {stop}) not within [0, {CODE_SPACE})")
@@ -286,7 +258,7 @@ def enumerate_sl3(
     # pairs whose codes base .. base + 342 can meet [start, stop)
     first = max(int(np.searchsorted(pair_base, start, "right")) - 1, 0)
     last = int(np.searchsorted(pair_base, stop, "left"))
-    for lo, hi in _chunk_ranges(49 * first, 49 * last, chunk_size):
+    for lo, hi in _chunk_ranges(49 * first, 49 * last):
         codes = _encode_planes(_element_planes(lo, hi))
         for code in codes[(codes >= start) & (codes < stop)]:
             yield decode(int(code))
@@ -296,27 +268,22 @@ def count_sl3(
     start: int = 0,
     stop: int = CODE_SPACE,
     *,
-    chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
-    progress: bool = False,
 ) -> int:
     """Number of det-1 matrices with codes in [start, stop), by det over every code."""
     return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) == 1)),
-                           _code_planes, start, stop, chunk_size=chunk_size,
-                           threads=threads, progress=progress))
+                           _code_planes, start, stop, threads=threads))
 
 
 def count_invertible(
     start: int = 0,
     stop: int = CODE_SPACE,
     *,
-    chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
 ) -> int:
     """Number of det != 0 matrices in the range (GL3 count on the full range)."""
     return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) != 0)),
-                           _code_planes, start, stop, chunk_size=chunk_size,
-                           threads=threads))
+                           _code_planes, start, stop, threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +339,7 @@ def _census_chunk(d: np.ndarray) -> tuple[int, np.ndarray]:
     return d.shape[1], counts
 
 
-def census(
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> ScanSummary:
+def census(*, threads: int | None = None) -> ScanSummary:
     """Full-group census: group order plus eigenfree counts by trace and label.
 
     Deterministic for any chunk size or thread count (partial results merge
@@ -385,8 +347,7 @@ def census(
     """
     group_order = 0
     counts = np.zeros(49, dtype=np.int64)
-    for n, part in _map_chunks(_census_chunk, chunk_size=chunk_size,
-                               threads=threads, progress=progress):
+    for n, part in _map_chunks(_census_chunk, threads=threads):
         group_order += n
         counts += part
     by_label = {
@@ -403,12 +364,7 @@ def census(
     )
 
 
-def label_member_codes(
-    label: ClassLabel,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-) -> np.ndarray:
+def label_member_codes(label: ClassLabel, *, threads: int | None = None) -> np.ndarray:
     """Sorted codes of every SL3 matrix carrying the given eigenfree label."""
     if not is_eigenfree_label(label):
         raise NotEigenfree(f"{label} is not an eigenvector-free label")
@@ -417,7 +373,7 @@ def label_member_codes(
         tr, jc = _char_planes(d)
         return _encode_planes(d[:, (tr == label.i) & (jc == label.j)])
 
-    return np.concatenate(list(_map_chunks(kernel, chunk_size=chunk_size, threads=threads)))
+    return np.concatenate(list(_map_chunks(kernel, threads=threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +391,11 @@ def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
     return _encode_planes(d[:, mask])
 
 
-def intertwiner_codes(
-    a: Mat3,
-    b: Mat3,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> np.ndarray:
+def intertwiner_codes(a: Mat3, b: Mat3, *, threads: int | None = None) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
     ascending, by full group scan.  Exhaustive oracle for intertwiners."""
     kernel = functools.partial(_commute_chunk, a=a, b=b)
-    return np.concatenate(list(_map_chunks(kernel, chunk_size=chunk_size,
-                                           threads=threads, progress=progress)))
+    return np.concatenate(list(_map_chunks(kernel, threads=threads)))
 
 
 def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
@@ -585,9 +533,7 @@ def orbit_oracle(
     m: Mat3,
     *,
     cap: int = 1 << 20,
-    chunk_size: int = DEFAULT_CHUNK,
     threads: int | None = None,
-    progress: bool = False,
 ) -> set[int]:
     """Brute-force conjugation orbit {encode(g m g^-1) : g in SL3}.
 
@@ -596,8 +542,7 @@ def orbit_oracle(
     """
     _require_sl3(m)
     seen = np.zeros(CODE_SPACE, dtype=bool)
-    for codes in _map_chunks(lambda g: _conjugate_codes(g, m), chunk_size=chunk_size,
-                             threads=threads, progress=progress):
+    for codes in _map_chunks(lambda g: _conjugate_codes(g, m), threads=threads):
         seen[codes] = True
     orbit = np.flatnonzero(seen)
     if orbit.size > cap:
@@ -625,32 +570,26 @@ def _power_chunk(g: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9, g19, g27)])
 
 
-def _power_counts(**scan_kwargs) -> dict[int, int]:
+def _power_counts(threads: int | None = None) -> dict[int, int]:
     """k -> number of g in SL3 with g^k = I, for k in 1, 3, 9, 19, 27, in one pass."""
-    totals = sum(_map_chunks(_power_chunk, **scan_kwargs))
+    totals = sum(_map_chunks(_power_chunk, threads=threads))
     return dict(zip(_POWER_EXPONENTS, totals.tolist()))
 
 
-def count_order19_elements(
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> int:
+def count_order19_elements(*, threads: int | None = None) -> int:
     """Number of elements of order exactly 19 (g^19 = I and g != I)."""
-    counts = _power_counts(chunk_size=chunk_size, threads=threads, progress=progress)
-    return counts[19] - 1
+    return _power_counts(threads)[19] - 1
 
 
-def sylow19_count(order19_elements: int | None = None, **scan_kwargs) -> int:
+def sylow19_count(order19_elements: int | None = None, *, threads: int | None = None) -> int:
     """Number of Sylow 19-subgroups: order-19 elements come 18 per subgroup.
 
     Derived from the given count of order-19 elements, or from one power
-    pass (count_order19_elements with scan_kwargs) when none is given.
+    pass on the given threads (count_order19_elements) when none is given.
     Validated to be an integer congruent to 1 mod 19 that divides
     2^5 * 3^3 * 7^3.
     """
-    elements = (count_order19_elements(**scan_kwargs) if order19_elements is None
+    elements = (count_order19_elements(threads=threads) if order19_elements is None
                 else order19_elements)
     n19, rem = divmod(elements, 18)
     if rem:
@@ -676,13 +615,7 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
     return sum(intertwiners(p_generator, mat_pow(p_generator, k)).size for k in range(1, 19))
 
 
-def normalizer_oracle(
-    p_generator: Mat3,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> int:
+def normalizer_oracle(p_generator: Mat3, *, threads: int | None = None) -> int:
     """|N(<P>)| by full group scan, counting the g with g P g^-1 among the
     19 powers of P.  Exhaustive oracle for normalizer_of_cyclic."""
     _require_order19(p_generator)
@@ -692,7 +625,7 @@ def normalizer_oracle(
     def kernel(g: np.ndarray) -> int:
         return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
 
-    return sum(_map_chunks(kernel, chunk_size=chunk_size, threads=threads, progress=progress))
+    return sum(_map_chunks(kernel, threads=threads))
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:
@@ -700,18 +633,11 @@ def _order_absent(counts: dict[int, int], n: int) -> bool:
     return counts[n] == counts[n // 3]
 
 
-def order_absence_check(
-    n: int,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
-    progress: bool = False,
-) -> bool:
+def order_absence_check(n: int, *, threads: int | None = None) -> bool:
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    return _order_absent(
-        _power_counts(chunk_size=chunk_size, threads=threads, progress=progress), n)
+    return _order_absent(_power_counts(threads), n)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +665,7 @@ def power_table(m: Mat3, limit: int) -> list[PowerTableRow]:
     rows: list[PowerTableRow] = []
     mk = IDENTITY
     for k in range(1, limit + 1):
-        mk = tuple((mk[3 * i] * m[j] + mk[3 * i + 1] * m[3 + j] + mk[3 * i + 2] * m[6 + j]) % 7
-                   for i in range(3) for j in range(3))
+        mk = mat_mul(mk, m)
         poly, _ = char_poly(mk)
         pair = (poly.i, poly.j)
         if not has_fp_eigenvalue(mk):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classify import NotInSL3
 from .field import fp_inv
 from .matrix3 import (
     CODE_SPACE,
@@ -27,7 +28,7 @@ from .matrix3 import (
     mat_inv,
     mat_mul,
 )
-from .scan import SCHEMA, _decode_planes, _encode_planes, _mod7, _mul_planes_const
+from .scan import SCHEMA, _decode_planes, _encode_planes, _mod7, _mul_planes
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -54,7 +55,7 @@ class GeneratorSet:
             raise ValueError("generator set must be nonempty")
         for g in self.gens:
             if det(g) != 1:
-                raise ValueError(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
+                raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
 
 
 def in_parabolic(m: Mat3) -> bool:
@@ -111,7 +112,7 @@ def generator_closure(
 
 def _row_table(s: Mat3) -> np.ndarray:
     """Row code r -> code of r*s as row 1, 2 and 3 (times 1, 343, 343^2): (3, 343) int32."""
-    rows = _encode_planes(_mul_planes_const(_decode_planes(np.arange(343)), s))
+    rows = _encode_planes(_mul_planes(_decode_planes(np.arange(343)), np.array(s, dtype=np.int16)))
     return (np.array([[1], [343], [343**2]]) * rows).astype(np.int32)
 
 
@@ -261,7 +262,7 @@ def reduce_to_generator(a: Mat3, target: str | Mat3) -> ReductionTrace:
     else:
         raise ValueError("target must be the generator Y or Z")
     if det(a) != 1:
-        raise ValueError(f"matrix has det {det(a)}, expected 1")
+        raise NotInSL3(f"matrix has det {det(a)}, expected 1")
     if in_parabolic(a):
         raise InParabolic("reduction undefined inside the subgroup")
 

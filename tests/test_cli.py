@@ -1,4 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from sl3f7 import cli
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
@@ -7,6 +15,7 @@ from sl3f7.schema import validate_document
 
 M0_TEXT = "0 1 3; 0 0 1; 1 0 0"
 M2_TEXT = "0 2 -1; 0 0 2; 2 0 0"
+DET2_TEXT = "2 0 0; 0 1 0; 0 0 1"
 M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 
 
@@ -147,6 +156,15 @@ class TestSubgroupCommands:
         code, _, err = run(capsys, "reduce", "1 0 1; 0 -1 -1; 0 1 0", "--target", "Y")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [("reduce", DET2_TEXT, "--target", "Y"),
+                                      ("closure", DET2_TEXT)], ids=["reduce", "closure"])
+    def test_det_not_one_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "det 2, expected 1" in err
+
     def test_reduce_table_has_product_formula(self, capsys):
         code, out, _ = run(capsys, "reduce", M0_TEXT, "--target", "Z")
         assert code == 0
@@ -249,3 +267,69 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", "always")
         assert code == 1
         assert "FAIL" in out
+
+
+# Generated with COLUMNS=80 on Python 3.11, the version CI runs; argparse
+# formats help differently on other versions.
+GOLDEN_HELP = Path(__file__).parent / "golden" / "help"
+SUBCOMMANDS = ("classify", "power-table", "census", "centralizer", "class-size", "sylow",
+               "normalizer", "parabolic", "closure", "reduce", "commuting-reps", "labels",
+               "simconj", "verify")
+
+
+@pytest.mark.parametrize("command", ("sl3f7",) + SUBCOMMANDS)
+def test_help_text_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(([] if command == "sl3f7" else [command]) + ["--help"])
+    assert exit_info.value.code == 0
+    golden = (GOLDEN_HELP / f"{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+_NEAR_VALID_TOKENS = ["0", "1", "3", "-1", "-6", "6", "7", "-7", "+2", "01", "1.5", "x",
+                      "\u0663", ";", ";;", " ", "  ", "\t", "\n", "\r\n", "\x00", "-", ""]
+_entry_line = st.lists(st.integers(-6, 7), min_size=9, max_size=9).map(
+    lambda v: "; ".join(" ".join(map(str, v[r:r + 3])) for r in (0, 3, 6)))
+_known_line = st.sampled_from([
+    M0_TEXT, format_matrix(mat_pow(M0, 5)), M2_TEXT,
+    format_matrix(KNOWN_REPRESENTATIVES[ClassLabel(1, 3)]), DET2_TEXT,
+    "1 0 0; 0 1 0; 0 0 1", "1 1 0; 0 1 0; 0 0 1", "1 2 3; 4 5", "",
+])
+_ragged_line = st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=4),
+                        min_size=2, max_size=4).map(
+    lambda rows: "; ".join(" ".join(map(str, r)) for r in rows))
+_garbage = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.sampled_from(_NEAR_VALID_TOKENS), max_size=40).map(lambda t: " ".join(t).encode()),
+    _ragged_line.map(str.encode),
+)
+_matrix_bytes = st.one_of(_garbage, st.one_of(_entry_line, _known_line).map(str.encode))
+_tuple_bytes = st.one_of(_garbage, st.lists(st.one_of(_entry_line, _known_line), min_size=1,
+                                            max_size=3).map(lambda rows: "\n".join(rows).encode()))
+_NON_COMMUTING = f"{M0_TEXT}\n{format_matrix(KNOWN_REPRESENTATIVES[ClassLabel(1, 3)])}"
+
+
+class TestMalformedInput:
+    # capsys and tmp_path are function-scoped, which hypothesis rejects across
+    # examples: output is captured by redirection, files go to a temp directory
+    @seed(0xBAD)
+    @settings(max_examples=200, deadline=None)
+    @example(matrix=M0_TEXT.encode(), tuple1=M0_TEXT.encode(), tuple2=M0_TEXT.encode())  # exit 0
+    @example(matrix=b"", tuple1=_NON_COMMUTING.encode(), tuple2=M0_TEXT.encode())  # exit 4
+    @given(matrix=_matrix_bytes, tuple1=_tuple_bytes, tuple2=_tuple_bytes)
+    def test_exit_2_3_or_4_never_a_traceback(self, matrix, tuple1, tuple2):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("m.txt", "a.txt", "b.txt")]
+            for path, data in zip(paths, (matrix, tuple1, tuple2)):
+                path.write_bytes(data)
+            m, a, b = map(str, paths)
+            for argv in (["classify", "--file", m], ["reduce", "--file", m, "--target", "Y"],
+                         ["simconj", a, b]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                assert code in (0, 2, 3, 4), argv
+                if code:
+                    assert out.getvalue() == "", argv
+                    assert err.getvalue().startswith("error: "), argv

@@ -86,9 +86,12 @@ class TestCountDifferential:
     def test_det_counts_match_pure_python(self, start, width, chunk_size):
         stop = min(start + width, CODE_SPACE)
         dets = [det(decode(c)) for c in range(start, stop)]
-        assert scan.count_sl3(start, stop, chunk_size=chunk_size) == dets.count(1)
-        assert (scan.count_invertible(start, stop, chunk_size=chunk_size)
-                == len(dets) - dets.count(0))
+        # a context, not the monkeypatch fixture: hypothesis rejects
+        # function-scoped fixtures shared across examples
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan, "CHUNK", chunk_size)
+            assert scan.count_sl3(start, stop) == dets.count(1)
+            assert scan.count_invertible(start, stop) == len(dets) - dets.count(0)
 
 
 class TestExactArithmetic:
@@ -134,12 +137,12 @@ class TestElementStream:
         return (scan.census(threads=1), scan.intertwiner_codes(M0, M0, threads=1))
 
     @pytest.mark.parametrize("chunk_size,threads", [(1000, 1), (200_003, 2), (200_003, 3)])
-    def test_scans_independent_of_partitioning(self, reference, chunk_size, threads):
+    def test_scans_independent_of_partitioning(self, reference, chunk_size, threads, monkeypatch):
         census, centralizer_codes = reference
-        kw = {"chunk_size": chunk_size, "threads": threads}
-        assert scan.census(**kw) == census
-        assert np.array_equal(scan.intertwiner_codes(M0, M0, **kw), centralizer_codes)
-        assert scan._power_counts(**kw) == {1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
+        monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        assert scan.census(threads=threads) == census
+        assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
+        assert scan._power_counts(threads) == {1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
 
 
 class TestDefaultThreads:
@@ -171,6 +174,31 @@ class TestDefaultThreads:
         assert err.count("\n") == 1
 
 
+class TestThreadClamping:
+    def test_nonpositive_threads_run_in_the_calling_thread(self, monkeypatch):
+        base = scan.census(threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", no_pool)
+        assert scan.census(threads=0) == base
+        assert scan.census(threads=-4) == base
+
+    def test_two_threads_start_a_pool_of_two(self, monkeypatch):
+        base = scan.census(threads=1)
+        real_pool = scan.ThreadPoolExecutor
+        requested = []
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return real_pool(max_workers=2)
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", recording_pool)
+        assert scan.census(threads=2) == base
+        assert requested == [2]
+
+
 class TestCensus:
     def test_totals(self):
         s = scan.census()
@@ -192,9 +220,10 @@ class TestCensus:
         assert len(s.by_label) == 18
         assert set(s.by_label.values()) == {98_784}
 
-    def test_deterministic_across_chunkings(self):
+    def test_deterministic_across_chunkings(self, monkeypatch):
         base = scan.census()
-        other = scan.census(chunk_size=1 << 19)
+        monkeypatch.setattr(scan, "CHUNK", 1 << 19)
+        other = scan.census()
         assert other == base
 
     def test_deterministic_across_threads(self):
