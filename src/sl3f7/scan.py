@@ -14,11 +14,18 @@ Every scan splits the ranks into disjoint chunks of CHUNK ranks, a fixed
 internal constant, evaluates a vectorized kernel on each chunk's digit
 planes, and merges partial results by addition or concatenation, so
 results are independent of the chunking and of thread count, the only
-setting of a scan; the tests vary CHUNK to show the former.  Kernels
-reduce mod 7 with _mod7, not %, which numpy does not vectorize (15x
-slower on int16).  Only the det counts count_sl3 and count_invertible scan
-all 7^9 codes; count_sl3 is the independent oracle that the stream is
-exactly the det-1 set.
+setting of a scan; the tests vary CHUNK to show the former.
+
+Digit planes are uint8, twice the entries per SIMD instruction of int16.
+Every kernel value stays in 0..255: a product of two digits is at most 36
+and a sum of three at most 108.  A subtraction would wrap mod 256, not
+mod 7, so each kernel that subtracts first adds a multiple of 7 at least
+as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
+and a value that needs more room is widened explicitly.  Kernels reduce
+mod 7 with _mod7, not %, which numpy does not vectorize.  Only the det
+counts count_sl3 and count_invertible scan all 7^9 codes, sliced from a
+small digit table instead of decoded by division; count_sl3 is the
+independent oracle that the stream is exactly the det-1 set.
 """
 
 from __future__ import annotations
@@ -96,15 +103,18 @@ def _warn_bad_threads(raw: str) -> None:
 
 def _mod7(x: np.ndarray) -> np.ndarray:
     """np.remainder(x, 7) by floor division, which numpy 2.4.6 vectorizes and % not
-    (0.047 against 0.70 ms on 2^18 int16).  Exact where 7 * (x // 7) fits the dtype,
-    for int16 every x but -32768; kernel operands stay within +-648 (det of digits)."""
+    (0.038 against 0.64 ms on 2^18 uint8).  Exact on every uint8, and on signed
+    dtypes where 7 * (x // 7) fits.  Kernel operands are uint8 in 0..255: sums of
+    at most three digit products (<= 108), plus, before a subtraction, a multiple
+    of 7 at least the subtrahend, so nothing wraps mod 256."""
     return x - 7 * (x // 7)
 
 
 def _decode_planes(codes: np.ndarray) -> np.ndarray:
-    """Base-7 digit planes of MatCodes, shape (9, len(codes)) int16; codes fit int32."""
+    """Base-7 digit planes of MatCodes by division, shape (9, len(codes)) uint8;
+    codes fit int32.  Row 1 is planes 0..2, row 3 planes 6..8."""
     q = np.asarray(codes, dtype=np.int32)
-    out = np.empty((9, q.size), dtype=np.int16)
+    out = np.empty((9, q.size), dtype=np.uint8)
     for k in range(9):
         rest = q // 7
         out[k] = q - 7 * rest
@@ -112,9 +122,31 @@ def _decode_planes(codes: np.ndarray) -> np.ndarray:
     return out
 
 
+_RUN = 7**6  # codes per run on which digits 6..8 are constant
+_SPAN = 1 << 18  # longest window whose digits 0..5 are one slice of the table
+
+
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """Digits 0..5 of the codes 0 .. 7^6 + 2^18 - 1, built on first use (2.3 MB).
+
+    They are the digits of the code mod 7^6, so any window of at most 2^18
+    codes finds its digits 0..5 in one slice starting at lo mod 7^6."""
+    return _decode_planes(np.arange(_RUN + _SPAN))[:6]
+
+
 def _code_planes(lo: int, hi: int) -> np.ndarray:
-    """Digit planes of every code in [lo, hi), det-1 or not."""
-    return _decode_planes(np.arange(lo, hi, dtype=np.int32))
+    """Digit planes of every code in [lo, hi), det-1 or not, with no division:
+    digits 0..5 are slices of _low_digits, digits 6..8 are filled run by run."""
+    low = _low_digits()
+    out = np.empty((9, hi - lo), dtype=np.uint8)
+    for s in range(lo, hi, _SPAN):
+        n = min(hi - s, _SPAN)
+        out[:6, s - lo:s - lo + n] = low[:, s % _RUN:s % _RUN + n]
+    for run in range(lo // _RUN, -(-hi // _RUN)):
+        s, e = max(lo, run * _RUN), min(hi, (run + 1) * _RUN)
+        out[6:, s - lo:e - lo] = _decode_planes([run])[:3]
+    return out
 
 
 @functools.cache
@@ -133,14 +165,14 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         r1 as planes, ascending (zeros for c = 0).
     """
     x, y, z = rows = _decode_planes(np.arange(343))[:3]
-    dot = (x[:, None] * x + y[:, None] * y + z[:, None] * z) % 7  # [c, r1] = r1 . c
+    dot = _mod7(x[:, None] * x + y[:, None] * y + z[:, None] * z)  # [c, r1] = r1 . c
     _, r1 = np.nonzero(dot[1:] == 1)  # 49 per nonzero c, ascending r1 within each
     solutions = np.concatenate([np.zeros(49, dtype=np.int64), r1]).reshape(343, 49)
     # cross products r2 x r3 on the grid [r3, r2]
-    cx = (y[None, :] * z[:, None] - z[None, :] * y[:, None]) % 7
-    cy = (z[None, :] * x[:, None] - x[None, :] * z[:, None]) % 7
-    cz = (x[None, :] * y[:, None] - y[None, :] * x[:, None]) % 7
-    cross = cx + 7 * cy + 49 * cz
+    cx = _mod7(y[None, :] * z[:, None] + 42 - z[None, :] * y[:, None])
+    cy = _mod7(z[None, :] * x[:, None] + 42 - x[None, :] * z[:, None])
+    cz = _mod7(x[None, :] * y[:, None] + 42 - y[None, :] * x[:, None])
+    cross = cx + 7 * cy + 49 * cz.astype(np.int16)  # row codes reach 342
     r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
     pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
@@ -156,7 +188,7 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     pair_planes, pair_cross, _, solution_blocks = _stream_tables()
     first, last = lo // 49, -(-hi // 49)
     window = slice(lo - 49 * first, hi - 49 * first)
-    out = np.empty((9, hi - lo), dtype=np.int16)
+    out = np.empty((9, hi - lo), dtype=np.uint8)
     out[3:] = np.repeat(pair_planes[:, first:last], 49, axis=1)[:, window]
     out[:3] = solution_blocks[pair_cross[first:last]].transpose(1, 0, 2).reshape(3, -1)[:, window]
     return out
@@ -192,8 +224,11 @@ def _map_chunks(
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
+    """det mod 7 by the first row; each 2x2 minor is reduced before its
+    digit multiplies it, so no value passes 108."""
     a, b, c, dd, e, f, g, h, i = d
-    return _mod7(a * (e * i - f * h) + b * (f * g - dd * i) + c * (dd * h - e * g))
+    return _mod7(a * _mod7(e * i + 42 - f * h) + b * _mod7(f * g + 42 - dd * i)
+                 + c * _mod7(dd * h + 42 - e * g))
 
 
 def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,15 +244,15 @@ def _adjugate_planes(d: np.ndarray) -> np.ndarray:
     """Adjugate of unit-determinant planes, i.e. the inverse when det = 1."""
     a, b, c, dd, e, f, g, h, i = d
     out = np.empty_like(d)
-    out[0] = _mod7(e * i - f * h)
-    out[1] = _mod7(c * h - b * i)
-    out[2] = _mod7(b * f - c * e)
-    out[3] = _mod7(f * g - dd * i)
-    out[4] = _mod7(a * i - c * g)
-    out[5] = _mod7(c * dd - a * f)
-    out[6] = _mod7(dd * h - e * g)
-    out[7] = _mod7(b * g - a * h)
-    out[8] = _mod7(a * e - b * dd)
+    out[0] = _mod7(e * i + 42 - f * h)
+    out[1] = _mod7(c * h + 42 - b * i)
+    out[2] = _mod7(b * f + 42 - c * e)
+    out[3] = _mod7(f * g + 42 - dd * i)
+    out[4] = _mod7(a * i + 42 - c * g)
+    out[5] = _mod7(c * dd + 42 - a * f)
+    out[6] = _mod7(dd * h + 42 - e * g)
+    out[7] = _mod7(b * g + 42 - a * h)
+    out[8] = _mod7(a * e + 42 - b * dd)
     return out
 
 
@@ -237,7 +272,7 @@ def _eq_identity(d: np.ndarray) -> np.ndarray:
 
 def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
     """Codes of g m g^-1 for the det-1 planes g."""
-    return _encode_planes(_mul_planes(_mul_planes(g, np.array(m, dtype=np.int16)),
+    return _encode_planes(_mul_planes(_mul_planes(g, np.array(m, dtype=np.uint8)),
                                       _adjugate_planes(g)))
 
 
@@ -326,14 +361,16 @@ class ScanSummary:
 def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace and principal-minor sum: the label pair (i, j) of each det-1 plane."""
     a, b, c, dd, e, f, g, h, i = d
-    return _mod7(a + e + i), _mod7(a * e - b * dd + e * i - f * h + a * i - c * g)
+    # the three added minors reach 108 and so do the three subtracted
+    return _mod7(a + e + i), _mod7(a * e + e * i + a * i + 126 - b * dd - f * h - c * g)
 
 
 def _census_chunk(d: np.ndarray) -> tuple[int, np.ndarray]:
     tr, jc = _char_planes(d)
     has_root = np.zeros(tr.shape, dtype=bool)
     for lam in range(1, 7):  # lam = 0 never solves t^3 - i t^2 + j t - 1 = 0
-        has_root |= _mod7(lam**3 - tr * lam * lam + jc * lam - 1) == 0
+        # constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
+        has_root |= _mod7(jc * lam + (lam**3 - 1) % 7 + 42 - tr * (lam * lam % 7)) == 0
     ef = ~has_root
     counts = np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
     return d.shape[1], counts
@@ -381,14 +418,17 @@ def label_member_codes(label: ClassLabel, *, threads: int | None = None) -> np.n
 
 
 def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
-    """Codes of the g among the det-1 planes d with g*a = b*g, ascending."""
-    mask = np.ones(d.shape[1], dtype=bool)
+    """Codes of the g among the det-1 planes d with g*a = b*g, ascending.
+
+    The 9 entries of g*a - b*g are tested one at a time and only the
+    survivors of each entry are kept for the next, so most entries are
+    computed on a fraction of the chunk.  ga and bg each reach 108."""
     for i in range(3):
         for j in range(3):
             ga = d[3 * i] * a[j] + d[3 * i + 1] * a[3 + j] + d[3 * i + 2] * a[6 + j]
             bg = b[3 * i] * d[j] + b[3 * i + 1] * d[3 + j] + b[3 * i + 2] * d[6 + j]
-            mask &= _mod7(ga - bg) == 0
-    return _encode_planes(d[:, mask])
+            d = d[:, _mod7(ga + 112 - bg) == 0]
+    return _encode_planes(d)
 
 
 def intertwiner_codes(a: Mat3, b: Mat3, *, threads: int | None = None) -> np.ndarray:
@@ -454,6 +494,7 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
         return np.concatenate(list(_map_chunks(_encode_planes)))
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
+    # the int16 basis promotes the uint8 digits, so sums up to 9 * 36 are exact
     planes = _mod7(basis.T @ _decode_planes(np.arange(7**d))[:d])
     return _encode_planes(planes[:, _det_plane(planes) == 1])
 
@@ -560,14 +601,18 @@ def _power_chunk(g: np.ndarray) -> np.ndarray:
     """For each k in _POWER_EXPONENTS, how many of the planes g have g^k = I.
 
     The powers come from the addition chain 1, 2, 3, 6, 9, 18, 19, 27:
-    seven plane products, with g^19 = g^18 g and g^27 = g^18 g^9.
+    seven plane products, with g^19 = g^18 g and g^27 = g^18 g^9.  Each
+    power is counted as soon as it exists and dropped when no longer a
+    factor: every extra live 9-plane array is heap that the allocator
+    returns after the chunk and page-faults back in for the next one.
     """
     g3 = _mul_planes(_mul_planes(g, g), g)
     g9 = _mul_planes(_mul_planes(g3, g3), g3)
+    hits = [np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9)]
+    del g3
     g18 = _mul_planes(g9, g9)
-    g19 = _mul_planes(g18, g)
-    g27 = _mul_planes(g18, g9)
-    return np.array([np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9, g19, g27)])
+    hits += [np.count_nonzero(_eq_identity(_mul_planes(g18, p))) for p in (g, g9)]
+    return np.array(hits)
 
 
 def _power_counts(threads: int | None = None) -> dict[int, int]:

@@ -67,7 +67,7 @@ def in_parabolic(m: Mat3) -> bool:
 def parabolic_size() -> int:
     """Direct count of the 7^7 entry tuples (d = g = 0) with det = 1."""
     a, b, c, e, f, h, i = _decode_planes(np.arange(7**7))[:7]
-    dets = _mod7(a * (e * i - f * h))  # block form: det = a * det([[e,f],[h,i]])
+    dets = _mod7(a * _mod7(e * i + 42 - f * h))  # block form: det = a * det([[e,f],[h,i]])
     return int(np.count_nonzero(dets == 1))
 
 
@@ -112,7 +112,7 @@ def generator_closure(
 
 def _row_table(s: Mat3) -> np.ndarray:
     """Row code r -> code of r*s as row 1, 2 and 3 (times 1, 343, 343^2): (3, 343) int32."""
-    rows = _encode_planes(_mul_planes(_decode_planes(np.arange(343)), np.array(s, dtype=np.int16)))
+    rows = _encode_planes(_mul_planes(_decode_planes(np.arange(343)), np.array(s, dtype=np.uint8)))
     return (np.array([[1], [343], [343**2]]) * rows).astype(np.int32)
 
 

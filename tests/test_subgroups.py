@@ -81,6 +81,15 @@ class TestParabolicSize:
         assert GROUP_ORDER // parabolic_size() == 57
         assert parabolic_size() * 57 == GROUP_ORDER
 
+    def test_uint8_kernel_matches_scalar_det(self):
+        # det of [[a, b, c], [0, e, f], [0, h, i]] ignores b and c, so the
+        # scalar count runs over (a, e, f, h, i) and weighs each by 7^2; it
+        # includes the 0/6 extremes where e*i - f*h would wrap in uint8
+        n = sum(det((a, 0, 0, 0, e, f, 0, h, i)) == 1
+                for a in range(7) for e in range(7) for f in range(7)
+                for h in range(7) for i in range(7))
+        assert parabolic_size() == 49 * n
+
 
 class TestClosure:
     def test_single_order19_generator(self):
