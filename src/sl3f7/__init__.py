@@ -10,10 +10,8 @@ scans over the group's det-1 elements in matrix-code order.
 """
 
 from .classify import (
-    ClassCatalog,
     ClassLabel,
     KNOWN_REPRESENTATIVES,
-    catalog,
     class_label,
     eigenfree_labels,
     inverse_label,

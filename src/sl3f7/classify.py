@@ -10,8 +10,7 @@ bijections between labels (scaling, inversion, powering, PSL collapse).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .field import CubicPoly, cubic_has_fp_root, cubic_roots_ext, ext_order
 from .matrix3 import (
@@ -65,13 +64,8 @@ def eigenfree_labels() -> tuple[ClassLabel, ...]:
     )
 
 
-@functools.cache
-def _eigenfree_label_set() -> frozenset[tuple[int, int]]:
-    return frozenset(tuple(l) for l in eigenfree_labels())
-
-
 def is_eigenfree_label(label: ClassLabel) -> bool:
-    return tuple(label) in _eigenfree_label_set()
+    return tuple(label) in eigenfree_labels()
 
 
 def _require_eigenfree(label: ClassLabel) -> ClassLabel:
@@ -137,15 +131,7 @@ ORDER_19_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassCatalog:
-    """The 18 labels with their orders and canonical representatives."""
-
-    labels: tuple[ClassLabel, ...]
-    order_of: Mapping[ClassLabel, int]
-    representative_of: Mapping[ClassLabel, Mat3]
-
-
+@functools.cache
 def _scan_representatives() -> dict[ClassLabel, Mat3]:
     """First SL3 matrix of each eigenfree label in ascending MatCode order.
 
@@ -169,20 +155,10 @@ def _scan_representatives() -> dict[ClassLabel, Mat3]:
     return found
 
 
-@functools.cache
-def catalog() -> ClassCatalog:
-    labels = eigenfree_labels()
-    return ClassCatalog(
-        labels=labels,
-        order_of={l: order_of_label(l) for l in labels},
-        representative_of=_scan_representatives(),
-    )
-
-
 def representative(label: ClassLabel) -> Mat3:
     """The minimal-MatCode SL3 matrix with this label (deterministic)."""
     label = _require_eigenfree(label)
-    return catalog().representative_of[label]
+    return _scan_representatives()[label]
 
 
 def power_class_map(label: ClassLabel, k: int) -> ClassLabel:

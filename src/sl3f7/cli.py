@@ -25,7 +25,8 @@ from .matrix3 import (
     mat_order,
     parse_matrix,
 )
-from .scan import SCHEMA, UnsupportedOrder, WrongOrder
+from .scan import UnsupportedOrder, WrongOrder
+from .schema import document
 from .simconj import EmptyAfterScalarStrip, LengthMismatch, NotCommuting
 from .subgroups import InParabolic
 
@@ -82,18 +83,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     label = classify.class_label(m) if eigenfree else None
     psl = classify.psl_label(label) if label else None
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "classify",
-            "matrix": format_matrix(m),
-            "det": d,
-            "trace": poly.i,
-            "char_poly": {"i": poly.i, "j": poly.j},
-            "eigenfree": eigenfree,
-            "label": _label_json(label),
-            "order": order,
-            "psl_label": _label_json(psl),
-        })
+        _emit_json(document(
+            "classify",
+            matrix=format_matrix(m),
+            det=d,
+            trace=poly.i,
+            char_poly={"i": poly.i, "j": poly.j},
+            eigenfree=eigenfree,
+            label=_label_json(label),
+            order=order,
+            psl_label=_label_json(psl),
+        ))
     else:
         print(f"matrix:     {format_matrix(m)}")
         print(f"det:        {d}")
@@ -162,13 +162,8 @@ def cmd_class_size(args: argparse.Namespace) -> int:
     size = scan.class_size(m)
     centralizer_size = GROUP_ORDER // size
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "class_size",
-            "subject": format_matrix(m),
-            "centralizer_size": centralizer_size,
-            "class_size": size,
-        })
+        _emit_json(document("class_size", subject=format_matrix(m),
+                            centralizer_size=centralizer_size, class_size=size))
     else:
         print(f"centralizer size: {centralizer_size}")
         print(f"class size:       {size}")
@@ -179,12 +174,7 @@ def cmd_sylow(args: argparse.Namespace) -> int:
     elements = scan.count_order19_elements(threads=args.threads)
     n19 = scan.sylow19_count(elements)
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "sylow",
-            "count": n19,
-            "order19_elements": elements,
-        })
+        _emit_json(document("sylow", count=n19, order19_elements=elements))
     else:
         print(f"order-19 elements:   {elements}")
         print(f"Sylow 19-subgroups:  {n19}")
@@ -195,13 +185,8 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
     m = _read_matrix(args)
     size = scan.normalizer_of_cyclic(m)
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "normalizer",
-            "subject": format_matrix(m),
-            "size": size,
-            "index_over_subgroup": size // 19,
-        })
+        _emit_json(document("normalizer", subject=format_matrix(m), size=size,
+                            index_over_subgroup=size // 19))
     else:
         print(f"normalizer size:  {size}")
         print(f"index over <P>:   {size // 19}")
@@ -211,12 +196,7 @@ def cmd_normalizer(args: argparse.Namespace) -> int:
 def cmd_parabolic(args: argparse.Namespace) -> int:
     size = subgroups.parabolic_size()
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "parabolic",
-            "size": size,
-            "index": GROUP_ORDER // size,
-        })
+        _emit_json(document("parabolic", size=size, index=GROUP_ORDER // size))
     else:
         print(f"subgroup size:  {size}")
         print(f"index:          {GROUP_ORDER // size}")
@@ -230,12 +210,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
         gens = (subgroups.X, subgroups.Y, subgroups.Z)
     size = subgroups.generator_closure(gens)
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "closure",
-            "generators": [format_matrix(g) for g in gens],
-            "size": size,
-        })
+        _emit_json(document("closure", generators=[format_matrix(g) for g in gens], size=size))
     else:
         print(f"generators:   {len(gens)}")
         print(f"closure size: {size}")
@@ -270,14 +245,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_commuting_reps(args: argparse.Namespace) -> int:
     reps = simconj.eighteen_commuting_reps()
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "commuting_reps",
-            "reps": [
-                {"label": [l.i, l.j], "matrix": format_matrix(m)}
-                for l, m in sorted(reps.items())
-            ],
-        })
+        _emit_json(document("commuting_reps", reps=[
+            {"label": [l.i, l.j], "matrix": format_matrix(m)} for l, m in sorted(reps.items())
+        ]))
     else:
         for label, m in sorted(reps.items()):
             print(f"{label}: {format_matrix(m)}")
@@ -285,31 +255,26 @@ def cmd_commuting_reps(args: argparse.Namespace) -> int:
 
 
 def cmd_labels(args: argparse.Namespace) -> int:
-    cat = classify.catalog()
+    labels = classify.eigenfree_labels()
+    order, rep, psl = classify.order_of_label, classify.representative, classify.psl_label
     if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": "labels",
-            "labels": [
-                {
-                    "i": l.i,
-                    "j": l.j,
-                    "order": cat.order_of[l],
-                    "psl": _label_json(classify.psl_label(l)),
-                    "representative": format_matrix(cat.representative_of[l]),
-                }
-                for l in cat.labels
-            ],
-        })
+        _emit_json(document("labels", labels=[
+            {
+                "i": l.i,
+                "j": l.j,
+                "order": order(l),
+                "psl": _label_json(psl(l)),
+                "representative": format_matrix(rep(l)),
+            }
+            for l in labels
+        ]))
     elif args.format == "csv":
         print("i,j,order,psl_i,psl_j,representative")
-        for l in cat.labels:
-            p = classify.psl_label(l)
-            print(f"{l.i},{l.j},{cat.order_of[l]},{p.i},{p.j},{format_matrix(cat.representative_of[l])}")
+        for l in labels:
+            print(f"{l.i},{l.j},{order(l)},{psl(l).i},{psl(l).j},{format_matrix(rep(l))}")
     else:
-        for l in cat.labels:
-            print(f"{l}  order {cat.order_of[l]:>2d}  psl {classify.psl_label(l)}  "
-                  f"rep {format_matrix(cat.representative_of[l])}")
+        for l in labels:
+            print(f"{l}  order {order(l):>2d}  psl {psl(l)}  rep {format_matrix(rep(l))}")
     return 0
 
 

@@ -25,11 +25,6 @@ class ZeroElement(ZeroDivisionError):
     """Order (or inverse) of the zero element requested in F343."""
 
 
-def fp(v: int) -> int:
-    """Canonical residue of v in 0..6."""
-    return v % P
-
-
 _FP_INV = (0, 1, 4, 5, 2, 3, 6)  # index a -> a^-1; slot 0 unused
 
 
@@ -60,10 +55,6 @@ def ext(c0: int, c1: int = 0, c2: int = 0) -> ExtScalar:
 
 def ext_add(a: ExtScalar, b: ExtScalar) -> ExtScalar:
     return ExtScalar((a.c0 + b.c0) % P, (a.c1 + b.c1) % P, (a.c2 + b.c2) % P)
-
-
-def ext_neg(a: ExtScalar) -> ExtScalar:
-    return ExtScalar(-a.c0 % P, -a.c1 % P, -a.c2 % P)
 
 
 def ext_mul(a: ExtScalar, b: ExtScalar) -> ExtScalar:

@@ -117,27 +117,44 @@ def has_fp_eigenvalue(m: Mat3) -> bool:
     return any((t * t * t - tr * t * t + j * t - dt) % P == 0 for t in range(P))
 
 
+def nullspace(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of {v : rows . v = 0} over F7, by Gauss-Jordan elimination.
+
+    One vector per free column f of the reduced echelon form, ascending
+    in f: it is 1 at f, 0 at the other free columns, and at each pivot
+    column p left of f it is minus the entry of p's row at f.  Empty when
+    only v = 0 solves the system.  rows is a nonempty list of equal-length
+    rows of ints, reduced mod 7 here.
+    """
+    rows = [[v % P for v in row] for row in rows]
+    n = len(rows[0])
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = fp_inv(rows[r][col])
+        rows[r] = [v * inv % P for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free] % P
+        basis.append(v)
+    return basis
+
+
 def null_space_has_nonzero(m: Mat3, lam: int) -> bool:
     """Gaussian-elimination oracle: does (m - lam*I)v = 0 have v != 0?"""
-    lam %= P
-    rows = [
-        [(m[3 * r + c] - (lam if r == c else 0)) % P for c in range(3)]
-        for r in range(3)
-    ]
-    rank = 0
-    for col in range(3):
-        pivot = next((r for r in range(rank, 3) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = fp_inv(rows[rank][col])
-        rows[rank] = [v * inv % P for v in rows[rank]]
-        for r in range(3):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(rows[r][c] - factor * rows[rank][c]) % P for c in range(3)]
-        rank += 1
-    return rank < 3
+    return bool(nullspace([[m[3 * r + c] - lam * (r == c) for c in range(3)] for r in range(3)]))
 
 
 def mat_inv(m: Mat3) -> Mat3:

@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .classify import ClassLabel, NotEigenfree, NotInSL3, is_eigenfree_label
-from .field import fp_inv
 from .matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
@@ -56,17 +55,14 @@ from .matrix3 import (
     mat_mul,
     mat_order,
     mat_pow,
+    nullspace,
     trace,
 )
+from .schema import document
 
-SCHEMA = "sl3f7/v1"
 CHUNK = 1 << 18  # element ranks per chunk (codes per chunk in the 7^9 det counts)
 
 _T = TypeVar("_T")
-
-
-class OrbitTooLarge(RuntimeError):
-    """orbit_oracle exceeded its distinct-element cap."""
 
 
 class NonIntegerCount(RuntimeError):
@@ -335,16 +331,15 @@ class ScanSummary:
     by_label: dict[ClassLabel, int]
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "census",
-            "group_order": self.group_order,
-            "eigenfree_total": self.eigenfree_total,
-            "by_trace": {str(t): n for t, n in sorted(self.by_trace.items())},
-            "by_label": [
+        return document(
+            "census",
+            group_order=self.group_order,
+            eigenfree_total=self.eigenfree_total,
+            by_trace={str(t): n for t, n in sorted(self.by_trace.items())},
+            by_label=[
                 {"i": l.i, "j": l.j, "count": n} for l, n in sorted(self.by_label.items())
             ],
-        }
+        )
 
     def to_csv(self, by: str = "label") -> str:
         if by == "trace":
@@ -440,7 +435,7 @@ def intertwiner_codes(a: Mat3, b: Mat3, *, threads: int | None = None) -> np.nda
 
 def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
     """Basis of the space {g in M3(F7) : g*a = b*g}, one row of 9 entries
-    per dimension, by Gaussian elimination over F7."""
+    per dimension, in the reduced echelon form of nullspace."""
     # equation 3i + j: (g a - b g)_ij = sum_k g_ik a_kj - b_ik g_kj = 0
     rows = [[0] * 9 for _ in range(9)]
     for i in range(3):
@@ -448,29 +443,7 @@ def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
             for k in range(3):
                 rows[3 * i + j][3 * i + k] += a[3 * k + j]
                 rows[3 * i + j][3 * k + j] -= b[3 * i + k]
-    rows = [[v % 7 for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(9):
-        r = len(pivots)
-        hit = next((i for i in range(r, 9) if rows[i][col]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = fp_inv(rows[r][col])
-        rows[r] = [v * inv % 7 for v in rows[r]]
-        for i in range(9):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % 7 for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(9) if c not in pivots):
-        v = [0] * 9
-        v[free] = 1
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free] % 7
-        basis.append(v)
-    return np.array(basis, dtype=np.int16).reshape(-1, 9)
+    return np.array(nullspace(rows), dtype=np.int16).reshape(-1, 9)
 
 
 def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
@@ -524,15 +497,14 @@ class CentralizerReport:
     elements: tuple[int, ...] | None  # MatCodes, present only when size <= 1024
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "centralizer",
-            "subject": format_matrix(self.subject),
-            "size": self.size,
-            "is_cyclic": self.is_cyclic,
-            "generator": None if self.generator is None else format_matrix(self.generator),
-            "elements": None if self.elements is None else list(self.elements),
-        }
+        return document(
+            "centralizer",
+            subject=format_matrix(self.subject),
+            size=self.size,
+            is_cyclic=self.is_cyclic,
+            generator=None if self.generator is None else format_matrix(self.generator),
+            elements=None if self.elements is None else list(self.elements),
+        )
 
 
 _ELEMENT_LIST_CAP = 1024
@@ -570,25 +542,17 @@ def class_size(m: Mat3) -> int:
     return q
 
 
-def orbit_oracle(
-    m: Mat3,
-    *,
-    cap: int = 1 << 20,
-    threads: int | None = None,
-) -> set[int]:
+def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
     """Brute-force conjugation orbit {encode(g m g^-1) : g in SL3}.
 
     Independent oracle for class_size and for the fact that the label sets
-    are whole conjugacy classes.  Raises OrbitTooLarge past the cap.
+    are whole conjugacy classes.
     """
     _require_sl3(m)
     seen = np.zeros(CODE_SPACE, dtype=bool)
     for codes in _map_chunks(lambda g: _conjugate_codes(g, m), threads=threads):
         seen[codes] = True
-    orbit = np.flatnonzero(seen)
-    if orbit.size > cap:
-        raise OrbitTooLarge(f"orbit exceeded cap of {cap} distinct elements")
-    return {int(c) for c in orbit}
+    return {int(c) for c in np.flatnonzero(seen)}
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +696,17 @@ def power_table_csv(rows: Iterable[PowerTableRow], signed: bool = False) -> str:
 
 
 def power_table_json(rows: Iterable[PowerTableRow], signed: bool = False) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "power_table",
-        "rows": [
-            {
-                "k": r.k,
-                "matrix": format_matrix(r.matrix, signed=signed),
-                "trace": r.trace,
-                "class": r.display_class(),
-                "eigenfree": r.label is not None,
-                "note": r.note,
-            }
-            for r in rows
-        ],
-    }
+    return document("power_table", rows=[
+        {
+            "k": r.k,
+            "matrix": format_matrix(r.matrix, signed=signed),
+            "trace": r.trace,
+            "class": r.display_class(),
+            "eigenfree": r.label is not None,
+            "note": r.note,
+        }
+        for r in rows
+    ])
 
 
 # ---------------------------------------------------------------------------

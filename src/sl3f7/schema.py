@@ -1,8 +1,19 @@
-"""Shape checks for the JSON documents emitted by the CLI (schema sl3f7/v1)."""
+"""The sl3f7/v1 JSON document format: its tag, its envelope and the fields
+each kind of document requires.
+
+Every document the library and the CLI emit is built by document(), and
+validate_document() checks one against the required fields below.
+"""
 
 from __future__ import annotations
 
-SCHEMA_TAG = "sl3f7/v1"
+SCHEMA = "sl3f7/v1"
+
+
+def document(kind: str, **fields) -> dict:
+    """{"schema": SCHEMA, "kind": kind} followed by the fields in the order given."""
+    return {"schema": SCHEMA, "kind": kind, **fields}
+
 
 # kind -> {field: required type}; optional fields may be null and are listed
 # in _NULLABLE.
@@ -39,7 +50,7 @@ class SchemaError(ValueError):
 def validate_document(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
-    if doc.get("schema") != SCHEMA_TAG:
+    if doc.get("schema") != SCHEMA:
         raise SchemaError(f"missing or wrong schema tag: {doc.get('schema')!r}")
     kind = doc.get("kind")
     if kind not in REQUIRED_FIELDS:

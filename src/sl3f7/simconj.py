@@ -21,6 +21,7 @@ from .matrix3 import (
     det,
     format_matrix,
     has_fp_eigenvalue,
+    is_scalar,
     mat_inv,
     mat_mul,
     mat_order,
@@ -28,7 +29,8 @@ from .matrix3 import (
     mat_scale,
     parse_matrix,
 )
-from .scan import SCHEMA, least_intertwiner
+from .scan import least_intertwiner
+from .schema import document
 
 
 class NotCommuting(ValueError):
@@ -45,9 +47,6 @@ class LengthMismatch(ValueError):
 
 class IncompleteCover(RuntimeError):
     """The 54 non-scalar powers failed to cover all 18 labels: a bug."""
-
-
-_SCALARS = {(s, 0, 0, 0, s, 0, 0, 0, s) for s in (1, 2, 4)}
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,12 @@ class SimConjVerdict:
     certificate: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "simconj",
-            "equivalent": self.equivalent,
-            "witness": None if self.witness is None else format_matrix(self.witness),
-            "certificate": self.certificate,
-        }
+        return document(
+            "simconj",
+            equivalent=self.equivalent,
+            witness=None if self.witness is None else format_matrix(self.witness),
+            certificate=self.certificate,
+        )
 
 
 def _check_commuting(ms: tuple[Mat3, ...]) -> None:
@@ -115,8 +113,9 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen | Rejected:
             raise NotInSL3(f"member {k} has det {det(m)}, expected 1")
     _check_commuting(ms)
 
-    stripped = tuple((k, m) for k, m in enumerate(ms) if m in _SCALARS)
-    members = tuple(m for m in ms if m not in _SCALARS)
+    # the det-1 scalars are exactly I, 2I and 4I
+    stripped = tuple((k, m) for k, m in enumerate(ms) if is_scalar(m))
+    members = tuple(m for m in ms if not is_scalar(m))
     if not members:
         raise EmptyAfterScalarStrip("all members are I, 2I or 4I")
 

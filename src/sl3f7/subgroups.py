@@ -28,7 +28,8 @@ from .matrix3 import (
     mat_inv,
     mat_mul,
 )
-from .scan import SCHEMA, _decode_planes, _encode_planes, _mod7, _mul_planes
+from .scan import _decode_planes, _encode_planes, _mod7, _mul_planes
+from .schema import document
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -171,14 +172,13 @@ class ReductionTrace:
         )
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "reduction",
-            "start": format_matrix(self.start),
-            "target": format_matrix(self.target),
-            "steps": [{"side": s.side, "factor": format_matrix(s.factor)} for s in self.steps],
-            "verified": self.verify(),
-        }
+        return document(
+            "reduction",
+            start=format_matrix(self.start),
+            target=format_matrix(self.target),
+            steps=[{"side": s.side, "factor": format_matrix(s.factor)} for s in self.steps],
+            verified=self.verify(),
+        )
 
 
 class _Reducer:

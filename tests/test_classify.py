@@ -9,7 +9,6 @@ from sl3f7.classify import (
     NotEigenfree,
     NotInSL3,
     PowerLeavesEigenfreeSet,
-    catalog,
     class_label,
     eigenfree_labels,
     inverse_label,
@@ -257,11 +256,9 @@ class TestKnownRepresentatives:
 
 class TestCatalog:
     def test_catalog_shape(self):
-        cat = catalog()
-        assert len(cat.labels) == 18
-        assert sorted(cat.order_of.values()).count(19) == 6
-        assert sorted(cat.order_of.values()).count(57) == 12
-        assert set(cat.representative_of) == set(cat.labels)
-
-    def test_catalog_is_cached_singleton(self):
-        assert catalog() is catalog()
+        labels = eigenfree_labels()
+        orders = [order_of_label(l) for l in labels]
+        assert len(labels) == 18
+        assert orders.count(19) == 6
+        assert orders.count(57) == 12
+        assert all(class_label(representative(l)) == l for l in labels)

@@ -259,6 +259,12 @@ class TestVerify:
         assert code1 == code4 == 0
         assert out1 == out4
 
+    def test_only_without_a_match_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "nosuchcheck")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_failing_suite_would_exit_1(self, capsys, monkeypatch):
         from sl3f7 import verify as verify_mod
 
@@ -267,6 +273,48 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", "always")
         assert code == 1
         assert "FAIL" in out
+
+
+# The stdout of every JSON-emitting subcommand on fast inputs, byte for byte:
+# the field tests above parse the output and would not see a reordered
+# envelope.  The files were written by the code as it was before
+# schema.document() built every envelope.  The simconj cases read tuple files
+# written from _SIMCONJ_TUPLES.
+GOLDEN_JSON = Path(__file__).parent / "golden" / "json"
+_G = KNOWN_REPRESENTATIVES[ClassLabel(1, 0)]
+_SIMCONJ_TUPLES = {
+    "t1": (M0, mat_pow(M0, 5)),
+    "t2": tuple(mat_mul(mat_mul(_G, m), mat_inv(_G)) for m in (M0, mat_pow(M0, 5))),
+    "t3": (M0, mat_pow(M0, 10)),
+}
+JSON_GOLDENS = {
+    "classify": ("classify", M0_TEXT, "--format", "json"),
+    "classify-identity": ("classify", "1 0 0; 0 1 0; 0 0 1", "--format", "json"),
+    "power-table": ("power-table", M2_TEXT, "--format", "json"),
+    "power-table-signed": ("power-table", M0_TEXT, "--limit", "5", "--signed", "--format", "json"),
+    "census": ("census", "--format", "json"),
+    "centralizer": ("centralizer", M0_TEXT, "--format", "json"),
+    "centralizer-identity": ("centralizer", "1 0 0; 0 1 0; 0 0 1", "--format", "json"),
+    "class-size": ("class-size", M0_TEXT, "--format", "json"),
+    "sylow": ("sylow", "--format", "json"),
+    "normalizer": ("normalizer", M2_TEXT, "--format", "json"),
+    "parabolic": ("parabolic", "--format", "json"),
+    "closure": ("closure", M2_TEXT, "--format", "json"),
+    "reduce": ("reduce", M0_TEXT, "--target", "Y", "--format", "json"),
+    "commuting-reps": ("commuting-reps", "--format", "json"),
+    "labels": ("labels", "--format", "json"),
+    "simconj-equivalent": ("simconj", "{tmp}/t1.txt", "{tmp}/t2.txt"),
+    "simconj-not-equivalent": ("simconj", "{tmp}/t1.txt", "{tmp}/t3.txt"),
+}
+
+
+@pytest.mark.parametrize("name", JSON_GOLDENS)
+def test_json_stdout_unchanged(capsys, tmp_path, name):
+    for stem, matrices in _SIMCONJ_TUPLES.items():
+        TestSimconj.write_tuple(tmp_path / f"{stem}.txt", matrices)
+    code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in JSON_GOLDENS[name]))
+    assert code == 0
+    assert out == (GOLDEN_JSON / f"{name}.json").read_text(encoding="utf-8")
 
 
 # Generated with COLUMNS=80 on Python 3.11, the version CI runs; argparse

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import random_gl3, random_sl3
 from sl3f7.field import CubicPoly
@@ -24,6 +27,7 @@ from sl3f7.matrix3 import (
     mat_pow,
     mat_scale,
     null_space_has_nonzero,
+    nullspace,
     parse_matrix,
     scalar_mat,
     trace,
@@ -115,6 +119,34 @@ class TestEigenvalues:
             assert by_roots == by_kernel
 
 
+_systems = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-13, 13), min_size=cols, max_size=cols), min_size=1, max_size=5))
+
+
+class TestNullspace:
+    @seed(0x9E11)
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_systems)
+    def test_basis_spans_the_kernel_in_reduced_echelon_form(self, rows):
+        n = len(rows[0])
+        kernel = [v for v in itertools.product(range(7), repeat=n)
+                  if all(sum(a * x for a, x in zip(row, v)) % 7 == 0 for row in rows)]
+        basis = nullspace(rows)
+        assert len(kernel) == 7 ** len(basis)
+        assert all(tuple(v) in kernel for v in basis)
+        # the free columns are the last nonzero entries of the nonzero kernel vectors
+        free = sorted({max(k for k in range(n) if v[k]) for v in kernel if any(v)})
+        assert len(free) == len(basis)
+        for v, f in zip(basis, free):
+            assert [v[g] for g in free] == [int(g == f) for g in free]
+            assert not any(v[f + 1:])
+
+    def test_examples(self):
+        assert nullspace([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert nullspace([[1, 2], [3, 4]]) == []
+        assert nullspace([[2, 1, 0]]) == [[3, 1, 0], [0, 0, 1]]
+
+
 class TestOrder:
     def test_m0_is_57_with_scalar_19th_power(self):
         assert mat_order(M0) == 57
@@ -196,6 +228,19 @@ class TestTextFormat:
             m = decode(rng.randrange(CODE_SPACE))
             assert parse_matrix(format_matrix(m)) == m
             assert parse_matrix(format_matrix(m, signed=True)) == m
+
+    @seed(0x7E57)
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.tuples(*[st.integers(0, 6)] * 9), signed=st.booleans())
+    def test_roundtrip_property(self, m, signed):
+        assert parse_matrix(format_matrix(m, signed=signed)) == m
+
+    @seed(0x7E58)
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.integers(-6, 6), min_size=9, max_size=9))
+    def test_entries_in_minus_six_to_six_parse_to_residues(self, entries):
+        text = "; ".join(" ".join(map(str, entries[r:r + 3])) for r in (0, 3, 6))
+        assert parse_matrix(text) == tuple(v % 7 for v in entries)
 
     def test_signed_display(self):
         assert format_matrix((0, 2, 6, 0, 0, 2, 2, 0, 0), signed=True) == "0 2 -1; 0 0 2; 2 0 0"

@@ -412,10 +412,6 @@ class TestOrbitOracle:
     def test_identity_orbit(self):
         assert scan.orbit_oracle(IDENTITY) == {encode(IDENTITY)}
 
-    def test_cap_enforced(self):
-        with pytest.raises(scan.OrbitTooLarge):
-            scan.orbit_oracle(M0, cap=10)
-
 
 class TestLabelMembers:
     def test_count_and_membership(self):
