@@ -57,7 +57,6 @@ from .scan import (
     centralizer,
     class_size,
     count_sl3,
-    enumerate_sl3,
     normalizer_of_cyclic,
     orbit_oracle,
     order_absence_check,
@@ -74,7 +73,6 @@ from .simconj import (
     find_conjugator,
 )
 from .subgroups import (
-    GeneratorSet,
     ReductionTrace,
     X,
     Y,

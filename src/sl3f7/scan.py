@@ -1,4 +1,4 @@
-"""Exhaustive, partitionable scans over SL3(F7) and the algebraic answers they check.
+"""Exhaustive scans over SL3(F7) and the algebraic answers they check.
 
 Centralizers, class sizes, conjugators and normalizers are answered by
 linear algebra, not by scanning: the g with g*a = b*g form the nullspace
@@ -10,11 +10,13 @@ Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
 pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
-Every scan splits the ranks into disjoint chunks of CHUNK ranks, a fixed
-internal constant, evaluates a vectorized kernel on each chunk's digit
-planes, and merges partial results by addition or concatenation, so
-results are independent of the chunking and of thread count, the only
-setting of a scan; the tests vary CHUNK to show the former.
+A scan always covers the whole group (or, for the det counts, the whole
+code space): it takes no window.  It splits the ranks into consecutive
+chunks of CHUNK ranks, a fixed internal constant, evaluates a vectorized
+kernel on each chunk's digit planes, and merges partial results by
+addition or concatenation, so results are independent of the chunking
+and of thread count, the only setting of a scan; the tests vary CHUNK to
+show the former.
 
 Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
@@ -146,7 +148,7 @@ def _code_planes(lo: int, hi: int) -> np.ndarray:
 
 
 @functools.cache
-def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables of the det-1 element stream, built on first use.
 
     A MatCode holds row 1 in its least and row 3 in its most significant
@@ -156,7 +158,6 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     with r1 . c = 1, c = r2 x r3.  Returns, in code order,
       pair_planes (6, 114912): the entries of rows 2 and 3 of each pair;
       pair_cross (114912,): the row code of c = r2 x r3;
-      pair_base (114912,): the MatCode of the pair with r1 = 0;
       solution_blocks (343, 3, 49): for row code c, the entries of its 49
         r1 as planes, ascending (zeros for c = 0).
     """
@@ -172,7 +173,7 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
     pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
-    return pair_planes, cross[r3, r2], 343 * r2 + 343**2 * r3, solution_blocks
+    return pair_planes, cross[r3, r2], solution_blocks
 
 
 def _element_planes(lo: int, hi: int) -> np.ndarray:
@@ -181,7 +182,7 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     Rank k is solution k mod 49 of pair k // 49; the pairs covering the
     ranks are expanded 49-fold and the window [lo, hi) is cut from them.
     """
-    pair_planes, pair_cross, _, solution_blocks = _stream_tables()
+    pair_planes, pair_cross, solution_blocks = _stream_tables()
     first, last = lo // 49, -(-hi // 49)
     window = slice(lo - 49 * first, hi - 49 * first)
     out = np.empty((9, hi - lo), dtype=np.uint8)
@@ -190,22 +191,18 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _chunk_ranges(start: int, stop: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK, stop)) for lo in range(start, stop, CHUNK)]
-
-
 def _map_chunks(
     kernel: Callable[[np.ndarray], _T],
     source: Callable[[int, int], np.ndarray] = _element_planes,
-    start: int = 0,
-    stop: int = GROUP_ORDER,
+    size: int = GROUP_ORDER,
     *,
     threads: int | None = None,
 ) -> Iterator[_T]:
-    """Apply kernel to the planes source(lo, hi) of disjoint ranges of
-    [start, stop), CHUNK long, yielding results in range order.  By default
-    the ranges are ranks of the det-1 element stream, i.e. the whole group."""
-    ranges = _chunk_ranges(start, stop)
+    """Apply kernel to the planes source(lo, hi) of the consecutive ranges,
+    CHUNK long, that cover 0 .. size - 1, yielding results in range order.
+    By default the ranges are ranks of the det-1 element stream, i.e. the
+    whole group."""
+    ranges = [(lo, min(lo + CHUNK, size)) for lo in range(0, size, CHUNK)]
     threads = default_threads() if threads is None else max(1, threads)
 
     def worker(r: tuple[int, int]) -> _T:
@@ -278,43 +275,19 @@ def _require_sl3(m: Mat3) -> None:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and counting
+# counting
 
 
-def enumerate_sl3(start: int = 0, stop: int = CODE_SPACE) -> Iterator[Mat3]:
-    """Yield the det-1 matrices whose codes lie in [start, stop), ascending."""
-    if not (0 <= start <= stop <= CODE_SPACE):
-        raise ValueError(f"partition [{start}, {stop}) not within [0, {CODE_SPACE})")
-    pair_base = _stream_tables()[2]
-    # pairs whose codes base .. base + 342 can meet [start, stop)
-    first = max(int(np.searchsorted(pair_base, start, "right")) - 1, 0)
-    last = int(np.searchsorted(pair_base, stop, "left"))
-    for lo, hi in _chunk_ranges(49 * first, 49 * last):
-        codes = _encode_planes(_element_planes(lo, hi))
-        for code in codes[(codes >= start) & (codes < stop)]:
-            yield decode(int(code))
-
-
-def count_sl3(
-    start: int = 0,
-    stop: int = CODE_SPACE,
-    *,
-    threads: int | None = None,
-) -> int:
-    """Number of det-1 matrices with codes in [start, stop), by det over every code."""
+def count_sl3(*, threads: int | None = None) -> int:
+    """Number of det-1 matrices, by det over every one of the 7^9 codes."""
     return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) == 1)),
-                           _code_planes, start, stop, threads=threads))
+                           _code_planes, CODE_SPACE, threads=threads))
 
 
-def count_invertible(
-    start: int = 0,
-    stop: int = CODE_SPACE,
-    *,
-    threads: int | None = None,
-) -> int:
-    """Number of det != 0 matrices in the range (GL3 count on the full range)."""
+def count_invertible(*, threads: int | None = None) -> int:
+    """Number of det != 0 matrices (the GL3 count), by det over every code."""
     return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) != 0)),
-                           _code_planes, start, stop, threads=threads))
+                           _code_planes, CODE_SPACE, threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +563,11 @@ def count_order19_elements(*, threads: int | None = None) -> int:
     return _power_counts(threads)[19] - 1
 
 
-def sylow19_count(order19_elements: int | None = None, *, threads: int | None = None) -> int:
-    """Number of Sylow 19-subgroups: order-19 elements come 18 per subgroup.
-
-    Derived from the given count of order-19 elements, or from one power
-    pass on the given threads (count_order19_elements) when none is given.
-    Validated to be an integer congruent to 1 mod 19 that divides
-    2^5 * 3^3 * 7^3.
+def sylow19_count(elements: int) -> int:
+    """Number of Sylow 19-subgroups from the count of order-19 elements,
+    which come 18 per subgroup (count_order19_elements).  Validated to be
+    an integer congruent to 1 mod 19 that divides 2^5 * 3^3 * 7^3.
     """
-    elements = (count_order19_elements(threads=threads) if order19_elements is None
-                else order19_elements)
     n19, rem = divmod(elements, 18)
     if rem:
         raise NonIntegerCount(f"{elements} order-19 elements not divisible by 18")

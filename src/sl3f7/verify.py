@@ -284,10 +284,11 @@ def check_commuting_reps(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"18 labels covered; 54 powers split {len(histogram)} x 3; all pairs commute"
 
 
-def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...]) -> Mat3 | None:
+def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...],
+                    threads: int | None) -> Mat3 | None:
     """Brute-force oracle: every g with g*A1 = B1*g, found by a full group
     scan, with the remaining coordinates tested exactly."""
-    for code in scan.intertwiner_codes(t1[0], t2[0]):
+    for code in scan.intertwiner_codes(t1[0], t2[0], threads=threads):
         g = decode(int(code))
         if all(_conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
             return g
@@ -319,7 +320,7 @@ def check_simconj(full: bool, threads: int | None) -> tuple[bool, str]:
         verdict = simconj.decide_simconj(
             simconj.analyze_tuple(t1), simconj.analyze_tuple(t2)
         )
-        oracle_witness = _oracle_simconj(t1, t2)
+        oracle_witness = _oracle_simconj(t1, t2, threads)
         if verdict.equivalent == (oracle_witness is not None):
             agreements += 1
         if verdict.equivalent:
@@ -393,13 +394,7 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_suite(
-    suite: str = "quick",
-    *,
-    threads: int | None = None,
-    only: str | None = None,
-    out=None,
-) -> bool:
+def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | None = None) -> bool:
     """Run the selected suite, printing one pass/fail line per check.
 
     The stdout report is deterministic (byte-identical for any thread
@@ -411,7 +406,6 @@ def run_suite(
     checks = [c for c in CHECKS if not only or only in c.name]
     if not checks:
         raise ValueError(f"no check name contains {only!r}")
-    out = out if out is not None else sys.stdout
     full = suite == "full"
     all_ok = True
     failures = []
@@ -420,11 +414,11 @@ def run_suite(
         ok, detail = check.fn(full, threads)
         dt = time.time() - t0
         status = "PASS" if ok else "FAIL"
-        print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}", file=out)
+        print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}")
         print(f"        {check.name}: {dt:.1f}s", file=sys.stderr)
         if not ok:
             failures.append(check.name)
             all_ok = False
     if failures:
-        print(f"FAILED: {', '.join(failures)}", file=out)
+        print(f"FAILED: {', '.join(failures)}")
     return all_ok

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -11,6 +12,12 @@ def random_sl3(rng: random.Random) -> Mat3:
         m = decode(rng.randrange(CODE_SPACE))
         if det(m) == 1:
             return m
+
+
+@functools.cache
+def least_sl3() -> Mat3:
+    """The det-1 matrix of least MatCode, by a pure-Python scan from code 0."""
+    return next(m for m in map(decode, range(CODE_SPACE)) if det(m) == 1)
 
 
 def random_gl3(rng: random.Random) -> Mat3:

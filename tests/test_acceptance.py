@@ -6,7 +6,7 @@ and with -s via the explicit line below).
 
 import pytest
 
-from sl3f7 import verify
+from sl3f7 import scan, verify
 
 
 @pytest.mark.parametrize(
@@ -17,3 +17,14 @@ def test_acceptance_criterion(check):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {check.number:2d} {check.name}: {status}  ({detail})")
     assert ok, f"criterion {check.number} {check.name}: {detail}"
+
+
+def test_every_check_hands_its_threads_to_the_scans(monkeypatch):
+    # a scan given no thread count reads SL3F7_THREADS through default_threads
+    def no_fallback():
+        raise AssertionError("a check left a scan to pick its own thread count")
+
+    monkeypatch.setattr(scan, "default_threads", no_fallback)
+    for check in verify.CHECKS:
+        ok, detail = check.fn(False, 2)
+        assert ok, f"criterion {check.number} {check.name}: {detail}"

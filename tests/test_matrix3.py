@@ -223,12 +223,6 @@ class TestTextFormat:
     def test_signed_entries_normalize(self):
         assert parse_matrix("0 2 -1; 0 0 2; 2 0 0") == (0, 2, 6, 0, 0, 2, 2, 0, 0)
 
-    def test_format_roundtrip(self, rng):
-        for _ in range(200):
-            m = decode(rng.randrange(CODE_SPACE))
-            assert parse_matrix(format_matrix(m)) == m
-            assert parse_matrix(format_matrix(m, signed=True)) == m
-
     @seed(0x7E57)
     @settings(max_examples=300, deadline=None)
     @given(m=st.tuples(*[st.integers(0, 6)] * 9), signed=st.booleans())

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_sl3
+from conftest import least_sl3, random_sl3
 from sl3f7 import scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, class_label, representative
 from sl3f7.matrix3 import (
@@ -111,7 +111,7 @@ class TestFindConjugator:
             raise AssertionError("a scalar subject walked the element stream")
 
         monkeypatch.setattr(scan, "_map_chunks", no_pass)
-        least = next(scan.enumerate_sl3())
+        least = least_sl3()
         for lam in (1, 2, 4):
             assert find_conjugator(scalar_mat(lam), scalar_mat(lam)) == least
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sl3
 from sl3f7 import scan
-from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
+from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotInSL3
 from sl3f7.matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
@@ -26,7 +26,6 @@ from sl3f7.subgroups import (
     PARABOLIC_GENERATORS,
     PARABOLIC_ORDER,
     ClosureCapExceeded,
-    GeneratorSet,
     InParabolic,
     X,
     Y,
@@ -129,10 +128,10 @@ class TestClosure:
         assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
 
     def test_bad_generator_sets_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorSet(())
-        with pytest.raises(ValueError):
-            GeneratorSet((mat("2 0 0; 0 1 0; 0 0 1"),))
+        with pytest.raises(ValueError, match="nonempty"):
+            generator_closure(())
+        with pytest.raises(NotInSL3):
+            generator_closure((mat("2 0 0; 0 1 0; 0 0 1"),))
 
 
 class TestReduction:
