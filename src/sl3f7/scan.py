@@ -10,13 +10,12 @@ Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
 pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
-A scan always covers the whole group (or, for the det counts, the whole
-code space): it takes no window.  It splits the ranks into consecutive
-chunks of CHUNK ranks, a fixed internal constant, evaluates a vectorized
-kernel on each chunk's digit planes, and merges partial results by
-addition or concatenation, so results are independent of the chunking
-and of thread count, the only setting of a scan; the tests vary CHUNK to
-show the former.
+A scan always covers the whole group: it takes no window.  It splits the
+ranks into consecutive chunks of CHUNK ranks, a fixed internal constant,
+evaluates a vectorized kernel on each chunk's digit planes, and merges
+partial results by addition or concatenation, so results are independent
+of the chunking and of thread count, the only setting of a scan; the
+tests vary CHUNK to show the former.
 
 Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
@@ -25,9 +24,9 @@ mod 7, so each kernel that subtracts first adds a multiple of 7 at least
 as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
 and a value that needs more room is widened explicitly.  Kernels reduce
 mod 7 with _mod7, not %, which numpy does not vectorize.  Only the det
-counts count_sl3 and count_invertible scan all 7^9 codes, sliced from a
-small digit table instead of decoded by division; count_sl3 is the
-independent oracle that the stream is exactly the det-1 set.
+count count_sl3 scans all 7^9 codes, in one thread, as the 343 runs of
+7^6 codes that share their third row (_code_runs); it is the independent
+oracle that the stream is exactly the det-1 set.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .matrix3 import (
 )
 from .schema import document
 
-CHUNK = 1 << 18  # element ranks per chunk (codes per chunk in the 7^9 det counts)
+CHUNK = 1 << 18  # element ranks per chunk of a group scan
 
 _T = TypeVar("_T")
 
@@ -120,31 +119,18 @@ def _decode_planes(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-_RUN = 7**6  # codes per run on which digits 6..8 are constant
-_SPAN = 1 << 18  # longest window whose digits 0..5 are one slice of the table
+def _code_runs() -> Iterator[np.ndarray]:
+    """Digit planes of all 7^9 codes, det-1 or not, as the 343 runs of 7^6
+    codes that share their third row, in ascending code order.
 
-
-@functools.cache
-def _low_digits() -> np.ndarray:
-    """Digits 0..5 of the codes 0 .. 7^6 + 2^18 - 1, built on first use (2.3 MB).
-
-    They are the digits of the code mod 7^6, so any window of at most 2^18
-    codes finds its digits 0..5 in one slice starting at lo mod 7^6."""
-    return _decode_planes(np.arange(_RUN + _SPAN))[:6]
-
-
-def _code_planes(lo: int, hi: int) -> np.ndarray:
-    """Digit planes of every code in [lo, hi), det-1 or not, with no division:
-    digits 0..5 are slices of _low_digits, digits 6..8 are filled run by run."""
-    low = _low_digits()
-    out = np.empty((9, hi - lo), dtype=np.uint8)
-    for s in range(lo, hi, _SPAN):
-        n = min(hi - s, _SPAN)
-        out[:6, s - lo:s - lo + n] = low[:, s % _RUN:s % _RUN + n]
-    for run in range(lo // _RUN, -(-hi // _RUN)):
-        s, e = max(lo, run * _RUN), min(hi, (run + 1) * _RUN)
-        out[6:, s - lo:e - lo] = _decode_planes([run])[:3]
-    return out
+    Digits 0..5 are written once; each run refills planes 6..8 of the same
+    (9, 7^6) uint8 buffer and yields it, so a consumer must not keep a run
+    across iterations."""
+    planes = np.empty((9, 7**6), dtype=np.uint8)
+    planes[:6] = _decode_planes(np.arange(7**6))[:6]
+    for row3 in _decode_planes(np.arange(343))[:3].T:
+        planes[6:] = row3[:, None]
+        yield planes
 
 
 @functools.cache
@@ -191,22 +177,14 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _map_chunks(
-    kernel: Callable[[np.ndarray], _T],
-    source: Callable[[int, int], np.ndarray] = _element_planes,
-    size: int = GROUP_ORDER,
-    *,
-    threads: int | None = None,
-) -> Iterator[_T]:
-    """Apply kernel to the planes source(lo, hi) of the consecutive ranges,
-    CHUNK long, that cover 0 .. size - 1, yielding results in range order.
-    By default the ranges are ranks of the det-1 element stream, i.e. the
-    whole group."""
-    ranges = [(lo, min(lo + CHUNK, size)) for lo in range(0, size, CHUNK)]
+def _map_chunks(kernel: Callable[[np.ndarray], _T], *, threads: int | None = None) -> Iterator[_T]:
+    """Apply kernel to the element planes of the consecutive rank ranges,
+    CHUNK long, that cover the whole group, yielding results in rank order."""
+    ranges = [(lo, min(lo + CHUNK, GROUP_ORDER)) for lo in range(0, GROUP_ORDER, CHUNK)]
     threads = default_threads() if threads is None else max(1, threads)
 
     def worker(r: tuple[int, int]) -> _T:
-        return kernel(source(*r))
+        return kernel(_element_planes(*r))
 
     if threads == 1 or len(ranges) <= 1:
         for r in ranges:
@@ -278,16 +256,9 @@ def _require_sl3(m: Mat3) -> None:
 # counting
 
 
-def count_sl3(*, threads: int | None = None) -> int:
+def count_sl3() -> int:
     """Number of det-1 matrices, by det over every one of the 7^9 codes."""
-    return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) == 1)),
-                           _code_planes, CODE_SPACE, threads=threads))
-
-
-def count_invertible(*, threads: int | None = None) -> int:
-    """Number of det != 0 matrices (the GL3 count), by det over every code."""
-    return sum(_map_chunks(lambda d: int(np.count_nonzero(_det_plane(d) != 0)),
-                           _code_planes, CODE_SPACE, threads=threads))
+    return sum(int(np.count_nonzero(_det_plane(d) == 1)) for d in _code_runs())
 
 
 # ---------------------------------------------------------------------------

@@ -162,15 +162,16 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
     Equivalent iff some generator base2^u of the second centralizer (u in
     the 36 residues coprime to 57) has the same class label as t1.base and
     re-expresses t2's exponents as t1's componentwise mod 57.  Positive
-    verdicts carry an exactly verified witness.
+    verdicts carry an exactly verified witness.  The stripped scalars are
+    compared first, so LengthMismatch means the original lengths differ.
     """
-    if len(t1.members) != len(t2.members):
-        raise LengthMismatch(f"{len(t1.members)} vs {len(t2.members)} members")
     if t1.stripped != t2.stripped:
         return SimConjVerdict(
             equivalent=False,
             certificate="stripped scalar members differ (conjugation fixes scalars)",
         )
+    if len(t1.members) != len(t2.members):
+        raise LengthMismatch(f"{len(t1.members)} vs {len(t2.members)} members")
 
     base_label = class_label(t1.base)
     for u in range(1, 57):

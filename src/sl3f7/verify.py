@@ -96,7 +96,7 @@ def _stream_is_det1(threads: int | None) -> bool:
 
 def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:
     t0 = time.time()
-    n = scan.count_sl3(threads=threads)
+    n = scan.count_sl3()
     dt = time.time() - t0
     ok = n == GROUP_ORDER and dt <= 60.0 and _stream_is_det1(threads)
     budget = "within 60s budget" if dt <= 60.0 else f"OVER BUDGET: {dt:.1f}s > 60s"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sl3f7 import cli
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
-from sl3f7.matrix3 import format_matrix, mat_inv, mat_mul, mat_pow
+from sl3f7.matrix3 import IDENTITY, format_matrix, mat_inv, mat_mul, mat_pow, mat_scale
 from sl3f7.schema import validate_document
 
 M0_TEXT = "0 1 3; 0 0 1; 1 0 0"
@@ -237,6 +237,17 @@ class TestSimconj:
         self.write_tuple(f2, (M0, mat_pow(M0, 2)))
         code, _, err = run(capsys, "simconj", str(f1), str(f2))
         assert code == 2
+
+    def test_equal_lengths_with_different_scalars_exit_0(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        self.write_tuple(f1, (M0, IDENTITY))
+        self.write_tuple(f2, (M0, mat_scale(2, M0)))
+        code, out, _ = run(capsys, "simconj", str(f1), str(f2))
+        assert code == 0
+        doc = json.loads(out)
+        validate_document(doc)
+        assert doc["equivalent"] is False
+        assert doc["certificate"] == "stripped scalar members differ (conjugation fixes scalars)"
 
     def test_all_eigen_exit_3(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"

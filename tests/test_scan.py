@@ -154,48 +154,30 @@ class TestUint8Kernels:
             assert c == cross[0] + 7 * cross[1] + 49 * cross[2] != 0
 
 
-class TestCodePlanes:
-    # the 7^9 det counts read _code_planes, sliced from a digit table built on
-    # first use; CHUNK, which tests patch, must not decide what it can slice
-    WINDOWS = st.one_of(
-        st.tuples(st.integers(0, CODE_SPACE - 1), st.integers(1, 600_000)).map(
-            lambda t: (t[0], min(t[0] + t[1], CODE_SPACE))),
-        st.tuples(st.integers(1, 7**3 - 1), st.integers(1, 300_000), st.integers(1, 300_000)).map(
-            lambda t: (t[0] * 7**6 - t[1], t[0] * 7**6 + t[2])),
-        st.integers(1, 600_000).map(lambda w: (CODE_SPACE - w, CODE_SPACE)),
-    )
+class TestCodeRuns:
+    # count_sl3 reads all 7^9 codes as the runs of _code_runs
+    RUNS = (0, 1, 171, 342)
 
-    @pytest.mark.parametrize("chunk", [1_000, 99_991, (1 << 18) + 1, 3 * (1 << 18) + 7])
-    @seed(0xC0DE7)
-    @settings(max_examples=12, deadline=None)
-    @given(window=WINDOWS)
-    def test_equals_division_decode(self, chunk, window):
-        lo, hi = window
-        expected = scan._decode_planes(np.arange(lo, hi))
-        scan._low_digits()  # built at the default CHUNK, if not already
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scan, "CHUNK", chunk)
-            got = scan._code_planes(lo, hi)
-            chunked = np.concatenate([scan._code_planes(s, min(s + chunk, hi))
-                                      for s in range(lo, hi, chunk)], axis=1)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, expected)
-        assert np.array_equal(chunked, expected)
-        # the det kernel of the 7^9 counts against a pure-Python det, on the
-        # first and last 3_000 codes of the window
-        for s, e in ((lo, min(hi, lo + 3_000)), (max(lo, hi - 3_000), hi)):
-            assert scan._det_plane(scan._code_planes(s, e)).tolist() == [
-                det(decode(c)) for c in range(s, e)]
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # copies, since every run is the same buffer
+        return [d.copy() if k in self.RUNS else None for k, d in enumerate(scan._code_runs())]
 
-    def test_table_built_under_a_patched_chunk(self, monkeypatch):
-        monkeypatch.setattr(scan, "CHUNK", 1_000)
-        scan._low_digits.cache_clear()
-        try:
-            lo, hi = 2 * 7**6 - 5, 2 * 7**6 + (1 << 18)
-            assert np.array_equal(scan._code_planes(lo, hi), scan._decode_planes(np.arange(lo, hi)))
-            assert scan._low_digits().shape == (6, 7**6 + (1 << 18))
-        finally:
-            scan._low_digits.cache_clear()
+    def test_run_count(self, runs):
+        assert len(runs) == 343
+
+    @pytest.mark.parametrize("k", RUNS)
+    def test_equals_division_decode(self, runs, k):
+        assert runs[k].dtype == np.uint8
+        assert np.array_equal(runs[k], scan._decode_planes(np.arange(k * 7**6, (k + 1) * 7**6)))
+
+    @pytest.mark.parametrize("k", RUNS)
+    def test_det_kernel(self, runs, k):
+        # the det kernel of count_sl3 against a pure-Python det, on the first
+        # and last 3_000 codes of the run
+        for s in (0, 7**6 - 3_000):
+            assert scan._det_plane(runs[k][:, s:s + 3_000]).tolist() == [
+                det(decode(c)) for c in range(k * 7**6 + s, k * 7**6 + s + 3_000)]
 
 
 class TestElementStream:
@@ -219,8 +201,6 @@ class TestElementStream:
         assert scan.census(threads=threads) == census
         assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
         assert scan._power_counts(threads) == {1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
-        if chunk_size == 200_003:
-            assert scan.count_sl3(threads=threads) == GROUP_ORDER
 
 
 class TestDefaultThreads:
@@ -310,7 +290,11 @@ class TestCensus:
         assert threaded == base
 
     def test_gl3_cross_check(self):
-        assert scan.count_invertible() == (7**3 - 1) * (7**3 - 7) * (7**3 - 7**2)
+        # det histogram over all 7^9 codes: det 0 on the non-invertible ones,
+        # and |GL3| / 6 = |SL3| on each nonzero det
+        gl3 = (7**3 - 1) * (7**3 - 7) * (7**3 - 7**2)
+        hist = sum(np.bincount(scan._det_plane(d), minlength=7) for d in scan._code_runs())
+        assert hist.tolist() == [CODE_SPACE - gl3] + [GROUP_ORDER] * 6
 
     def test_serialization(self):
         s = scan.census()

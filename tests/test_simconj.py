@@ -164,6 +164,15 @@ class TestDecide:
         assert not verdict.equivalent
         assert "scalar" in verdict.certificate
 
+    def test_equal_lengths_with_different_scalars_are_not_equivalent(self):
+        # one member is scalar on one side only: the stripped record differs,
+        # not the length
+        t1 = analyze_tuple((M0, IDENTITY))
+        t2 = analyze_tuple((M0, mat_scale(2, M0)))
+        verdict = decide_simconj(t1, t2)
+        assert not verdict.equivalent
+        assert verdict.certificate == "stripped scalar members differ (conjugation fixes scalars)"
+
     def test_generator_choice_invariance(self, rng):
         # re-expressing the same tuple through another generator of the same
         # centralizer never changes the verdict
