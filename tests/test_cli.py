@@ -328,6 +328,51 @@ def test_json_stdout_unchanged(capsys, tmp_path, name):
     assert out == (GOLDEN_JSON / f"{name}.json").read_text(encoding="utf-8")
 
 
+# The table and csv stdout of every subcommand but verify (whose report is
+# compared across thread counts) and simconj (JSON only), byte for byte.  The
+# cases cover each branch of the text output: no label and no psl label, each
+# note of a power table, signed entries, each census csv, a centralizer with no
+# generator and no element list, the whole-group closure line, and a reduce
+# target given in lower case.
+GOLDEN_TEXT = Path(__file__).parent / "golden" / "text"
+TRANSVECTION_TEXT = "1 1 0; 0 1 0; 0 0 1"
+TEXT_GOLDENS = {
+    "classify": ("classify", M0_TEXT),
+    "classify-identity": ("classify", "1 0 0; 0 1 0; 0 0 1"),
+    "power-table": ("power-table", M2_TEXT),
+    "power-table-csv": ("power-table", M2_TEXT, "--format", "csv"),
+    "power-table-signed": ("power-table", M0_TEXT, "--limit", "5", "--signed"),
+    "power-table-signed-csv": ("power-table", M0_TEXT, "--limit", "5", "--signed",
+                               "--format", "csv"),
+    "power-table-scalar": ("power-table", M0_TEXT, "--limit", "19"),
+    "power-table-transvection": ("power-table", TRANSVECTION_TEXT, "--limit", "7"),
+    "census": ("census",),
+    "census-csv": ("census", "--format", "csv"),
+    "census-csv-trace": ("census", "--format", "csv", "--by", "trace"),
+    "centralizer": ("centralizer", M0_TEXT),
+    "centralizer-identity": ("centralizer", "1 0 0; 0 1 0; 0 0 1"),
+    "centralizer-transvection": ("centralizer", TRANSVECTION_TEXT),
+    "class-size": ("class-size", M0_TEXT),
+    "sylow": ("sylow",),
+    "normalizer": ("normalizer", M2_TEXT),
+    "parabolic": ("parabolic",),
+    "closure": ("closure", M2_TEXT),
+    "closure-default": ("closure",),
+    "reduce-y": ("reduce", M0_TEXT, "--target", "Y"),
+    "reduce-z": ("reduce", M0_TEXT, "--target", "z"),
+    "commuting-reps": ("commuting-reps",),
+    "labels": ("labels",),
+    "labels-csv": ("labels", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDENS)
+def test_text_stdout_unchanged(capsys, name):
+    code, out, _ = run(capsys, *TEXT_GOLDENS[name])
+    assert code == 0
+    assert out == (GOLDEN_TEXT / f"{name}.txt").read_text(encoding="utf-8")
+
+
 # Generated with COLUMNS=80 on Python 3.11, the version CI runs; argparse
 # formats help differently on other versions.
 GOLDEN_HELP = Path(__file__).parent / "golden" / "help"
