@@ -36,7 +36,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .matrix3 import (
     decode,
     det,
     encode,
-    format_matrix,
     has_fp_eigenvalue,
     is_scalar,
     mat_mul,
@@ -285,17 +284,6 @@ class ScanSummary:
             ],
         )
 
-    def to_csv(self, by: str = "label") -> str:
-        if by == "trace":
-            lines = ["trace,count"]
-            lines += [f"{t},{n}" for t, n in sorted(self.by_trace.items())]
-        elif by == "label":
-            lines = ["i,j,count"]
-            lines += [f"{l.i},{l.j},{n}" for l, n in sorted(self.by_label.items())]
-        else:
-            raise ValueError(f"unknown census table {by!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace and principal-minor sum: the label pair (i, j) of each det-1 plane."""
@@ -439,16 +427,6 @@ class CentralizerReport:
     is_cyclic: bool
     generator: Mat3 | None
     elements: tuple[int, ...] | None  # MatCodes, present only when size <= 1024
-
-    def to_json(self) -> dict:
-        return document(
-            "centralizer",
-            subject=format_matrix(self.subject),
-            size=self.size,
-            is_cyclic=self.is_cyclic,
-            generator=None if self.generator is None else format_matrix(self.generator),
-            elements=None if self.elements is None else list(self.elements),
-        )
 
 
 _ELEMENT_LIST_CAP = 1024
@@ -601,9 +579,6 @@ class PowerTableRow:
     label: ClassLabel | None  # set only when the power is eigenvector-free
     note: str | None
 
-    def display_class(self) -> str:
-        return f"[{self.pair[0]},{self.pair[1]}]"
-
 
 def power_table(m: Mat3, limit: int) -> list[PowerTableRow]:
     """Rows k = 1..limit with m^k, its trace, and class label when eigenfree."""
@@ -625,27 +600,6 @@ def power_table(m: Mat3, limit: int) -> list[PowerTableRow]:
         else:
             rows.append(PowerTableRow(k, mk, trace(mk), pair, None, "has eigenvector"))
     return rows
-
-
-def power_table_csv(rows: Iterable[PowerTableRow], signed: bool = False) -> str:
-    lines = ["k,matrix,trace,label"]
-    for r in rows:
-        lines.append(f"{r.k},{format_matrix(r.matrix, signed=signed)},{r.trace},{r.display_class()}")
-    return "\n".join(lines) + "\n"
-
-
-def power_table_json(rows: Iterable[PowerTableRow], signed: bool = False) -> dict:
-    return document("power_table", rows=[
-        {
-            "k": r.k,
-            "matrix": format_matrix(r.matrix, signed=signed),
-            "trace": r.trace,
-            "class": r.display_class(),
-            "eigenfree": r.label is not None,
-            "note": r.note,
-        }
-        for r in rows
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The sl3f7/v1 JSON document format: its tag, its envelope and the fields
 each kind of document requires.
 
-Every document the library and the CLI emit is built by document(), and
-validate_document() checks one against the required fields below.
+Every document is built by document(): by cli, one per subcommand, and by
+scan.ScanSummary.to_json for the census.  validate_document() checks one
+against the required fields below.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .matrix3 import (
     Mat3,
     decode,
     det,
-    format_matrix,
     has_fp_eigenvalue,
     is_scalar,
     mat_inv,
@@ -30,7 +29,6 @@ from .matrix3 import (
     parse_matrix,
 )
 from .scan import least_intertwiner
-from .schema import document
 
 
 class NotCommuting(ValueError):
@@ -80,14 +78,6 @@ class SimConjVerdict:
     equivalent: bool
     witness: Mat3 | None = None
     certificate: str | None = None
-
-    def to_json(self) -> dict:
-        return document(
-            "simconj",
-            equivalent=self.equivalent,
-            witness=None if self.witness is None else format_matrix(self.witness),
-            certificate=self.certificate,
-        )
 
 
 def _check_commuting(ms: tuple[Mat3, ...]) -> None:

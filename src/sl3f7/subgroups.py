@@ -29,7 +29,6 @@ from .matrix3 import (
     mat_mul,
 )
 from .scan import _decode_planes, _encode_planes, _mod7, _mul_planes
-from .schema import document
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -156,15 +155,6 @@ class ReductionTrace:
     def verify(self) -> bool:
         return self.recompose() == self.target and all(
             in_parabolic(s.factor) for s in self.steps
-        )
-
-    def to_json(self) -> dict:
-        return document(
-            "reduction",
-            start=format_matrix(self.start),
-            target=format_matrix(self.target),
-            steps=[{"side": s.side, "factor": format_matrix(s.factor)} for s in self.steps],
-            verified=self.verify(),
         )
 
 

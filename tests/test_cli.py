@@ -131,6 +131,16 @@ class TestScanningCommands:
         assert doc["size"] == 171
         assert doc["index_over_subgroup"] == 9
 
+    @pytest.mark.parametrize("argv", [("census", "--threads", "0"),
+                                      ("verify", "--threads", "-1")], ids=["census", "verify"])
+    def test_threads_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(list(argv))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --threads: not a positive integer" in captured.err
+
     def test_thread_count_gives_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "census", "--format", "json", "--threads", "1")
         _, out4, _ = run(capsys, "census", "--format", "json", "--threads", "4")
@@ -289,8 +299,9 @@ class TestVerify:
 # The stdout of every JSON-emitting subcommand on fast inputs, byte for byte:
 # the field tests above parse the output and would not see a reordered
 # envelope.  The files were written by the code as it was before
-# schema.document() built every envelope.  The simconj cases read tuple files
-# written from _SIMCONJ_TUPLES.
+# schema.document() built every envelope.  Each output must also pass
+# validate_document, so every kind the CLI emits meets schema.REQUIRED_FIELDS.
+# The simconj cases read tuple files written from _SIMCONJ_TUPLES.
 GOLDEN_JSON = Path(__file__).parent / "golden" / "json"
 _G = KNOWN_REPRESENTATIVES[ClassLabel(1, 0)]
 _SIMCONJ_TUPLES = {
@@ -326,6 +337,7 @@ def test_json_stdout_unchanged(capsys, tmp_path, name):
     code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in JSON_GOLDENS[name]))
     assert code == 0
     assert out == (GOLDEN_JSON / f"{name}.json").read_text(encoding="utf-8")
+    validate_document(json.loads(out))
 
 
 # The table and csv stdout of every subcommand but verify (whose report is
@@ -428,7 +440,9 @@ class TestMalformedInput:
             for path, data in zip(paths, (matrix, tuple1, tuple2)):
                 path.write_bytes(data)
             m, a, b = map(str, paths)
-            for argv in (["classify", "--file", m], ["reduce", "--file", m, "--target", "Y"],
+            for argv in (["classify", "--file", m], ["power-table", "--file", m],
+                         ["centralizer", "--file", m], ["class-size", "--file", m],
+                         ["normalizer", "--file", m], ["reduce", "--file", m, "--target", "Y"],
                          ["simconj", a, b]):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -232,14 +232,6 @@ class TestDecide:
             witness = oracle_simultaneous_witness(t1, t2)
             assert verdict.equivalent == (witness is not None)
 
-    def test_verdict_serialization(self):
-        verdict = decide_simconj(analyze_tuple((M0,)), analyze_tuple((M0,)))
-        from sl3f7.schema import validate_document
-
-        doc = verdict.to_json()
-        validate_document(doc)
-        assert doc["equivalent"] is True
-
 
 class TestEighteenReps:
     def test_covers_all_labels(self):
