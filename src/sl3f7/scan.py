@@ -481,35 +481,50 @@ def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
 # Sylow-19 counting, normalizers, order absence
 
 _POWER_EXPONENTS = (1, 3, 9, 19, 27)
+# the addition chain 1, 2, 3, 6, 9, 18, 19, 27 as steps g^k = g^a g^b
+_POWER_CHAIN = ((2, 1, 1), (3, 2, 1), (6, 3, 3), (9, 6, 3), (18, 9, 9), (19, 18, 1), (27, 18, 9))
 
 
-def _power_chunk(g: np.ndarray) -> np.ndarray:
-    """For each k in _POWER_EXPONENTS, how many of the planes g have g^k = I.
+def _power_chunk(g: np.ndarray, exponents: tuple[int, ...] = _POWER_EXPONENTS) -> np.ndarray:
+    """For each k in exponents, how many of the planes g have g^k = I.
 
-    The powers come from the addition chain 1, 2, 3, 6, 9, 18, 19, 27:
-    seven plane products, with g^19 = g^18 g and g^27 = g^18 g^9.  Each
-    power is counted as soon as it exists and dropped when no longer a
-    factor: every extra live 9-plane array is heap that the allocator
-    returns after the chunk and page-faults back in for the next one.
+    The powers come from _POWER_CHAIN, seven plane products for all of
+    _POWER_EXPONENTS, with g^19 = g^18 g and g^27 = g^18 g^9.  Only the
+    steps that build a wanted power or a factor of one run, so the walk
+    stops after the last power exponents needs: 2 products for (1, 3),
+    4 for (3, 9), 6 for (19,), (9, 27) or (1, 3, 9, 27).  Each power is
+    counted as soon as it exists and dropped when no longer a factor:
+    every extra live 9-plane array is heap that the allocator returns
+    after the chunk and page-faults back in for the next one.
     """
-    g3 = _mul_planes(_mul_planes(g, g), g)
-    g9 = _mul_planes(_mul_planes(g3, g3), g3)
-    hits = [np.count_nonzero(_eq_identity(p)) for p in (g, g3, g9)]
-    del g3
-    g18 = _mul_planes(g9, g9)
-    hits += [np.count_nonzero(_eq_identity(_mul_planes(g18, p))) for p in (g, g9)]
-    return np.array(hits)
+    steps: list[tuple[int, int, int]] = []
+    needed = set(exponents)
+    for k, a, b in reversed(_POWER_CHAIN):
+        if k in needed:
+            steps.insert(0, (k, a, b))
+            needed |= {a, b}
+    powers = {1: g}
+    hits = {1: np.count_nonzero(_eq_identity(g))} if 1 in exponents else {}
+    for n, (k, a, b) in enumerate(steps):
+        powers[k] = _mul_planes(powers[a], powers[b])
+        if k in exponents:
+            hits[k] = np.count_nonzero(_eq_identity(powers[k]))
+        factors = {f for _, x, y in steps[n + 1:] for f in (x, y)}
+        powers = {p: v for p, v in powers.items() if p in factors}
+    return np.array([hits[k] for k in exponents])
 
 
-def _power_counts(threads: int | None = None) -> dict[int, int]:
-    """k -> number of g in SL3 with g^k = I, for k in 1, 3, 9, 19, 27, in one pass."""
-    totals = sum(_map_chunks(_power_chunk, threads=threads))
-    return dict(zip(_POWER_EXPONENTS, totals.tolist()))
+def _power_counts(threads: int | None = None,
+                  exponents: tuple[int, ...] = _POWER_EXPONENTS) -> dict[int, int]:
+    """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass."""
+    kernel = functools.partial(_power_chunk, exponents=exponents)
+    totals = sum(_map_chunks(kernel, threads=threads))
+    return dict(zip(exponents, totals.tolist()))
 
 
 def count_order19_elements(*, threads: int | None = None) -> int:
     """Number of elements of order exactly 19 (g^19 = I and g != I)."""
-    return _power_counts(threads)[19] - 1
+    return _power_counts(threads, (19,))[19] - 1
 
 
 def sylow19_count(elements: int) -> int:
@@ -563,7 +578,7 @@ def order_absence_check(n: int, *, threads: int | None = None) -> bool:
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    return _order_absent(_power_counts(threads), n)
+    return _order_absent(_power_counts(threads, (n // 3, n)), n)
 
 
 # ---------------------------------------------------------------------------

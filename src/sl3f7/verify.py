@@ -252,7 +252,7 @@ def check_normalizer(full: bool, threads: int | None) -> tuple[bool, str]:
 
 
 def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
-    counts = scan._power_counts(threads=threads)
+    counts = scan._power_counts(threads, (1, 3, 9, 27))
     absent9 = scan._order_absent(counts, 9)
     absent27 = scan._order_absent(counts, 27)
     present3 = not scan._order_absent(counts, 3)

@@ -6,7 +6,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import least_sl3, random_sl3
-from sl3f7 import scan
+from sl3f7 import scan, verify
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotEigenfree, NotInSL3
 from sl3f7.matrix3 import (
     CODE_SPACE,
@@ -361,16 +361,48 @@ def power_counts():
     return scan._power_counts()
 
 
+# the exponent tuples the library asks the power pass for
+LIBRARY_EXPONENTS = [(19,), (1, 3), (3, 9), (9, 27), (1, 3, 9, 27), scan._POWER_EXPONENTS]
+
+
 class TestPowerKernel:
     def test_matches_pure_python_powers(self):
-        # 3 000 random elements plus the identity, the only g with g^1 = I
+        # 3 000 random elements plus the identity, the only g with g^1 = I;
+        # every exponent tuple the library asks for, each a cut of the chain
         rng = random.Random(0x2719)
         columns = [scan._element_planes(r, r + 1) for r in rng.sample(range(GROUP_ORDER), 3_000)]
         planes = np.concatenate(columns + [np.array(IDENTITY, dtype=np.uint8)[:, None]], axis=1)
         elements = [decode(int(c)) for c in scan._encode_planes(planes)]
-        expected = [sum(mat_pow(g, k) == IDENTITY for g in elements)
-                    for k in scan._POWER_EXPONENTS]
-        assert scan._power_chunk(planes).tolist() == expected
+        expected = {k: sum(mat_pow(g, k) == IDENTITY for g in elements)
+                    for k in scan._POWER_EXPONENTS}
+        for exponents in LIBRARY_EXPONENTS:
+            assert scan._power_chunk(planes, exponents).tolist() == [expected[k] for k in exponents]
+
+    # each entry point runs one pass and, per chunk, only the products its
+    # answer reads; a return to the full chain costs 7
+    @pytest.mark.parametrize("entry,products", [
+        (lambda: scan.order_absence_check(3), 2),
+        (lambda: scan.order_absence_check(9), 4),
+        (lambda: scan.order_absence_check(27), 6),
+        (lambda: scan.count_order19_elements(), 6),
+        (lambda: verify.check_order_absence(True, None), 6),
+    ], ids=["absence-3", "absence-9", "absence-27", "order-19", "check-12"])
+    def test_products_per_chunk(self, entry, products, monkeypatch):
+        calls = {"passes": 0, "products": 0}
+        mul_planes = scan._mul_planes
+
+        def one_chunk(kernel, *, threads=None):
+            calls["passes"] += 1
+            yield kernel(scan._element_planes(0, 1_000))
+
+        def counted(x, y):
+            calls["products"] += 1
+            return mul_planes(x, y)
+
+        monkeypatch.setattr(scan, "_map_chunks", one_chunk)
+        monkeypatch.setattr(scan, "_mul_planes", counted)
+        entry()
+        assert calls == {"passes": 1, "products": products}
 
 
 class TestSylow:

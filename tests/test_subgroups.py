@@ -29,8 +29,7 @@ from sl3f7.subgroups import (
     X,
     Y,
     Z,
-    _right_steps,
-    _row_table,
+    _step_tables,
     generator_closure,
     in_parabolic,
     maximality_witness,
@@ -123,7 +122,9 @@ class TestClosure:
         rng = random.Random(0x7AB1)
         codes = [0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(2_000)]
         steps = [s for g in gens for s in (g, mat_inv(g))]
-        got = _right_steps(np.array(codes, dtype=np.int32), [_row_table(s) for s in steps])
+        high, low = np.divmod(np.array(codes, dtype=np.int32), 343**2)
+        got = np.concatenate([pair[low] + row3[high] for pair, row3 in map(_step_tables, steps)])
+        assert got.dtype == np.int32
         assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
 
     def test_bad_generator_sets_rejected(self):
