@@ -28,7 +28,6 @@ from .field import (
     ext_mul,
     ext_order,
     fp_inv,
-    frobenius,
 )
 from .matrix3 import (
     CODE_SPACE,
@@ -46,7 +45,6 @@ from .matrix3 import (
     mat_mul,
     mat_order,
     mat_pow,
-    null_space_has_nonzero,
     parse_matrix,
     trace,
 )

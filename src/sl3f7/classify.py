@@ -121,16 +121,6 @@ def order_of_label(label: ClassLabel) -> int:
     return orders.pop()
 
 
-ORDER_19_LABELS = (
-    ClassLabel(0, 2),
-    ClassLabel(1, 3),
-    ClassLabel(2, 0),
-    ClassLabel(3, 1),
-    ClassLabel(3, 4),
-    ClassLabel(4, 3),
-)
-
-
 @functools.cache
 def _scan_representatives() -> dict[ClassLabel, Mat3]:
     """First SL3 matrix of each eigenfree label in ascending MatCode order.

@@ -31,7 +31,7 @@ from .matrix3 import (
 )
 from .scan import UnsupportedOrder, WrongOrder
 from .schema import document
-from .simconj import EmptyAfterScalarStrip, LengthMismatch, NotCommuting
+from .simconj import EmptyAfterScalarStrip, NotCommuting
 from .subgroups import InParabolic
 
 _PRECONDITION_ERRORS = (
@@ -189,8 +189,6 @@ def cmd_simconj(args: argparse.Namespace) -> dict:
                 f"{name}: every member has an eigenvector; the decision "
                 "procedure covers eigenvector-free tuples"
             )
-        if isinstance(analyzed, simconj.Rejected):
-            raise NotCommuting(f"{name}: {analyzed.reason}")
     verdict = simconj.decide_simconj(a1, a2)
     return document("simconj", equivalent=verdict.equivalent,
                     witness=verdict.witness and format_matrix(verdict.witness),
@@ -427,9 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     except _SEMANTIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except LengthMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

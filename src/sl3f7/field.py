@@ -13,7 +13,6 @@ from typing import Iterator, NamedTuple
 
 P = 7
 
-EXT_GROUP_ORDER = 342  # |F343^x| = 7^3 - 1
 DIVISORS_342 = (1, 2, 3, 6, 9, 18, 19, 38, 57, 114, 171, 342)
 
 
@@ -46,7 +45,6 @@ class ExtScalar(NamedTuple):
 
 EXT_ZERO = ExtScalar(0, 0, 0)
 EXT_ONE = ExtScalar(1, 0, 0)
-EXT_X = ExtScalar(0, 1, 0)
 
 
 def ext(c0: int, c1: int = 0, c2: int = 0) -> ExtScalar:
@@ -84,11 +82,6 @@ def ext_pow(a: ExtScalar, n: int) -> ExtScalar:
     return r
 
 
-def frobenius(a: ExtScalar) -> ExtScalar:
-    """The field automorphism a -> a^7; fixes exactly the 7 constants."""
-    return ext_pow(a, P)
-
-
 def ext_order(a: ExtScalar) -> int:
     """Least n >= 1 with a^n = 1; always a divisor of 342."""
     if a == EXT_ZERO:
@@ -99,12 +92,8 @@ def ext_order(a: ExtScalar) -> int:
     raise AssertionError("unreachable: order must divide 342")
 
 
-def ext_pack(a: ExtScalar) -> int:
-    """Bijective packing c0 + 7*c1 + 49*c2 in 0..342, used for ordering."""
-    return a.c0 + 7 * a.c1 + 49 * a.c2
-
-
 def ext_unpack(code: int) -> ExtScalar:
+    """The element with packed code c0 + 7*c1 + 49*c2 in 0..342."""
     if not 0 <= code < 343:
         raise ValueError(f"packed extension code out of range: {code}")
     return ExtScalar(code % 7, (code // 7) % 7, code // 49)

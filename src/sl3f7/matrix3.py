@@ -69,9 +69,9 @@ def mat_scale(s: int, m: Mat3) -> Mat3:
 
 
 def mat_pow(m: Mat3, n: int) -> Mat3:
-    """m^n by binary exponentiation; negative n goes through the inverse."""
+    """m^n for n >= 0 by binary exponentiation."""
     if n < 0:
-        m, n = mat_inv(m), -n
+        raise ValueError("negative exponent")
     r = IDENTITY
     while n:
         if n & 1:
@@ -150,11 +150,6 @@ def nullspace(rows: list[list[int]]) -> list[list[int]]:
             v[p] = -row[free] % P
         basis.append(v)
     return basis
-
-
-def null_space_has_nonzero(m: Mat3, lam: int) -> bool:
-    """Gaussian-elimination oracle: does (m - lam*I)v = 0 have v != 0?"""
-    return bool(nullspace([[m[3 * r + c] - lam * (r == c) for c in range(3)] for r in range(3)]))
 
 
 def mat_inv(m: Mat3) -> Mat3:

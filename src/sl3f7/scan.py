@@ -178,9 +178,12 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
 
 def _map_chunks(kernel: Callable[[np.ndarray], _T], *, threads: int | None = None) -> Iterator[_T]:
     """Apply kernel to the element planes of the consecutive rank ranges,
-    CHUNK long, that cover the whole group, yielding results in rank order."""
+    CHUNK long, that cover the whole group, yielding results in rank order.
+    An explicit threads below 1 is a ValueError, raised before any chunk runs."""
     ranges = [(lo, min(lo + CHUNK, GROUP_ORDER)) for lo in range(0, GROUP_ORDER, CHUNK)]
-    threads = default_threads() if threads is None else max(1, threads)
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
     def worker(r: tuple[int, int]) -> _T:
         return kernel(_element_planes(*r))
@@ -292,28 +295,25 @@ def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mod7(a + e + i), _mod7(a * e + e * i + a * i + 126 - b * dd - f * h - c * g)
 
 
-def _census_chunk(d: np.ndarray) -> tuple[int, np.ndarray]:
+def _census_chunk(d: np.ndarray) -> np.ndarray:
+    """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
     tr, jc = _char_planes(d)
     has_root = np.zeros(tr.shape, dtype=bool)
     for lam in range(1, 7):  # lam = 0 never solves t^3 - i t^2 + j t - 1 = 0
         # constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
         has_root |= _mod7(jc * lam + (lam**3 - 1) % 7 + 42 - tr * (lam * lam % 7)) == 0
     ef = ~has_root
-    counts = np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
-    return d.shape[1], counts
+    return np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
 
 
 def census(*, threads: int | None = None) -> ScanSummary:
-    """Full-group census: group order plus eigenfree counts by trace and label.
+    """Full-group census: eigenfree counts by trace and label.
 
     Deterministic for any chunk size or thread count (partial results merge
-    by pointwise addition).
+    by pointwise addition).  group_order is GROUP_ORDER, which count_sl3
+    counts: the chunks cover the element stream by construction.
     """
-    group_order = 0
-    counts = np.zeros(49, dtype=np.int64)
-    for n, part in _map_chunks(_census_chunk, threads=threads):
-        group_order += n
-        counts += part
+    counts = sum(_map_chunks(_census_chunk, threads=threads))
     by_label = {
         ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v
     }
@@ -321,7 +321,7 @@ def census(*, threads: int | None = None) -> ScanSummary:
     for label, n in by_label.items():
         by_trace[label.i] = by_trace.get(label.i, 0) + n
     return ScanSummary(
-        group_order=group_order,
+        group_order=GROUP_ORDER,
         eigenfree_total=int(counts.sum()),
         by_trace=by_trace,
         by_label=by_label,
@@ -480,16 +480,15 @@ def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
 # ---------------------------------------------------------------------------
 # Sylow-19 counting, normalizers, order absence
 
-_POWER_EXPONENTS = (1, 3, 9, 19, 27)
 # the addition chain 1, 2, 3, 6, 9, 18, 19, 27 as steps g^k = g^a g^b
 _POWER_CHAIN = ((2, 1, 1), (3, 2, 1), (6, 3, 3), (9, 6, 3), (18, 9, 9), (19, 18, 1), (27, 18, 9))
 
 
-def _power_chunk(g: np.ndarray, exponents: tuple[int, ...] = _POWER_EXPONENTS) -> np.ndarray:
+def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
     """For each k in exponents, how many of the planes g have g^k = I.
 
     The powers come from _POWER_CHAIN, seven plane products for all of
-    _POWER_EXPONENTS, with g^19 = g^18 g and g^27 = g^18 g^9.  Only the
+    (1, 3, 9, 19, 27), with g^19 = g^18 g and g^27 = g^18 g^9.  Only the
     steps that build a wanted power or a factor of one run, so the walk
     stops after the last power exponents needs: 2 products for (1, 3),
     4 for (3, 9), 6 for (19,), (9, 27) or (1, 3, 9, 27).  Each power is
@@ -514,8 +513,7 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...] = _POWER_EXPONENTS) -
     return np.array([hits[k] for k in exponents])
 
 
-def _power_counts(threads: int | None = None,
-                  exponents: tuple[int, ...] = _POWER_EXPONENTS) -> dict[int, int]:
+def _power_counts(threads: int | None, exponents: tuple[int, ...]) -> dict[int, int]:
     """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass."""
     kernel = functools.partial(_power_chunk, exponents=exponents)
     totals = sum(_map_chunks(kernel, threads=threads))

@@ -66,14 +66,6 @@ class AllEigen:
 
 
 @dataclass(frozen=True)
-class Rejected:
-    """Mixed eigenfree/eigenvector members: impossible for commuting inputs,
-    surfaced loudly instead of being mis-analyzed."""
-
-    reason: str
-
-
-@dataclass(frozen=True)
 class SimConjVerdict:
     equivalent: bool
     witness: Mat3 | None = None
@@ -87,13 +79,13 @@ def _check_commuting(ms: tuple[Mat3, ...]) -> None:
                 raise NotCommuting(f"members {i} and {j} do not commute")
 
 
-def analyze_tuple(ms) -> CommutingTuple | AllEigen | Rejected:
+def analyze_tuple(ms) -> CommutingTuple | AllEigen:
     """Normalize a commuting tuple; scalars are stripped and recorded.
 
-    If some remaining member is eigenvector-free, its centralizer is the
-    57 powers of a generator (the member itself when it has order 57,
-    otherwise twice the member); every member is located there by
-    discrete log over the power table.
+    If some remaining member is eigenvector-free, its centralizer in SL3 is
+    cyclic of order 57, the powers of base (the member itself when it has
+    order 57, otherwise twice the member).  Every member has det 1 and
+    commutes with it, so discrete log over the power table locates each one.
     """
     ms = tuple(tuple(v % 7 for v in m) for m in ms)
     if not ms:
@@ -119,18 +111,10 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen | Rejected:
     for k in range(57):
         power_index.setdefault(p, k)
         p = mat_mul(p, base)
-    exponents = []
-    for k, m in enumerate(members):
-        e = power_index.get(m)
-        if e is None:
-            return Rejected(
-                reason=f"member {k} commutes with an eigenvector-free member "
-                "but is not a power of the centralizer generator"
-            )
-        exponents.append(e)
-    return CommutingTuple(
-        members=members, base=base, exponents=tuple(exponents), stripped=stripped
-    )
+    if not all(m in power_index for m in members):
+        raise AssertionError("a member commuting with base is not one of its 57 powers")
+    exponents = tuple(power_index[m] for m in members)
+    return CommutingTuple(members=members, base=base, exponents=exponents, stripped=stripped)
 
 
 def find_conjugator(a: Mat3, b: Mat3) -> Mat3 | None:

@@ -35,8 +35,6 @@ X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
 Y: Mat3 = mat("0 1 0; 0 0 1; 1 0 0")
 Z: Mat3 = mat("0 1 0; 1 0 0; -1 -1 -1")
 
-PARABOLIC_ORDER = 98_784
-
 
 class ClosureCapExceeded(RuntimeError):
     """BFS closure grew past its cap (impossible for det-1 generators)."""

@@ -26,7 +26,6 @@ from sl3f7.matrix3 import (
     mat_order,
     mat_pow,
     mat_scale,
-    null_space_has_nonzero,
     nullspace,
     parse_matrix,
     scalar_mat,
@@ -36,6 +35,11 @@ from sl3f7.matrix3 import (
 M0 = mat("0 1 3; 0 0 1; 1 0 0")
 M2 = mat("0 2 -1; 0 0 2; 2 0 0")
 ZERO = (0,) * 9
+
+
+def null_space_has_nonzero(m, lam: int) -> bool:
+    """Gaussian-elimination oracle: does (m - lam*I)v = 0 have v != 0?"""
+    return bool(nullspace([[m[3 * r + c] - lam * (r == c) for c in range(3)] for r in range(3)]))
 
 
 class TestDet:
@@ -151,6 +155,10 @@ class TestOrder:
     def test_m0_is_57_with_scalar_19th_power(self):
         assert mat_order(M0) == 57
         assert mat_pow(M0, 19) == scalar_mat(4)
+
+    def test_pow_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            mat_pow(M0, -1)
 
     def test_m2_is_19(self):
         assert mat_order(M2) == 19

@@ -117,13 +117,12 @@ class TestUint8Kernels:
         assert list(zip(tr.tolist(), jc.tolist())) == [tuple(char_poly(m)[0]) for m in MIXED]
 
     def test_census_chunk_root_test(self):
-        n, counts = scan._census_chunk(_planes(SL3_MIXED))
+        counts = scan._census_chunk(_planes(SL3_MIXED))
         expected = np.zeros(49, dtype=np.int64)
         for m in SL3_MIXED:
             if not has_fp_eigenvalue(m):
                 i, j = char_poly(m)[0]
                 expected[7 * i + j] += 1
-        assert n == len(SL3_MIXED)
         assert np.array_equal(counts, expected)
 
     @pytest.mark.parametrize("a,b", [(EXTREME[-1], EXTREME[-1]), (EXTREME[-1], EXTREME[0]),
@@ -137,8 +136,8 @@ class TestUint8Kernels:
         assert got.tolist() == expected
 
     def test_power_chunk(self):
-        got = scan._power_chunk(_planes(MIXED))
-        expected = [sum(mat_pow(g, k) == IDENTITY for g in MIXED) for k in scan._POWER_EXPONENTS]
+        got = scan._power_chunk(_planes(MIXED), (1, 3, 9, 19, 27))
+        expected = [sum(mat_pow(g, k) == IDENTITY for g in MIXED) for k in (1, 3, 9, 19, 27)]
         assert got.tolist() == expected
 
     def test_stream_table_cross_products(self):
@@ -199,7 +198,8 @@ class TestElementStream:
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
         assert scan.census(threads=threads) == census
         assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
-        assert scan._power_counts(threads) == {1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
+        assert scan._power_counts(threads, (1, 3, 9, 19, 27)) == {
+            1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
 
 
 class TestDefaultThreads:
@@ -232,15 +232,18 @@ class TestDefaultThreads:
 
 
 class TestThreadClamping:
-    def test_nonpositive_threads_run_in_the_calling_thread(self, monkeypatch):
-        base = scan.census(threads=1)
-
+    def test_nonpositive_threads_are_a_value_error(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
+        def no_chunk(lo, hi):
+            raise AssertionError("a chunk ran")
+
         monkeypatch.setattr(scan, "ThreadPoolExecutor", no_pool)
-        assert scan.census(threads=0) == base
-        assert scan.census(threads=-4) == base
+        monkeypatch.setattr(scan, "_element_planes", no_chunk)
+        for threads in (0, -4):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                scan.census(threads=threads)
 
     def test_two_threads_start_a_pool_of_two(self, monkeypatch):
         base = scan.census(threads=1)
@@ -358,11 +361,11 @@ class TestLabelMembers:
 @pytest.fixture(scope="module")
 def power_counts():
     """One power pass, read by the Sylow and order-absence tests."""
-    return scan._power_counts()
+    return scan._power_counts(None, (1, 3, 9, 19, 27))
 
 
-# the exponent tuples the library asks the power pass for
-LIBRARY_EXPONENTS = [(19,), (1, 3), (3, 9), (9, 27), (1, 3, 9, 27), scan._POWER_EXPONENTS]
+# the exponent tuples the library asks the power pass for, and the whole chain
+LIBRARY_EXPONENTS = [(19,), (1, 3), (3, 9), (9, 27), (1, 3, 9, 27), (1, 3, 9, 19, 27)]
 
 
 class TestPowerKernel:
@@ -374,7 +377,7 @@ class TestPowerKernel:
         planes = np.concatenate(columns + [np.array(IDENTITY, dtype=np.uint8)[:, None]], axis=1)
         elements = [decode(int(c)) for c in scan._encode_planes(planes)]
         expected = {k: sum(mat_pow(g, k) == IDENTITY for g in elements)
-                    for k in scan._POWER_EXPONENTS}
+                    for k in (1, 3, 9, 19, 27)}
         for exponents in LIBRARY_EXPONENTS:
             assert scan._power_chunk(planes, exponents).tolist() == [expected[k] for k in exponents]
 
