@@ -21,7 +21,6 @@ from .matrix3 import (
     det,
     has_fp_eigenvalue,
     is_scalar,
-    mat_inv,
     mat_mul,
     mat_order,
     mat_pow,
@@ -126,7 +125,7 @@ def find_conjugator(a: Mat3, b: Mat3) -> Mat3 | None:
     if least is None:
         return None
     g = decode(least)
-    assert mat_mul(mat_mul(g, a), mat_inv(g)) == b
+    assert mat_mul(g, a) == mat_mul(b, g)
     return g
 
 
@@ -159,7 +158,7 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
             g = find_conjugator(t1.base, candidate)
             assert g is not None, "equal labels must be conjugate"
             for a_k, b_k in zip(t1.members, t2.members):
-                assert mat_mul(mat_mul(g, a_k), mat_inv(g)) == b_k
+                assert mat_mul(g, a_k) == mat_mul(b_k, g)
             return SimConjVerdict(equivalent=True, witness=g)
 
     for k, (a_k, b_k) in enumerate(zip(t1.members, t2.members)):

@@ -25,7 +25,6 @@ from .matrix3 import (
     encode,
     format_matrix,
     mat,
-    mat_inv,
     mat_mul,
 )
 from .scan import _decode_planes, _encode_planes, _mod7, _mul_planes
@@ -60,8 +59,11 @@ def parabolic_size() -> int:
 def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER) -> int:
     """Size of the subgroup generated, by breadth-first closure over MatCodes.
 
-    The frontier multiplies on the right by each generator and its inverse;
-    visited states live in a flat presence bitmap over the 7^9 code space.
+    The frontier multiplies on the right by each generator alone: in a
+    finite group g^-1 = g^(ord g - 1), so the monoid the generators span is
+    the subgroup.  Without inverse steps {X, Y, Z} takes 90 levels, not 66,
+    but about half the candidates (24 M, not 43 M).  Visited states live in
+    a presence bitmap over the 7^9 codes.
     Right multiplication by s maps each row r of g to r*s on its own, so a
     code splits into code mod 343^2 (rows 1 and 2) and code // 343^2 (row
     3), and each step s gets one table per part (_step_tables): a neighbour
@@ -78,7 +80,7 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     for g in gens:
         if det(g) != 1:
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
-    tables = [_step_tables(s) for g in gens for s in (g, mat_inv(g))]
+    tables = [_step_tables(g) for g in gens]
 
     visited = np.zeros(CODE_SPACE, dtype=bool)
     frontier = np.array([encode(IDENTITY)], dtype=np.int32)

@@ -107,11 +107,7 @@ def check_census(full: bool, threads: int | None) -> tuple[bool, str]:
     s = scan.census(threads=threads)
     expected_traces = {0: 296_352, 1: 296_352, 2: 296_352, 3: 197_568,
                        4: 296_352, 5: 197_568, 6: 197_568}
-    ok = (
-        s.eigenfree_total == 1_778_112
-        and s.group_order == GROUP_ORDER
-        and s.by_trace == expected_traces
-    )
+    ok = s.eigenfree_total == 1_778_112 and s.by_trace == expected_traces
     return ok, (f"eigenfree_total={s.eigenfree_total}, "
                 f"by_trace={[s.by_trace[t] for t in range(7)]}")
 

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_sl3
-from sl3f7 import scan
+from sl3f7 import scan, subgroups
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotInSL3
 from sl3f7.matrix3 import (
     CODE_SPACE,
@@ -20,6 +20,7 @@ from sl3f7.matrix3 import (
     mat_inv,
     mat_mul,
     mat_order,
+    mat_pow,
 )
 from sl3f7.subgroups import (
     PARABOLIC_GENERATORS,
@@ -45,6 +46,17 @@ def random_outside_h(rng: random.Random):
         a = random_sl3(rng)
         if not in_parabolic(a):
             return a
+
+
+def set_closure(gens) -> int:
+    """Reference closure: a set BFS that steps by each generator and its inverse."""
+    steps = [s for g in gens for s in (g, mat_inv(g))]
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        frontier = [m for m in {mat_mul(f, s) for f in frontier for s in steps} if m not in seen]
+        seen.update(frontier)
+    return len(seen)
 
 
 class TestMembership:
@@ -109,6 +121,40 @@ class TestClosure:
     def test_cyclic_closure_is_the_element_order(self, rank):
         g = decode(int(scan._encode_planes(scan._element_planes(rank, rank + 1))[0]))
         assert generator_closure((g,), cap=mat_order(g)) == mat_order(g)
+
+    def test_one_step_table_per_generator(self, monkeypatch):
+        built = []
+
+        def counted(s):
+            built.append(s)
+            return _step_tables(s)
+
+        monkeypatch.setattr(subgroups, "_step_tables", counted)
+        assert generator_closure((X, Y, Z)) == 5_630_688
+        assert built == [X, Y, Z]
+        built.clear()
+        assert generator_closure(PARABOLIC_GENERATORS) == 98_784
+        assert built == list(PARABOLIC_GENERATORS)
+
+    # a cyclic closure cannot tell whether inverse steps are needed, since
+    # every element is a positive power of the generator; <P, n> with n
+    # normalizing <P> (n P n^-1 = P^k) is non-abelian, of order 57, and
+    # adding a generator c of C(P) gives N(<P>), of order 171
+    @seed(0x1957)
+    @settings(max_examples=20, deadline=None)
+    @given(rank=st.integers(0, GROUP_ORDER - 1), k=st.sampled_from([7, 11]),
+           pick=st.integers(0, 2**20), with_c=st.booleans())
+    def test_matches_a_set_bfs_on_normalizers_of_order19_subgroups(self, rank, k, pick, with_c):
+        h = decode(int(scan._encode_planes(scan._element_planes(rank, rank + 1))[0]))
+        p = mat_mul(mat_mul(h, M2), mat_inv(h))
+        ns = scan.intertwiners(p, mat_pow(p, k))
+        gens = (p, decode(int(ns[pick % ns.size])))
+        if with_c:
+            cs = [c for c in map(decode, scan.intertwiners(p, p).tolist()) if mat_order(c) == 57]
+            gens += (cs[pick % len(cs)],)
+        size = generator_closure(gens)
+        assert size == set_closure(gens)
+        assert size == (171 if with_c else 57)
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
