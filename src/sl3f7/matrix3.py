@@ -33,12 +33,10 @@ class MatrixFormatError(ValueError):
 
 
 def mat(entries) -> Mat3:
-    """Build a matrix from 9 flat entries or 3 rows of 3, reduced mod 7."""
+    """Build a matrix from text or 9 flat entries, reduced mod 7."""
     if isinstance(entries, str):
         return parse_matrix(entries)
     flat = list(entries)
-    if len(flat) == 3:
-        flat = [v for row in flat for v in row]
     if len(flat) != 9:
         raise MatrixFormatError(f"expected 9 entries, got {len(flat)}")
     return tuple(v % P for v in flat)

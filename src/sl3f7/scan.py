@@ -271,7 +271,6 @@ def count_sl3() -> int:
 class ScanSummary:
     """Census of eigenvector-free matrices in SL3(F7)."""
 
-    group_order: int
     eigenfree_total: int
     by_trace: dict[int, int]
     by_label: dict[ClassLabel, int]
@@ -279,7 +278,7 @@ class ScanSummary:
     def to_json(self) -> dict:
         return document(
             "census",
-            group_order=self.group_order,
+            group_order=GROUP_ORDER,  # counted by count_sl3; the census covers every element
             eigenfree_total=self.eigenfree_total,
             by_trace={str(t): n for t, n in sorted(self.by_trace.items())},
             by_label=[
@@ -310,8 +309,7 @@ def census(*, threads: int | None = None) -> ScanSummary:
     """Full-group census: eigenfree counts by trace and label.
 
     Deterministic for any chunk size or thread count (partial results merge
-    by pointwise addition).  group_order is GROUP_ORDER, which count_sl3
-    counts: the chunks cover the element stream by construction.
+    by pointwise addition).
     """
     counts = sum(_map_chunks(_census_chunk, threads=threads))
     by_label = {
@@ -321,7 +319,6 @@ def census(*, threads: int | None = None) -> ScanSummary:
     for label, n in by_label.items():
         by_trace[label.i] = by_trace.get(label.i, 0) + n
     return ScanSummary(
-        group_order=GROUP_ORDER,
         eigenfree_total=int(counts.sum()),
         by_trace=by_trace,
         by_label=by_label,

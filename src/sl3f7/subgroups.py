@@ -121,13 +121,6 @@ PARABOLIC_GENERATORS: tuple[Mat3, ...] = (
 )
 
 
-def maximality_witness(a: Mat3) -> bool:
-    """True iff H plus the outside element a generates the whole group."""
-    if in_parabolic(a):
-        raise InParabolic("witness needs a matrix outside the subgroup")
-    return generator_closure(PARABOLIC_GENERATORS + (a,)) == GROUP_ORDER
-
-
 # ---------------------------------------------------------------------------
 # constructive reduction A -> Y or Z by H-multiplications
 
@@ -244,3 +237,11 @@ def reduce_to_generator(a: Mat3, target: str) -> ReductionTrace:
         _reduce_to_z(r)
     assert r.cur == target_mat, "reduction failed to reach the target"
     return ReductionTrace(start=a, target=target_mat, steps=tuple(r.steps))
+
+
+def maximality_witness(a: Mat3) -> bool:
+    """True iff H and the outside element a generate the whole group, by the
+    paper's reduction: each verified trace puts Y or Z in <H, a>, X lies in
+    H, and <X, Y, Z> is the whole group (check 15 closes it).  Raises
+    InParabolic or NotInSL3 as reduce_to_generator does."""
+    return all(reduce_to_generator(a, t).verify() for t in ("Y", "Z"))

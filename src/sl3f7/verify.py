@@ -155,12 +155,15 @@ def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
         powers.add(encode(p))
         p = mat_mul(p, M04)
     table_total = scan.centralizer_parameter_count()
+    family = sorted(encode(scan.commutant_family(a, b, d))
+                    for b, d, sols in scan.centralizer_parameter_table() for a in sols)
     ok = (
         rep.size == 57
         and rep.is_cyclic
         and rep.elements is not None
         and set(rep.elements) == powers
         and table_total == 57
+        and tuple(family) == rep.elements
         and algebraic_ok
     )
     return ok, (f"size={rep.size}, cyclic={rep.is_cyclic}, "
@@ -349,8 +352,7 @@ def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
         a = _random_sl3(rng)
         while subgroups.in_parabolic(a):
             a = _random_sl3(rng)
-        for target in ("Y", "Z"):
-            reductions_ok = reductions_ok and subgroups.reduce_to_generator(a, target).verify()
+        reductions_ok = reductions_ok and subgroups.maximality_witness(a)
     ok = ok and reductions_ok
     return ok, f"parabolic={direct}; {closure_note}; {samples} reductions verified per target"
 

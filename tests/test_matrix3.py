@@ -258,9 +258,10 @@ class TestTextFormat:
         with pytest.raises(MatrixFormatError):
             parse_matrix(text)
 
-    def test_mat_accepts_rows_and_flat(self):
-        assert mat([[0, 1, 3], [0, 0, 1], [1, 0, 0]]) == M0
+    def test_mat_accepts_flat_entries_not_rows(self):
         assert mat([0, 1, 3, 0, 0, 1, 1, 0, 0]) == M0
+        with pytest.raises(MatrixFormatError, match="expected 9 entries, got 3"):
+            mat([[0, 1, 3], [0, 0, 1], [1, 0, 0]])
 
     def test_trace(self):
         assert trace(M0) == 0

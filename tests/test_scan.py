@@ -262,7 +262,7 @@ class TestThreadClamping:
 class TestCensus:
     def test_totals(self):
         s = scan.census()
-        assert s.group_order == 5_630_688
+        assert s.to_json()["group_order"] == 5_630_688
         assert s.eigenfree_total == 1_778_112
         assert sum(s.by_label.values()) == s.eigenfree_total
 

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import os
 import random
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -232,11 +236,69 @@ class TestReduction:
 class TestMaximality:
     def test_witness_for_samples(self, rng):
         for _ in range(2):
-            assert maximality_witness(random_outside_h(rng))
+            a = random_outside_h(rng)
+            witness = maximality_witness(a)
+            assert witness == (generator_closure(PARABOLIC_GENERATORS + (a,)) == GROUP_ORDER)
+            assert witness
+
+    def test_witness_runs_no_group_search(self, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("maximality_witness ran a closure")
+
+        monkeypatch.setattr(subgroups, "generator_closure", no_closure)
+        rng = random.Random(0x3A71)
+        assert all(maximality_witness(random_outside_h(rng)) for _ in range(2_000))
+
+    @pytest.mark.parametrize("failing", [Y, Z], ids=["Y", "Z"])
+    def test_witness_needs_both_traces(self, monkeypatch, failing):
+        monkeypatch.setattr(subgroups.ReductionTrace, "verify", lambda t: t.target != failing)
+        assert not maximality_witness(M0)
+
+    # the witness is only as good as the two reducers, so every `if` in them
+    # must run on both sides: its body, and its else branch or fall-through
+    @pytest.mark.parametrize("reducer, n_ifs",
+                             [(subgroups._reduce_to_y, 3), (subgroups._reduce_to_z, 4)],
+                             ids=["Y", "Z"])
+    def test_every_reducer_branch_runs_both_ways(self, reducer, n_ifs):
+        lines, first = inspect.getsourcelines(reducer)
+        tree = ast.parse(textwrap.dedent("".join(lines)))
+        ifs = [(first - 1 + n.lineno, first - 1 + n.body[0].lineno)
+               for n in ast.walk(tree) if isinstance(n, ast.If)]
+        assert len(ifs) == n_ifs
+        runs: list[set[int]] = []
+
+        def tracer(frame, event, arg):
+            if event == "call" and frame.f_code is reducer.__code__:
+                runs.append(set())
+                return record
+            return None
+
+        def record(frame, event, arg):
+            if event == "line":
+                runs[-1].add(frame.f_lineno)
+            return record
+
+        rng = random.Random(0xB4A2)
+        samples = [random_outside_h(rng) for _ in range(300)]
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for a in samples:
+                assert maximality_witness(a)
+        finally:
+            sys.settrace(previous)
+        assert len(runs) == len(samples)
+        # none of the ifs sits in a loop, so each runs at most once a call
+        sides = {(test, body in ran) for ran in runs for test, body in ifs if test in ran}
+        assert sides == {(test, side) for test, _ in ifs for side in (True, False)}
 
     def test_witness_rejects_h_members(self):
         with pytest.raises(InParabolic):
             maximality_witness(X)
+
+    def test_witness_rejects_non_sl3(self):
+        with pytest.raises(NotInSL3):
+            maximality_witness(mat("2 0 0; 1 1 0; 0 0 1"))
 
     @pytest.mark.skipif(
         not os.environ.get("SL3F7_SLOW"),
@@ -244,4 +306,14 @@ class TestMaximality:
     )
     def test_witness_for_100_samples(self, rng):
         for _ in range(100):
-            assert maximality_witness(random_outside_h(rng))
+            a = random_outside_h(rng)
+            assert maximality_witness(a)
+            assert generator_closure(PARABOLIC_GENERATORS + (a,)) == GROUP_ORDER
+
+    @pytest.mark.skipif(
+        not os.environ.get("SL3F7_SLOW"),
+        reason="about 20 s of reductions; set SL3F7_SLOW=1 to run 100 000 samples",
+    )
+    def test_witness_for_100000_samples(self):
+        rng = random.Random(0x100000)
+        assert all(maximality_witness(random_outside_h(rng)) for _ in range(100_000))
