@@ -23,7 +23,10 @@ and a sum of three at most 108.  A subtraction would wrap mod 256, not
 mod 7, so each kernel that subtracts first adds a multiple of 7 at least
 as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
 and a value that needs more room is widened explicitly.  Kernels reduce
-mod 7 with _mod7, not %, which numpy does not vectorize.  Only the det
+mod 7 with _mod7, not %, which numpy does not vectorize.  Kernels that
+filter a chunk select with np.compress, not a boolean index, which numpy
+2.4.6 runs 3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18
+planes).  Only the det
 count count_sl3 scans all 7^9 codes, in one thread, as the 343 runs of
 7^6 codes that share their third row (_code_runs); it is the independent
 oracle that the stream is exactly the det-1 set.
@@ -176,14 +179,21 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _resolve_threads(threads: int | None) -> int:
+    """The thread setting of a scan: SL3F7_THREADS when None, and a
+    ValueError when below 1."""
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def _map_chunks(kernel: Callable[[np.ndarray], _T], *, threads: int | None = None) -> Iterator[_T]:
     """Apply kernel to the element planes of the consecutive rank ranges,
     CHUNK long, that cover the whole group, yielding results in rank order.
     An explicit threads below 1 is a ValueError, raised before any chunk runs."""
     ranges = [(lo, min(lo + CHUNK, GROUP_ORDER)) for lo in range(0, GROUP_ORDER, CHUNK)]
-    threads = default_threads() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = _resolve_threads(threads)
 
     def worker(r: tuple[int, int]) -> _T:
         return kernel(_element_planes(*r))
@@ -301,8 +311,7 @@ def _census_chunk(d: np.ndarray) -> np.ndarray:
     for lam in range(1, 7):  # lam = 0 never solves t^3 - i t^2 + j t - 1 = 0
         # constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
         has_root |= _mod7(jc * lam + (lam**3 - 1) % 7 + 42 - tr * (lam * lam % 7)) == 0
-    ef = ~has_root
-    return np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
+    return np.bincount(np.compress(~has_root, tr * 7 + jc), minlength=49)
 
 
 def census(*, threads: int | None = None) -> ScanSummary:
@@ -329,12 +338,14 @@ def label_member_codes(label: ClassLabel, *, threads: int | None = None) -> np.n
     """Sorted codes of every SL3 matrix carrying the given eigenfree label."""
     if not is_eigenfree_label(label):
         raise NotEigenfree(f"{label} is not an eigenvector-free label")
-
-    def kernel(d: np.ndarray) -> np.ndarray:
-        tr, jc = _char_planes(d)
-        return _encode_planes(d[:, (tr == label.i) & (jc == label.j)])
-
+    kernel = functools.partial(_label_chunk, label=label)
     return np.concatenate(list(_map_chunks(kernel, threads=threads)))
+
+
+def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
+    """Codes of the planes d whose characteristic pair is label, ascending."""
+    tr, jc = _char_planes(d)
+    return _encode_planes(np.compress((tr == label.i) & (jc == label.j), d, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +362,7 @@ def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
         for j in range(3):
             ga = d[3 * i] * a[j] + d[3 * i + 1] * a[3 + j] + d[3 * i + 2] * a[6 + j]
             bg = b[3 * i] * d[j] + b[3 * i + 1] * d[3 + j] + b[3 * i + 2] * d[6 + j]
-            d = d[:, _mod7(ga + 112 - bg) == 0]
+            d = np.compress(_mod7(ga + 112 - bg) == 0, d, axis=1)
     return _encode_planes(d)
 
 

@@ -339,7 +339,8 @@ def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
     closure_note = "closure skipped (quick)"
     if full:
         t0 = time.time()
-        closure = subgroups.generator_closure((subgroups.X, subgroups.Y, subgroups.Z))
+        closure = subgroups.generator_closure((subgroups.X, subgroups.Y, subgroups.Z),
+                                             threads=threads)
         dt = time.time() - t0
         ok = ok and closure == GROUP_ORDER and dt <= 300.0
         budget = "within 300s budget" if dt <= 300.0 else f"OVER BUDGET: {dt:.1f}s"

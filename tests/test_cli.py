@@ -387,6 +387,14 @@ def test_text_stdout_unchanged(capsys, name):
     assert out == (GOLDEN_TEXT / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_closure_text_unchanged_at_two_threads(capsys, monkeypatch):
+    # SL3F7_THREADS is the only way the closure subcommand gets a thread count
+    monkeypatch.setenv("SL3F7_THREADS", "2")
+    code, out, _ = run(capsys, *TEXT_GOLDENS["closure-default"])
+    assert code == 0
+    assert out == (GOLDEN_TEXT / "closure-default.txt").read_text(encoding="utf-8")
+
+
 # Generated with COLUMNS=80 on Python 3.11, the version CI runs; argparse
 # formats help differently on other versions.
 GOLDEN_HELP = Path(__file__).parent / "golden" / "help"

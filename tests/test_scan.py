@@ -152,6 +152,72 @@ class TestUint8Kernels:
             assert c == cross[0] + 7 * cross[1] + 49 * cross[2] != 0
 
 
+# the chunks the selection tests run on: seeded windows of the element
+# stream, the powers of M0 among random elements, and chunks of one repeated
+# matrix, where a mask is all true or all false (the identity has every root
+# test true and M0 none)
+_SELECTION_CHUNKS = {
+    **{f"stream-{lo}": scan._element_planes(lo, lo + 5_000)
+       for lo in random.Random(0x5E1).sample(range(GROUP_ORDER - 5_000), 3)},
+    "powers": _planes([mat_pow(M0, k) for k in range(57)] + SL3_MIXED[:500]),
+    "identity": _planes([IDENTITY] * 300),
+    "m0": _planes([M0] * 300),
+}
+
+
+class TestSelection:
+    # each kernel that compacts with np.compress against the boolean index it replaced
+    def test_empty_selection_encodes_to_no_codes(self):
+        d = _SELECTION_CHUNKS["m0"]
+        picked = np.compress(np.zeros(d.shape[1], dtype=bool), d, axis=1)
+        assert picked.shape == (9, 0)
+        codes = scan._encode_planes(picked)
+        assert codes.dtype == np.int64 and codes.size == 0
+
+    @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
+    def test_census_chunk(self, name):
+        d = _SELECTION_CHUNKS[name]
+        has_root = np.zeros(d.shape[1], dtype=bool)
+        for lam in range(1, 7):  # det(g - lam I) = 0
+            shifted = d.copy()
+            shifted[[0, 4, 8]] = (shifted[[0, 4, 8]] + 7 - lam) % 7
+            has_root |= scan._det_plane(shifted) == 0
+        tr, jc = scan._char_planes(d)
+        ef = ~has_root
+        expected = np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
+        assert np.array_equal(scan._census_chunk(d), expected)
+        if name in ("identity", "m0"):
+            assert expected.sum() == (0 if name == "identity" else d.shape[1])
+
+    @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
+    @pytest.mark.parametrize("label", [ClassLabel(0, 4), ClassLabel(0, 2), ClassLabel(1, 3)])
+    def test_label_chunk(self, name, label):
+        d = _SELECTION_CHUNKS[name]
+        tr, jc = scan._char_planes(d)
+        expected = scan._encode_planes(d[:, (tr == label.i) & (jc == label.j)])
+        got = scan._label_chunk(d, label)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
+    @pytest.mark.parametrize("a,b", [(M0, M0), (M2, mat_pow(M2, 4)), (IDENTITY, scalar_mat(2))])
+    def test_commute_chunk(self, name, a, b):
+        # with a = I and b = 2I no entry of g*a = b*g holds on the identity
+        # chunk, so the first mask is all false; on the m0 chunk with a = b =
+        # M0 every mask is all true
+        d = _SELECTION_CHUNKS[name]
+        ga = scan._mul_planes(d, np.array(a, dtype=np.uint8))
+        bg = scan._mul_planes(_planes([b] * d.shape[1]), d)
+        expected = scan._encode_planes(d[:, np.all(ga == bg, axis=0)])
+        got = scan._commute_chunk(d, a, b)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        if name == "identity" and b == scalar_mat(2):
+            assert got.size == 0
+        if name == "m0" and a == b == M0:
+            assert got.size == d.shape[1]
+
+
 class TestCodeRuns:
     # count_sl3 reads all 7^9 codes as the runs of _code_runs
     RUNS = (0, 1, 171, 342)

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ from sl3f7.subgroups import (
 
 M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
+# SL2(F7) in the top-left block: every code lies in [7^8, 2 * 7^8), below
+# CODE_SPACE / 2, so at 2 threads the upper code range is empty on every level
+SL2_GENERATORS = (mat("1 1 0; 0 1 0; 0 0 1"), mat("1 0 0; 1 1 0; 0 0 1"))
 
 
 def random_outside_h(rng: random.Random):
@@ -159,6 +163,7 @@ class TestClosure:
         size = generator_closure(gens)
         assert size == set_closure(gens)
         assert size == (171 if with_c else 57)
+        assert generator_closure(gens, threads=2) == size
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
@@ -175,6 +180,48 @@ class TestClosure:
         got = np.concatenate([pair[low] + row3[high] for pair, row3 in map(_step_tables, steps)])
         assert got.dtype == np.int32
         assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
+
+    @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
+                                            ((M0,), 57), (SL2_GENERATORS, 336)],
+                             ids=["H", "M2", "M0", "SL2"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_size_is_independent_of_threads(self, gens, size, threads):
+        assert generator_closure(gens, threads=threads) == size
+
+    def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
+        levels: dict[int, list[list[int]]] = {}
+
+        class Recording(ThreadPoolExecutor):
+            # each map of the inner function admit returns one level, range by range
+            def map(self, fn, *iterables):
+                results = list(super().map(fn, *iterables))
+                if fn.__name__ == "admit":
+                    bounds = [CODE_SPACE * r // threads for r in range(threads + 1)]
+                    assert all(lo <= c < hi for part, lo, hi in zip(results, bounds, bounds[1:])
+                               for c in part.tolist())
+                    levels[threads].append(np.concatenate(results).tolist())
+                return results
+
+        monkeypatch.setattr(subgroups, "ThreadPoolExecutor", Recording)
+        for threads in (1, 2, 3):
+            levels[threads] = []
+            assert generator_closure(PARABOLIC_GENERATORS, threads=threads) == 98_784
+        assert levels[1] == levels[2] == levels[3]
+        assert all(level == sorted(set(level)) for level in levels[1])
+
+    def test_cap_holds_at_two_threads(self):
+        assert generator_closure((IDENTITY,), cap=1, threads=2) == 1
+        with pytest.raises(ClosureCapExceeded):
+            generator_closure((M2,), cap=5, threads=2)
+
+    def test_nonpositive_threads_rejected_before_any_table(self, monkeypatch):
+        def no_tables(s):
+            raise AssertionError("a step table was built")
+
+        monkeypatch.setattr(subgroups, "_step_tables", no_tables)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                generator_closure((X, Y, Z), threads=threads)
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
