@@ -23,13 +23,15 @@ and a sum of three at most 108.  A subtraction would wrap mod 256, not
 mod 7, so each kernel that subtracts first adds a multiple of 7 at least
 as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
 and a value that needs more room is widened explicitly.  Kernels reduce
-mod 7 with _mod7, not %, which numpy does not vectorize.  Kernels that
-filter a chunk select with np.compress, not a boolean index, which numpy
-2.4.6 runs 3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18
-planes).  Only the det
-count count_sl3 scans all 7^9 codes, in one thread, as the 343 runs of
-7^6 codes that share their third row (_code_runs); it is the independent
-oracle that the stream is exactly the det-1 set.
+mod 7 with _mod7, not %, which numpy does not vectorize.  The product,
+identity and root-test kernels broadcast over all their entries at once,
+as (3, 3, n) or (6, n) arrays: 8 ufunc calls per product, not 72, so the
+passes built on products stay cheap at a small chunk.  Kernels that filter
+a chunk select with np.compress, not a boolean index, which numpy 2.4.6
+runs 3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
+Only the det count count_sl3 scans all 7^9 codes, in one thread, as the
+343 runs of 7^6 codes that share their third row (_code_runs); it is the
+independent oracle that the stream is exactly the det-1 set.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ from .matrix3 import (
 )
 from .schema import document
 
-CHUNK = 1 << 18  # element ranks per chunk of a group scan
+# element ranks per chunk of a group scan: at 2^16 a chunk's 576 KB planes stay
+# in glibc's heap, 0-2 minor faults per power pass; glibc gave 2^18's 2.4 MB
+# back to the kernel after every chunk, 27 000-50 000 faults per pass
+CHUNK = 1 << 16
 
 _T = TypeVar("_T")
 
@@ -103,9 +108,7 @@ def _warn_bad_threads(raw: str) -> None:
 def _mod7(x: np.ndarray) -> np.ndarray:
     """np.remainder(x, 7) by floor division, which numpy 2.4.6 vectorizes and % not
     (0.038 against 0.64 ms on 2^18 uint8).  Exact on every uint8, and on signed
-    dtypes where 7 * (x // 7) fits.  Kernel operands are uint8 in 0..255: sums of
-    at most three digit products (<= 108), plus, before a subtraction, a multiple
-    of 7 at least the subtrahend, so nothing wraps mod 256."""
+    dtypes where 7 * (x // 7) fits; kernel operands stay in 0..255 (see above)."""
     return x - 7 * (x // 7)
 
 
@@ -215,12 +218,14 @@ def _det_plane(d: np.ndarray) -> np.ndarray:
 
 
 def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise batched 3x3 product of digit planes, reduced mod 7."""
-    out = np.empty_like(x)
-    for i in range(3):
-        for j in range(3):
-            out[3 * i + j] = _mod7(x[3 * i] * y[j] + x[3 * i + 1] * y[3 + j] + x[3 * i + 2] * y[6 + j])
-    return out
+    """Entrywise batched 3x3 product of digit planes, reduced mod 7.  Both
+    are viewed as (3, 3, n), a constant 9-tuple as (3, 3, 1); the broadcast
+    x[i, k] * y[k, j] for each k add into one uint8 array, at most 108."""
+    x, y = x.reshape(3, 3, -1), y.reshape(3, 3, -1)
+    acc = x[:, 0, None] * y[0]
+    acc += x[:, 1, None] * y[1]
+    acc += x[:, 2, None] * y[2]
+    return _mod7(acc).reshape(9, -1)
 
 
 def _adjugate_planes(d: np.ndarray) -> np.ndarray:
@@ -247,10 +252,7 @@ def _encode_planes(d: np.ndarray) -> np.ndarray:
 
 
 def _eq_identity(d: np.ndarray) -> np.ndarray:
-    mask = np.ones(d.shape[1], dtype=bool)
-    for k in range(9):
-        mask &= d[k] == IDENTITY[k]
-    return mask
+    return (d == np.array(IDENTITY, dtype=np.uint8)[:, None]).all(axis=0)
 
 
 def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
@@ -307,10 +309,9 @@ def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _census_chunk(d: np.ndarray) -> np.ndarray:
     """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
     tr, jc = _char_planes(d)
-    has_root = np.zeros(tr.shape, dtype=bool)
-    for lam in range(1, 7):  # lam = 0 never solves t^3 - i t^2 + j t - 1 = 0
-        # constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
-        has_root |= _mod7(jc * lam + (lam**3 - 1) % 7 + 42 - tr * (lam * lam % 7)) == 0
+    lam = np.arange(1, 7, dtype=np.uint8)[:, None]  # 0 never solves t^3 - i t^2 + j t - 1 = 0
+    # one row per lam; constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
+    has_root = (_mod7(jc * lam + ((lam**3 - 1) % 7 + 42) - tr * (lam * lam % 7)) == 0).any(axis=0)
     return np.bincount(np.compress(~has_root, tr * 7 + jc), minlength=49)
 
 
@@ -355,15 +356,14 @@ def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
 def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
     """Codes of the g among the det-1 planes d with g*a = b*g, ascending.
 
-    The 9 entries of g*a - b*g are tested one at a time and only the
-    survivors of each entry are kept for the next, so most entries are
-    computed on a fraction of the chunk.  ga and bg each reach 108."""
-    for i in range(3):
-        for j in range(3):
-            ga = d[3 * i] * a[j] + d[3 * i + 1] * a[3 + j] + d[3 * i + 2] * a[6 + j]
-            bg = b[3 * i] * d[j] + b[3 * i + 1] * d[3 + j] + b[3 * i + 2] * d[6 + j]
-            d = np.compress(_mod7(ga + 112 - bg) == 0, d, axis=1)
-    return _encode_planes(d)
+    Entry (0, 0) of g*a - b*g is tested on the whole chunk first (ga and bg
+    each reach 108), which keeps about 1/7 of it; the two full products
+    then run on those survivors alone, and the g where they agree are kept."""
+    ga = d[0] * a[0] + d[1] * a[3] + d[2] * a[6]
+    bg = b[0] * d[0] + b[1] * d[3] + b[2] * d[6]
+    d = np.compress(_mod7(ga + 112 - bg) == 0, d, axis=1)
+    a, b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
+    return _encode_planes(np.compress((_mul_planes(d, a) == _mul_planes(b, d)).all(axis=0), d, axis=1))
 
 
 def intertwiner_codes(a: Mat3, b: Mat3, *, threads: int | None = None) -> np.ndarray:
@@ -500,9 +500,9 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
     steps that build a wanted power or a factor of one run, so the walk
     stops after the last power exponents needs: 2 products for (1, 3),
     4 for (3, 9), 6 for (19,), (9, 27) or (1, 3, 9, 27).  Each power is
-    counted as soon as it exists and dropped when no longer a factor:
-    every extra live 9-plane array is heap that the allocator returns
-    after the chunk and page-faults back in for the next one.
+    counted as soon as it exists and dropped when no longer a factor, so
+    the live 9-plane arrays of a chunk stay few and fit the heap that the
+    allocator keeps between chunks (see CHUNK).
     """
     steps: list[tuple[int, int, int]] = []
     needed = set(exponents)

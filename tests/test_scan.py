@@ -1,4 +1,9 @@
+import os
+import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,10 @@ def _planes(mats: list[Mat3]) -> np.ndarray:
     return np.array(mats, dtype=np.uint8).T.copy()
 
 
+def _columns(planes: np.ndarray) -> list[Mat3]:
+    return [tuple(col) for col in planes.T.tolist()]
+
+
 # every 0/6 matrix (all 0, all 6 and each mix), where the uint8 kernels meet
 # their extreme operands, then random matrices of any det
 _RNG = random.Random(0x0807)
@@ -111,6 +120,39 @@ class TestUint8Kernels:
         got = scan._mul_planes(_planes(MIXED), _planes(other))
         assert got.dtype == np.uint8
         assert [tuple(col) for col in got.T.tolist()] == [mat_mul(x, y) for x, y in zip(MIXED, other)]
+
+    # the products _commute_chunk (constant left), _conjugate_codes and
+    # subgroups._step_tables (constant right) take, with the operand a constant
+    # 9-tuple viewed as (3, 3, 1)
+    @pytest.mark.parametrize("c", [M0, EXTREME[-1], EXTREME[0b100010001], EXTREME[0]])
+    def test_mul_planes_constant_left(self, c):
+        got = scan._mul_planes(np.array(c, dtype=np.uint8), _planes(MIXED))
+        assert got.dtype == np.uint8
+        assert _columns(got) == [mat_mul(c, m) for m in MIXED]
+
+    @pytest.mark.parametrize("c", [M0, EXTREME[-1], EXTREME[0b100010001], EXTREME[0]])
+    def test_mul_planes_constant_right(self, c):
+        got = scan._mul_planes(_planes(MIXED), np.array(c, dtype=np.uint8))
+        assert got.dtype == np.uint8
+        assert _columns(got) == [mat_mul(m, c) for m in MIXED]
+
+    def test_mul_planes_all_six_reaches_the_uint8_bound(self):
+        # every entry of the accumulator is 3 * 36 = 108 before the reduction
+        six = EXTREME[-1]
+        expected = mat_mul(six, six)
+        assert expected == (108 % 7,) * 9
+        for got in (scan._mul_planes(_planes([six] * 5), _planes([six] * 5)),
+                    scan._mul_planes(np.array(six, dtype=np.uint8), _planes([six] * 5)),
+                    scan._mul_planes(_planes([six] * 5), np.array(six, dtype=np.uint8))):
+            assert _columns(got) == [expected] * 5
+
+    def test_mul_planes_on_no_columns(self):
+        # a chunk whose first commute filter keeps nothing
+        empty = np.empty((9, 0), dtype=np.uint8)
+        c = np.array(M0, dtype=np.uint8)
+        for x, y in ((empty, empty), (c, empty), (empty, c)):
+            got = scan._mul_planes(x, y)
+            assert got.dtype == np.uint8 and got.shape == (9, 0)
 
     def test_char_planes(self):
         tr, jc = scan._char_planes(_planes(MIXED))
@@ -173,6 +215,15 @@ class TestSelection:
         assert picked.shape == (9, 0)
         codes = scan._encode_planes(picked)
         assert codes.dtype == np.int64 and codes.size == 0
+
+    @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
+    def test_eq_identity(self, name):
+        d = _SELECTION_CHUNKS[name]
+        got = scan._eq_identity(d)
+        assert got.dtype == bool
+        assert got.tolist() == [m == IDENTITY for m in _columns(d)]
+        if name in ("identity", "m0", "powers"):
+            assert np.count_nonzero(got) == {"identity": d.shape[1], "m0": 0, "powers": 1}[name]
 
     @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
     def test_census_chunk(self, name):
@@ -266,6 +317,39 @@ class TestElementStream:
         assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
         assert scan._power_counts(threads, (1, 3, 9, 19, 27)) == {
             1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
+        if chunk_size == 200_003:
+            # the broadcast product of _conjugate_codes at a chunk that is not a power of two
+            assert len(scan.orbit_oracle(M0, threads=threads)) == scan.class_size(M0) == 98_784
+
+
+_FAULTS_OF_SECOND_PASS = """
+import resource, sys
+from sl3f7 import scan
+threads = int(sys.argv[1])
+scan.order_absence_check(27, threads=threads)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+scan.order_absence_check(27, threads=threads)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="minor-fault counts of glibc's allocator on Linux")
+class TestPageFaults:
+    # A chunk's temporaries must fit glibc's heap, so that a warm power pass
+    # reuses its pages instead of returning them to the kernel after every
+    # chunk and faulting them back in: at CHUNK = 2^18 the second pass took
+    # 30 000-37 000 minor faults, at 2^16 with broadcast products 0-2.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_second_power_pass_reuses_its_pages(self, threads):
+        # a fresh interpreter, with no allocator setting from the environment
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        src = str(Path(scan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_PASS, str(threads)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert int(out) < 2_000
 
 
 class TestDefaultThreads:
