@@ -129,7 +129,9 @@ def cmd_class_size(args: argparse.Namespace) -> dict:
 
 
 def cmd_sylow(args: argparse.Namespace) -> dict:
-    elements = scan.count_order19_elements(threads=args.threads)
+    # n19 = |G| / |N(P)|; Sylow 19-subgroups meet trivially, 18 order-19 elements each
+    p = classify.KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
+    elements = 18 * (GROUP_ORDER // scan.normalizer_of_cyclic(p))
     return document("sylow", count=scan.sylow19_count(elements), order19_elements=elements)
 
 

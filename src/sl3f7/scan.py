@@ -37,6 +37,7 @@ independent oracle that the stream is exactly the det-1 set.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -557,9 +558,15 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
 
     Conjugation keeps the order, so g P g^-1 is one of P^k, k = 1..18, and
     N(<P>) is the disjoint union of the 18 intertwiner sets of (P, P^k).
+    Conjugate matrices share a characteristic polynomial, so the set of a
+    P^k whose polynomial differs from P's is empty and is not solved for.
+    P's eigenvalues are a Frobenius orbit lambda, lambda^7, lambda^49 in
+    F_343, so only k = 1, 7 and 11 (49 mod 19) pass: 3 solves, not 18.
     """
     _require_order19(p_generator)
-    return sum(intertwiners(p_generator, mat_pow(p_generator, k)).size for k in range(1, 19))
+    target = char_poly(p_generator)
+    powers = itertools.accumulate(itertools.repeat(p_generator, 18), mat_mul)
+    return sum(intertwiners(p_generator, pk).size for pk in powers if char_poly(pk) == target)
 
 
 def normalizer_oracle(p_generator: Mat3, *, threads: int | None = None) -> int:

@@ -23,7 +23,6 @@ from .matrix3 import (
     is_scalar,
     mat_mul,
     mat_order,
-    mat_pow,
     mat_scale,
     parse_matrix,
 )
@@ -147,10 +146,11 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
         raise LengthMismatch(f"{len(t1.members)} vs {len(t2.members)} members")
 
     base_label = class_label(t1.base)
+    candidate = IDENTITY
     for u in range(1, 57):
+        candidate = mat_mul(candidate, t2.base)  # base2^u
         if math.gcd(u, 57) != 1:
             continue
-        candidate = mat_pow(t2.base, u)
         if class_label(candidate) != base_label:
             continue
         u_inv = pow(u, -1, 57)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from sl3f7 import cli
+from sl3f7 import cli, scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
 from sl3f7.matrix3 import IDENTITY, format_matrix, mat_inv, mat_mul, mat_pow, mat_scale
 from sl3f7.schema import validate_document
@@ -385,6 +385,21 @@ def test_text_stdout_unchanged(capsys, name):
     code, out, _ = run(capsys, *TEXT_GOLDENS[name])
     assert code == 0
     assert out == (GOLDEN_TEXT / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (TEXT_GOLDENS["sylow"], GOLDEN_TEXT / "sylow.txt"),
+    (JSON_GOLDENS["sylow"], GOLDEN_JSON / "sylow.json"),
+], ids=["text", "json"])
+def test_sylow_answers_without_a_group_scan(capsys, monkeypatch, argv, golden):
+    # n19 comes from |G| / |N(P)|; the power pass stays in verify's check 10
+    def boom(*args, **kwargs):
+        raise AssertionError("group scan")
+
+    monkeypatch.setattr(scan, "_map_chunks", boom)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_closure_text_unchanged_at_two_threads(capsys, monkeypatch):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import least_sl3, random_sl3
 from sl3f7 import scan, verify
-from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotEigenfree, NotInSL3
+from sl3f7.classify import (
+    KNOWN_REPRESENTATIVES,
+    ClassLabel,
+    NotEigenfree,
+    NotInSL3,
+    eigenfree_labels,
+    order_of_label,
+    representative,
+)
 from sl3f7.matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
@@ -587,6 +595,41 @@ class TestNormalizer:
     def test_wrong_order_rejected(self):
         with pytest.raises(scan.WrongOrder):
             scan.normalizer_of_cyclic(M0)  # order 57
+
+    ORDER19_LABELS = [label for label in eigenfree_labels() if order_of_label(label) == 19]
+
+    def test_pruning_skips_only_empty_sets(self, rng):
+        # the char poly test is sound: an intertwiner set is nonempty exactly
+        # when P^k shares P's char poly, which is for k = 1, 7, 11
+        assert len(self.ORDER19_LABELS) == 6
+        for label in self.ORDER19_LABELS:
+            for p in (representative(label), *(conj(random_sl3(rng), representative(label))
+                                               for _ in range(2))):
+                agree = set()
+                for k in range(1, 19):
+                    pk = mat_pow(p, k)
+                    same = char_poly(pk) == char_poly(p)
+                    assert scan.intertwiners(p, pk).size == (57 if same else 0)
+                    if same:
+                        agree.add(k)
+                assert agree == {1, 7, 11}
+                assert scan.normalizer_of_cyclic(p) == 171
+
+    def test_solves_three_intertwiner_systems(self, monkeypatch):
+        calls = []
+        intertwiners = scan.intertwiners
+
+        def counted(a, b):
+            calls.append(b)
+            return intertwiners(a, b)
+
+        monkeypatch.setattr(scan, "intertwiners", counted)
+        assert scan.normalizer_of_cyclic(M2) == 171
+        assert calls == [mat_pow(M2, k) for k in (1, 7, 11)]
+
+    def test_agrees_with_oracle_off_m02(self):
+        p = representative(ClassLabel(3, 1))
+        assert scan.normalizer_of_cyclic(p) == scan.normalizer_oracle(p, threads=2) == 171
 
 
 class TestOrderAbsence:

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import least_sl3, random_sl3
-from sl3f7 import scan
+from sl3f7 import scan, simconj
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, class_label, representative
 from sl3f7.matrix3 import (
     IDENTITY,
@@ -211,6 +211,20 @@ class TestDecide:
         assert decide_simconj(ta, tb).equivalent
         assert decide_simconj(tb, tc).equivalent
         assert decide_simconj(ta, tc).equivalent
+
+    def test_candidates_come_from_products_not_powers(self, rng, monkeypatch):
+        # base2^u is stepped by one product per u; no power chain is run
+        # (simconj need not import mat_pow at all, hence raising=False)
+        def boom(*args):
+            raise AssertionError("mat_pow called")
+
+        monkeypatch.setattr(simconj, "mat_pow", boom, raising=False)
+        t1 = analyze_tuple((M0, mat_pow(M0, 5)))
+        h = random_sl3(rng)
+        t2 = analyze_tuple((conj(h, M0), conj(h, mat_pow(M0, 5))))
+        verdict = decide_simconj(t1, t2)
+        assert verdict.equivalent and conj(verdict.witness, M0) == conj(h, M0)
+        assert not decide_simconj(t1, analyze_tuple((M0, mat_pow(M0, 10)))).equivalent
 
     def test_agrees_with_oracle_on_randomized_pairs(self, rng):
         valid = [e for e in range(1, 57) if e % 19]
