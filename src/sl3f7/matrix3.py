@@ -55,11 +55,11 @@ def is_scalar(m: Mat3) -> bool:
 
 
 def mat_mul(x: Mat3, y: Mat3) -> Mat3:
-    return tuple(
-        (x[3 * i] * y[j] + x[3 * i + 1] * y[3 + j] + x[3 * i + 2] * y[6 + j]) % P
-        for i in range(3)
-        for j in range(3)
-    )
+    a, b, c, d, e, f, g, h, i = x  # unrolled: a generator expression takes 4x as long
+    j, k, l, m, n, o, p, q, r = y
+    return ((a * j + b * m + c * p) % P, (a * k + b * n + c * q) % P, (a * l + b * o + c * r) % P,
+            (d * j + e * m + f * p) % P, (d * k + e * n + f * q) % P, (d * l + e * o + f * r) % P,
+            (g * j + h * m + i * p) % P, (g * k + h * n + i * q) % P, (g * l + h * o + i * r) % P)
 
 
 def mat_scale(s: int, m: Mat3) -> Mat3:
@@ -115,6 +115,10 @@ def has_fp_eigenvalue(m: Mat3) -> bool:
     return any((t * t * t - tr * t * t + j * t - dt) % P == 0 for t in range(P))
 
 
+# bytes.translate(_TIMES[s]) maps each byte v to s * v mod 7
+_TIMES = tuple(bytes(s * v % P for v in range(256)) for s in range(P))
+
+
 def nullspace(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {v : rows . v = 0} over F7, by Gauss-Jordan elimination.
 
@@ -123,29 +127,36 @@ def nullspace(rows: list[list[int]]) -> list[list[int]]:
     column p left of f it is minus the entry of p's row at f.  Empty when
     only v = 0 solves the system.  rows is a nonempty list of equal-length
     rows of ints, reduced mod 7 here.
+
+    Entry (i, c) is byte i*n + c of one bytearray.  A pivot clears its column
+    from the other rows with one big-integer product: -(entry (i, col)) at
+    byte i*n times pivot entry c at byte c adds its term at byte i*n + c
+    alone, and no sum passes 6 + 36 < 256, so no byte carries into the next.
     """
-    rows = [[v % P for v in row] for row in rows]
     n = len(rows[0])
+    m = bytearray([v % P for row in rows for v in row])
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if hit is None:
+        below = m[r * n + col::n]
+        hit = r + len(below) - len(below.lstrip(b"\0"))  # first nonzero at or below row r
+        if hit == len(rows):
             continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = fp_inv(rows[r][col])
-        rows[r] = [v * inv % P for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], rows[r])]
+        pivot = m[hit * n:hit * n + n].translate(_TIMES[fp_inv(below[hit - r])])
+        m[hit * n:hit * n + n], m[r * n:r * n + n] = m[r * n:r * n + n], pivot
+        g = bytearray(len(m))
+        g[::n] = m[col::n].translate(_TIMES[P - 1])
+        g[r * n] = 0
+        m = bytearray((int.from_bytes(m, "little")
+                       + int.from_bytes(g, "little") * int.from_bytes(pivot, "little"))
+                      .to_bytes(len(m), "little").translate(_TIMES[1]))
         pivots.append(col)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[free] = 1
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free] % P
+        for p, x in zip(pivots, m[free::n]):
+            v[p] = -x % P
         basis.append(v)
     return basis
 

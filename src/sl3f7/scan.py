@@ -165,7 +165,18 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
     pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
-    return pair_planes, cross[r3, r2], solution_blocks
+    return _read_only(pair_planes), _read_only(cross[r3, r2]), _read_only(solution_blocks)
+
+
+@functools.cache
+def _coefficient_planes(d: int) -> np.ndarray:
+    """Digit planes of arange(7^d), (d, 7^d) uint8: intertwiner coefficients."""
+    return _read_only(_decode_planes(np.arange(7**d))[:d])
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False  # cached and shared: a stray write raises
+    return table
 
 
 def _element_planes(lo: int, hi: int) -> np.ndarray:
@@ -409,7 +420,7 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
     # the int16 basis promotes the uint8 digits, so sums up to 9 * 36 are exact
-    planes = _mod7(basis.T @ _decode_planes(np.arange(7**d))[:d])
+    planes = _mod7(basis.T @ _coefficient_planes(d))
     return _encode_planes(planes[:, _det_plane(planes) == 1])
 
 
@@ -454,13 +465,8 @@ def centralizer(m: Mat3) -> CentralizerReport:
         # every element of SL3(F7) has order at most 57, so any subgroup
         # larger than that cannot be cyclic
         return CentralizerReport(m, size, False, None, None)
-    elements = tuple(int(c) for c in codes)
-    generator = None
-    for c in elements:
-        g = decode(c)
-        if mat_order(g) == size:
-            generator = g
-            break
+    elements = tuple(codes.tolist())
+    generator = next((g for g in map(decode, elements) if mat_order(g) == size), None)
     return CentralizerReport(m, size, generator is not None, generator, elements)
 
 
@@ -483,7 +489,7 @@ def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
     seen = np.zeros(CODE_SPACE, dtype=bool)
     for codes in _map_chunks(lambda g: _conjugate_codes(g, m), threads=threads):
         seen[codes] = True
-    return {int(c) for c in np.flatnonzero(seen)}
+    return set(np.flatnonzero(seen).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .classify import ClassLabel, KNOWN_REPRESENTATIVES, NotInSL3, class_label
 from .matrix3 import (
     IDENTITY,
     Mat3,
+    char_poly,
     decode,
     det,
     has_fp_eigenvalue,
@@ -145,13 +146,12 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
     if len(t1.members) != len(t2.members):
         raise LengthMismatch(f"{len(t1.members)} vs {len(t2.members)} members")
 
-    base_label = class_label(t1.base)
+    class_label(t1.base)  # raises unless t1.base is eigenvector-free of det 1
+    target = char_poly(t1.base)  # a det-1 base2^u has t1.base's label iff it has this
     candidate = IDENTITY
     for u in range(1, 57):
         candidate = mat_mul(candidate, t2.base)  # base2^u
-        if math.gcd(u, 57) != 1:
-            continue
-        if class_label(candidate) != base_label:
+        if math.gcd(u, 57) != 1 or char_poly(candidate) != target:
             continue
         u_inv = pow(u, -1, 57)
         if all(e1 == e2 * u_inv % 57 for e1, e2 in zip(t1.exponents, t2.exponents)):

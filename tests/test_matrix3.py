@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_gl3, random_sl3
-from sl3f7.field import CubicPoly
+from sl3f7.field import CubicPoly, fp_inv
 from sl3f7.matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
@@ -149,6 +149,111 @@ class TestNullspace:
         assert nullspace([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert nullspace([[1, 2], [3, 4]]) == []
         assert nullspace([[2, 1, 0]]) == [[3, 1, 0], [0, 0, 1]]
+
+
+def reference_nullspace(rows):
+    """Gauss-Jordan on a list of rows, one Python loop per row operation: the
+    differential oracle of nullspace's packed elimination.  The reduced
+    echelon form is unique, so both return the same vectors in one order."""
+    rows = [[v % 7 for v in row] for row in rows]
+    n = len(rows[0])
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = fp_inv(rows[r][col])
+        rows[r] = [v * inv % 7 for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % 7 for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free] % 7
+        basis.append(v)
+    return basis
+
+
+def _seeded_system(rng, height, width):
+    """A height x width system of random rank: each row a random combination
+    of rank random rows, with entries offset by multiples of 7 (the solver
+    reduces them).  Some columns are zero in every row, so pivots also fall
+    past free columns, and one row in four is zero."""
+    rank = rng.randint(0, min(height, width))
+    zero_cols = set(rng.sample(range(width), rng.randint(0, width // 3)))
+    gens = [[0 if k in zero_cols else rng.randrange(7) for k in range(width)] for _ in range(rank)]
+    rows = []
+    for _ in range(height):
+        coeffs = [rng.randrange(7) for _ in gens]
+        row = [sum(c * g[k] for c, g in zip(coeffs, gens)) % 7 for k in range(width)]
+        if rng.random() < 0.25:
+            row = [0] * width
+        rows.append([v + 7 * rng.randint(-2, 2) for v in row])
+    return rows
+
+
+class TestNullspaceDifferential:
+    # the 9 x 9 shape is the intertwiner system; 18 x 9 and 27 x 9 stack two
+    # and three of them, as a simultaneous intertwiner solve would
+    @pytest.mark.parametrize("height,width", [(3, 3), (9, 9), (18, 9), (27, 9)])
+    def test_same_basis_as_the_reference_solver(self, height, width):
+        rng = random.Random(f"nullspace/{height}x{width}")
+        for _ in range(500):
+            rows = _seeded_system(rng, height, width)
+            assert nullspace(rows) == reference_nullspace(rows)
+
+    def test_same_basis_on_every_intertwiner_system_of_m0_and_its_powers(self):
+        for k in range(57):
+            b = mat_pow(M0, k)
+            rows = [[0] * 9 for _ in range(9)]
+            for i, j, m in itertools.product(range(3), repeat=3):
+                rows[3 * i + j][3 * i + m] += M0[3 * m + j]
+                rows[3 * i + j][3 * m + j] -= b[3 * i + m]
+            assert nullspace(rows) == reference_nullspace(rows)
+
+    def test_does_not_modify_its_input(self):
+        rows = [[-1, 8, 3], [2, 2, -12]]
+        copy = [list(r) for r in rows]
+        nullspace(rows)
+        assert rows == copy
+
+
+def definitional_product(x, y):
+    """(xy)_ij = sum over k of x_ik y_kj, reduced mod 7."""
+    return tuple(sum(x[3 * i + k] * y[3 * k + j] for k in range(3)) % 7
+                 for i in range(3) for j in range(3))
+
+
+EDGE_MATRICES = [ZERO, (6,) * 9, IDENTITY, scalar_mat(2), scalar_mat(4)]
+
+
+class TestProduct:
+    def test_edge_pairs_match_the_triple_sum(self):
+        for x, y in itertools.product(EDGE_MATRICES + [M0, M2], repeat=2):
+            assert mat_mul(x, y) == definitional_product(x, y)
+
+    def test_seeded_pairs_match_the_triple_sum(self):
+        rng = random.Random(0x3A73)
+        for _ in range(5_000):
+            x, y = decode(rng.randrange(CODE_SPACE)), decode(rng.randrange(CODE_SPACE))
+            got = mat_mul(x, y)
+            assert got == definitional_product(x, y)
+            assert type(got) is tuple and all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("m", EDGE_MATRICES + [M0, M2, mat("1 1 0; 0 1 0; 0 0 1"),
+                                                    mat("3 5 0; 1 6 2; 4 0 1")])
+    def test_pow_matches_repeated_products(self, m):
+        p = IDENTITY
+        for n in range(121):
+            assert mat_pow(m, n) == p
+            p = definitional_product(p, m)
 
 
 class TestOrder:

@@ -202,6 +202,28 @@ class TestUint8Kernels:
             assert c == cross[0] + 7 * cross[1] + 49 * cross[2] != 0
 
 
+class TestCachedTables:
+    # every later scan or solve shares these arrays, so a stray in-place
+    # write must raise instead of corrupting them
+    def test_stream_tables_are_read_only(self):
+        tables = scan._stream_tables()
+        assert len(tables) == 3
+        for table in tables:
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+            with pytest.raises(ValueError):
+                table += 0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_coefficient_planes_are_read_only_digits(self, d):
+        planes = scan._coefficient_planes(d)
+        assert planes.dtype == np.uint8 and planes.shape == (d, 7**d)
+        assert [sum(int(x) * 7**k for k, x in enumerate(col)) for col in planes.T] == list(range(7**d))
+        with pytest.raises(ValueError):
+            planes[0, 0] = 1
+        assert scan._coefficient_planes(d) is planes
+
+
 # the chunks the selection tests run on: seeded windows of the element
 # stream, the powers of M0 among random elements, and chunks of one repeated
 # matrix, where a mask is all true or all false (the identity has every root
@@ -500,6 +522,11 @@ class TestClassSize:
 class TestOrbitOracle:
     def test_identity_orbit(self):
         assert scan.orbit_oracle(IDENTITY) == {encode(IDENTITY)}
+
+    def test_members_are_python_ints(self):
+        orbit = scan.orbit_oracle(M0)
+        assert len(orbit) == scan.class_size(M0)
+        assert {type(c) for c in orbit} == {int}
 
 
 class TestLabelMembers:
