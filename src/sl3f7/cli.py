@@ -29,14 +29,14 @@ from .matrix3 import (
     mat_order,
     parse_matrix,
 )
-from .scan import UnsupportedOrder, WrongOrder
+from .scan import WrongOrder
 from .schema import document
 from .simconj import EmptyAfterScalarStrip, NotCommuting
 from .subgroups import InParabolic
 
 _PRECONDITION_ERRORS = (
     NotInSL3, HasEigenvector, NotEigenfree, SingularMatrix, WrongOrder,
-    UnsupportedOrder, InParabolic, ZeroInverse, ZeroElement,
+    InParabolic, ZeroInverse, ZeroElement,
 )
 _SEMANTIC_ERRORS = (NotCommuting, EmptyAfterScalarStrip)
 

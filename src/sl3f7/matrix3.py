@@ -8,6 +8,9 @@ covers all of M3(F7), not only SL3.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+
 from .field import P, CubicPoly, fp_inv
 
 Mat3 = tuple[int, ...]
@@ -77,6 +80,11 @@ def mat_pow(m: Mat3, n: int) -> Mat3:
         m = mat_mul(m, m)
         n >>= 1
     return r
+
+
+def mat_powers(m: Mat3, n: int) -> Iterator[Mat3]:
+    """m, m^2, ..., m^n, lazily, one product per step."""
+    return itertools.accumulate(itertools.repeat(m, n), mat_mul)
 
 
 def det(m: Mat3) -> int:

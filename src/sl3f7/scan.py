@@ -37,7 +37,6 @@ independent oracle that the stream is exactly the det-1 set.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -58,9 +57,9 @@ from .matrix3 import (
     encode,
     has_fp_eigenvalue,
     is_scalar,
-    mat_mul,
     mat_order,
     mat_pow,
+    mat_powers,
     nullspace,
     trace,
 )
@@ -195,12 +194,12 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """The thread setting of a scan: SL3F7_THREADS when None, and a
-    ValueError when below 1."""
+    """The thread setting of a scan: SL3F7_THREADS when None, a ValueError
+    when below 1, and at most os.cpu_count() workers."""
     threads = default_threads() if threads is None else threads
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    return threads
+    return min(threads, os.cpu_count() or 1)
 
 
 def _map_chunks(kernel: Callable[[np.ndarray], _T], *, threads: int | None = None) -> Iterator[_T]:
@@ -405,10 +404,9 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     dimension d.  For conjugate a, b, d is 3 when a is cyclic (its
     commutant is F7[a] = span{I, a, a^2}), 5 when a is derogatory but not
     scalar, and 9 when a = b is scalar; otherwise d <= 6.  All 7^d members
-    are expanded as digit planes and the det-1 ones kept, except for d = 9:
-    then every element intertwines, and the element stream is encoded
-    instead of building 7^9 planes (centralizer, class_size and
-    least_intertwiner answer that case without it).
+    are expanded as digit planes and the det-1 ones kept.  For d = 9 every
+    element intertwines, so equal scalars are a ValueError, not a pass over
+    the group: centralizer, class_size and least_intertwiner answer them.
 
     The codes come out ascending with no sort: the reduced-echelon basis
     vector of free entry f is 1 at f, 0 at the other free entries and
@@ -416,7 +414,7 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     with the highest free entry as the top digit counts the codes upward.
     """
     if _all_intertwine(a, b):
-        return np.concatenate(list(_map_chunks(_encode_planes)))
+        raise ValueError("every element intertwines equal scalars; ask centralizer instead")
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
     # the int16 basis promotes the uint8 digits, so sums up to 9 * 36 are exact
@@ -571,7 +569,7 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
     """
     _require_order19(p_generator)
     target = char_poly(p_generator)
-    powers = itertools.accumulate(itertools.repeat(p_generator, 18), mat_mul)
+    powers = mat_powers(p_generator, 18)
     return sum(intertwiners(p_generator, pk).size for pk in powers if char_poly(pk) == target)
 
 
@@ -620,9 +618,7 @@ def power_table(m: Mat3, limit: int) -> list[PowerTableRow]:
     if not 1 <= limit <= 120:
         raise ValueError(f"limit must be in 1..120, got {limit}")
     rows: list[PowerTableRow] = []
-    mk = IDENTITY
-    for k in range(1, limit + 1):
-        mk = mat_mul(mk, m)
+    for k, mk in enumerate(mat_powers(m, limit), 1):
         poly, _ = char_poly(mk)
         pair = (poly.i, poly.j)
         if not has_fp_eigenvalue(mk):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .classify import ClassLabel, KNOWN_REPRESENTATIVES, NotInSL3, class_label
 from .matrix3 import (
-    IDENTITY,
     Mat3,
     char_poly,
     decode,
@@ -24,6 +23,7 @@ from .matrix3 import (
     is_scalar,
     mat_mul,
     mat_order,
+    mat_powers,
     mat_scale,
     parse_matrix,
 )
@@ -105,11 +105,8 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen:
         return AllEigen(members=members, stripped=stripped)
 
     base = anchor if mat_order(anchor) == 57 else mat_scale(2, anchor)
-    power_index = {}
-    p = IDENTITY
-    for k in range(57):
-        power_index.setdefault(p, k)
-        p = mat_mul(p, base)
+    # base has order 57 and no member is scalar, so m = base^k for one k in 1..56
+    power_index = {p: k for k, p in enumerate(mat_powers(base, 56), 1)}
     if not all(m in power_index for m in members):
         raise AssertionError("a member commuting with base is not one of its 57 powers")
     exponents = tuple(power_index[m] for m in members)
@@ -148,9 +145,7 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
 
     class_label(t1.base)  # raises unless t1.base is eigenvector-free of det 1
     target = char_poly(t1.base)  # a det-1 base2^u has t1.base's label iff it has this
-    candidate = IDENTITY
-    for u in range(1, 57):
-        candidate = mat_mul(candidate, t2.base)  # base2^u
+    for u, candidate in enumerate(mat_powers(t2.base, 56), 1):  # base2^u, lazily
         if math.gcd(u, 57) != 1 or char_poly(candidate) != target:
             continue
         u_inv = pow(u, -1, 57)
@@ -179,9 +174,7 @@ def eighteen_commuting_reps() -> dict[ClassLabel, Mat3]:
     """
     base = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
     reps: dict[ClassLabel, Mat3] = {}
-    p = IDENTITY
-    for k in range(1, 57):
-        p = mat_mul(p, base)
+    for k, p in enumerate(mat_powers(base, 56), 1):
         if k % 19 == 0:  # scalar powers 4I (k=19) and 2I (k=38)
             continue
         label = class_label(p)

@@ -31,6 +31,7 @@ from .matrix3 import (
     mat_inv,
     mat_mul,
     mat_pow,
+    mat_powers,
     mat_scale,
     mat_order,
     scalar_mat,
@@ -149,11 +150,7 @@ def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
     rep = scan.centralizer(M04)
     algebraic_ok = np.array_equal(scan.intertwiners(M04, M04),
                                   scan.intertwiner_codes(M04, M04, threads=threads))
-    powers = set()
-    p = M04
-    for _ in range(57):
-        powers.add(encode(p))
-        p = mat_mul(p, M04)
+    powers = {encode(p) for p in mat_powers(M04, 57)}
     table_total = scan.centralizer_parameter_count()
     family = sorted(encode(scan.commutant_family(a, b, d))
                     for b, d, sols in scan.centralizer_parameter_table() for a in sols)
@@ -262,12 +259,10 @@ def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
 def check_commuting_reps(full: bool, threads: int | None) -> tuple[bool, str]:
     reps = simconj.eighteen_commuting_reps()
     histogram: dict[tuple[int, int], int] = {}
-    p = M04
-    for k in range(1, 57):
+    for k, p in enumerate(mat_powers(M04, 56), 1):
         if k % 19 != 0:
             label = classify.class_label(p)
             histogram[tuple(label)] = histogram.get(tuple(label), 0) + 1
-        p = mat_mul(p, M04)
     commute_ok = all(
         mat_mul(a, b) == mat_mul(b, a)
         for a in reps.values()

@@ -25,6 +25,7 @@ from sl3f7.matrix3 import (
     mat_mul,
     mat_order,
     mat_pow,
+    mat_powers,
     mat_scale,
     nullspace,
     parse_matrix,
@@ -254,6 +255,8 @@ class TestProduct:
         for n in range(121):
             assert mat_pow(m, n) == p
             p = definitional_product(p, m)
+        assert list(mat_powers(m, 120)) == [mat_pow(m, k) for k in range(1, 121)]
+        assert list(mat_powers(m, 0)) == []
 
 
 class TestOrder:

@@ -343,6 +343,7 @@ class TestElementStream:
     def test_scans_independent_of_partitioning(self, reference, chunk_size, threads, monkeypatch):
         census, centralizer_codes = reference
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 threads on any host
         assert scan.census(threads=threads) == census
         assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
         assert scan._power_counts(threads, (1, 3, 9, 19, 27)) == {
@@ -438,6 +439,19 @@ class TestThreadClamping:
         assert scan.census(threads=2) == base
         assert requested == [2]
 
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
+        # explicit and SL3F7_THREADS counts alike; the stand-in pool starts no thread
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", inline_pool)
+        monkeypatch.setattr(scan, "_element_planes", lambda lo, hi: hi - lo)
+        assert sum(scan._map_chunks(lambda n: n, threads=10**6)) == GROUP_ORDER
+        monkeypatch.setenv("SL3F7_THREADS", str(10**6))
+        assert sum(scan._map_chunks(lambda n: n)) == GROUP_ORDER
+        assert inline_pool.workers == [4, 4]
+
+    def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scan._resolve_threads(8) == 1
+
 
 class TestCensus:
     def test_totals(self):
@@ -466,8 +480,9 @@ class TestCensus:
         other = scan.census()
         assert other == base
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
         base = scan.census()
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 threads on any host
         threaded = scan.census(threads=3)
         assert threaded == base
 
@@ -782,12 +797,14 @@ class TestIntertwiner:
         assert np.array_equal(scan.intertwiners(a, b), codes)
         assert scan.least_intertwiner(a, b) == (int(codes[0]) if codes.size else None)
 
-    def test_equal_scalars_give_the_whole_group(self):
+    def test_equal_scalars_raise_without_a_group_pass(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("equal scalars walked the element stream")
+
+        monkeypatch.setattr(scan, "_map_chunks", no_pass)
         two = scalar_mat(2)
-        codes = scan.intertwiners(two, two)
-        assert codes.size == GROUP_ORDER
-        assert np.all(np.diff(codes) > 0)
-        assert scan.least_intertwiner(two, two) == codes[0]
+        with pytest.raises(ValueError, match="every element intertwines"):
+            scan.intertwiners(two, two)
 
     @pytest.mark.parametrize("lam", [1, 2, 4])
     def test_scalar_answers_need_no_group_pass(self, monkeypatch, lam):

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import least_sl3, random_sl3
-from sl3f7 import scan, simconj
+from sl3f7 import matrix3, scan, simconj
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, class_label, representative
 from sl3f7.matrix3 import (
     IDENTITY,
@@ -225,6 +225,22 @@ class TestDecide:
         verdict = decide_simconj(t1, t2)
         assert verdict.equivalent and conj(verdict.witness, M0) == conj(h, M0)
         assert not decide_simconj(t1, analyze_tuple((M0, mat_pow(M0, 10)))).equivalent
+
+    def test_walk_stops_at_the_first_matching_generator(self, monkeypatch):
+        # decide_simconj(t, t) matches at u = 1; a walk built as a list of
+        # all 56 powers would make 55 products before its first test
+        real, calls = matrix3.mat_mul, []
+
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        t = analyze_tuple((M0, mat_pow(M0, 5)))
+        monkeypatch.setattr(matrix3, "mat_mul", counting)
+        assert decide_simconj(t, t).equivalent
+        assert len(calls) < 55
+        list(matrix3.mat_powers(t.base, 56))  # the counter sees a whole walk
+        assert len(calls) >= 55
 
     def test_agrees_with_oracle_on_randomized_pairs(self, rng):
         valid = [e for e in range(1, 57) if e % 19]

@@ -185,7 +185,8 @@ class TestClosure:
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
                              ids=["H", "M2", "M0", "SL2"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_size_is_independent_of_threads(self, gens, size, threads):
+    def test_size_is_independent_of_threads(self, gens, size, threads, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 code ranges on any host
         assert generator_closure(gens, threads=threads) == size
 
     def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
@@ -203,6 +204,7 @@ class TestClosure:
                 return results
 
         monkeypatch.setattr(subgroups, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 code ranges on any host
         for threads in (1, 2, 3):
             levels[threads] = []
             assert generator_closure(PARABOLIC_GENERATORS, threads=threads) == 98_784
@@ -213,6 +215,15 @@ class TestClosure:
         assert generator_closure((IDENTITY,), cap=1, threads=2) == 1
         with pytest.raises(ClosureCapExceeded):
             generator_closure((M2,), cap=5, threads=2)
+
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
+        # the stand-in pool starts no thread and fails on more workers than CPUs
+        monkeypatch.setattr(subgroups, "ThreadPoolExecutor", inline_pool)
+        assert generator_closure((M2,), threads=10**6) == 19
+        assert inline_pool.workers == [4]
+        # every level splits the frontier into 4 slices and the codes into 4 ranges
+        assert set(inline_pool.inputs) == {"expand", "admit"}
+        assert set(inline_pool.inputs["expand"]) == set(inline_pool.inputs["admit"]) == {4}
 
     def test_nonpositive_threads_rejected_before_any_table(self, monkeypatch):
         def no_tables(s):
