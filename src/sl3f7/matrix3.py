@@ -66,7 +66,8 @@ def mat_mul(x: Mat3, y: Mat3) -> Mat3:
 
 
 def mat_scale(s: int, m: Mat3) -> Mat3:
-    return tuple(s * v % P for v in m)
+    a, b, c, d, e, f, g, h, i = m  # unrolled, as mat_mul: 0.5 against 1.3 us
+    return (s * a % P, s * b % P, s * c % P, s * d % P, s * e % P, s * f % P, s * g % P, s * h % P, s * i % P)
 
 
 def mat_pow(m: Mat3, n: int) -> Mat3:

@@ -23,20 +23,23 @@ and a sum of three at most 108.  A subtraction would wrap mod 256, not
 mod 7, so each kernel that subtracts first adds a multiple of 7 at least
 as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
 and a value that needs more room is widened explicitly.  Kernels reduce
-mod 7 with _mod7, not %, which numpy does not vectorize.  The product,
-identity and root-test kernels broadcast over all their entries at once,
-as (3, 3, n) or (6, n) arrays: 8 ufunc calls per product, not 72, so the
-passes built on products stay cheap at a small chunk.  Kernels that filter
-a chunk select with np.compress, not a boolean index, which numpy 2.4.6
-runs 3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
-Only the det count count_sl3 scans all 7^9 codes, in one thread, as the
-343 runs of 7^6 codes that share their third row (_code_runs); it is the
-independent oracle that the stream is exactly the det-1 set.
+mod 7 with _mod7, not %, which numpy does not vectorize.  The product and
+identity kernels broadcast over all their entries at once, as (3, 3, n)
+arrays: 8 ufunc calls per product, not 72, so the passes built on
+products stay cheap at a small chunk.  Kernels that filter a chunk select
+with np.compress, not a boolean index, which numpy 2.4.6 runs 3-5x slower
+on these masks (3.5 against 1.1 ms on nine 2^18 planes).
+
+What depends on an element's characteristic pair (i, j) alone is done
+once per bin 7 * i + j (_rootless_bins, _unity_bins).  Only count_sl3, the
+oracle that the stream is exactly the det-1 set, scans all 7^9 codes, in
+one thread, as 343 runs of 7^6 codes sharing a third row.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -122,20 +125,6 @@ def _decode_planes(codes: np.ndarray) -> np.ndarray:
         out[k] = q - 7 * rest
         q = rest
     return out
-
-
-def _code_runs() -> Iterator[np.ndarray]:
-    """Digit planes of all 7^9 codes, det-1 or not, as the 343 runs of 7^6
-    codes that share their third row, in ascending code order.
-
-    Digits 0..5 are written once; each run refills planes 6..8 of the same
-    (9, 7^6) uint8 buffer and yields it, so a consumer must not keep a run
-    across iterations."""
-    planes = np.empty((9, 7**6), dtype=np.uint8)
-    planes[:6] = _decode_planes(np.arange(7**6))[:6]
-    for row3 in _decode_planes(np.arange(343))[:3].T:
-        planes[6:] = row3[:, None]
-        yield planes
 
 
 @functools.cache
@@ -283,7 +272,17 @@ def _require_sl3(m: Mat3) -> None:
 
 def count_sl3() -> int:
     """Number of det-1 matrices, by det over every one of the 7^9 codes."""
-    return sum(int(np.count_nonzero(_det_plane(d) == 1)) for d in _code_runs())
+    return sum(_det_one_runs())
+
+
+def _det_one_runs() -> list[int]:
+    """det-1 counts of the 343 runs of 7^6 codes sharing a third row (g, h, i),
+    in code order: det = g*m0 + h*m1 + i*m2 over the reduced 2x2 minors of
+    rows 1-2, taken once for all runs; each term is at most 36."""
+    a, b, c, dd, e, f = _decode_planes(np.arange(7**6))[:6]
+    m0, m1, m2 = _mod7(b * f + 42 - c * e), _mod7(c * dd + 42 - a * f), _mod7(a * e + 42 - b * dd)
+    return [int(np.count_nonzero(_mod7(g * m0 + h * m1 + i * m2) == 1))
+            for g, h, i in _decode_planes(np.arange(343))[:3].T]
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +316,20 @@ def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mod7(a + e + i), _mod7(a * e + e * i + a * i + 126 - b * dd - f * h - c * g)
 
 
-def _census_chunk(d: np.ndarray) -> np.ndarray:
-    """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
-    tr, jc = _char_planes(d)
+@functools.cache
+def _rootless_bins() -> np.ndarray:
+    """Whether t^3 - i t^2 + j t - 1 has no root in F7, for the bins 7 * i + j."""
+    tr, jc = np.divmod(np.arange(49, dtype=np.uint8), 7)
     lam = np.arange(1, 7, dtype=np.uint8)[:, None]  # 0 never solves t^3 - i t^2 + j t - 1 = 0
     # one row per lam; constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
     has_root = (_mod7(jc * lam + ((lam**3 - 1) % 7 + 42) - tr * (lam * lam % 7)) == 0).any(axis=0)
-    return np.bincount(np.compress(~has_root, tr * 7 + jc), minlength=49)
+    return _read_only(~has_root)
+
+
+def _census_chunk(d: np.ndarray) -> np.ndarray:
+    """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
+    tr, jc = _char_planes(d)
+    return np.bincount(tr * 7 + jc, minlength=49) * _rootless_bins()
 
 
 def census(*, threads: int | None = None) -> ScanSummary:
@@ -526,9 +532,26 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
     return np.array([hits[k] for k in exponents])
 
 
+@functools.cache
+def _unity_bins(n: int) -> np.ndarray:
+    """For the 49 bins 7 * i + j, whether t^3 - i t^2 + j t - 1 divides
+    (t^n - 1)^3, i.e. (C^n - I)^3 = 0 for its companion C.  A g with g^n = I
+    has only n-th roots of unity as eigenvalues, so no g outside them does."""
+    powers = [mat_pow((0, 0, 1, 1, 0, -j % 7, 0, 1, i), n) for i in range(7) for j in range(7)]
+    gaps = [tuple((x - y) % 7 for x, y in zip(p, IDENTITY)) for p in powers]  # C^n - I
+    return _read_only(np.array([mat_pow(d, 3) == (0,) * 9 for d in gaps]))
+
+
 def _power_counts(threads: int | None, exponents: tuple[int, ...]) -> dict[int, int]:
-    """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass."""
-    kernel = functools.partial(_power_chunk, exponents=exponents)
+    """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass.
+    _power_chunk runs on the planes in the few bins of _unity_bins(lcm(exponents)),
+    matched by one broadcast equality (3-4x faster than a 49-entry lookup)."""
+    kept = np.flatnonzero(_unity_bins(math.lcm(*exponents))).astype(np.uint8)[:, None]
+
+    def kernel(d: np.ndarray) -> np.ndarray:
+        tr, jc = _char_planes(d)
+        return _power_chunk(np.compress((tr * 7 + jc == kept).any(axis=0), d, axis=1), exponents)
+
     totals = sum(_map_chunks(kernel, threads=threads))
     return dict(zip(exponents, totals.tolist()))
 

@@ -10,11 +10,13 @@ matches the first base's class and reproduces the exponents mod 57.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .classify import ClassLabel, KNOWN_REPRESENTATIVES, NotInSL3, class_label
 from .matrix3 import (
+    IDENTITY,
     Mat3,
     char_poly,
     decode,
@@ -22,7 +24,6 @@ from .matrix3 import (
     has_fp_eigenvalue,
     is_scalar,
     mat_mul,
-    mat_order,
     mat_powers,
     mat_scale,
     parse_matrix,
@@ -104,9 +105,15 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen:
     if anchor is None:
         return AllEigen(members=members, stripped=stripped)
 
-    base = anchor if mat_order(anchor) == 57 else mat_scale(2, anchor)
+    walk = mat_powers(anchor, 56)
+    powers = list(itertools.islice(walk, 19))
+    if powers[18] != IDENTITY:
+        base, powers = anchor, powers + list(walk)
+    else:  # anchor has order 19: base = 2 * anchor, base^k = 2^k anchor^(k mod 19)
+        base = mat_scale(2, anchor)
+        powers = [mat_scale(pow(2, k, 7), powers[k % 19 - 1]) for k in range(1, 57)]
     # base has order 57 and no member is scalar, so m = base^k for one k in 1..56
-    power_index = {p: k for k, p in enumerate(mat_powers(base, 56), 1)}
+    power_index = {p: k for k, p in enumerate(powers, 1)}
     if not all(m in power_index for m in members):
         raise AssertionError("a member commuting with base is not one of its 57 powers")
     exponents = tuple(power_index[m] for m in members)

@@ -96,8 +96,11 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     visited = np.zeros(CODE_SPACE, dtype=bool)
 
     def expand(part: np.ndarray) -> list[np.ndarray]:
+        # int32 division (int64's is ~5x slower); the wide table gathers ~2x
+        # faster by np.take on one intp index than by indexing with int32
         high, low = np.divmod(part, 343**2)
-        candidates = np.concatenate([pair[low] + row3[high] for pair, row3 in tables])
+        low = low.astype(np.intp)
+        candidates = np.concatenate([np.take(pair, low) + np.take(row3, high) for pair, row3 in tables])
         candidates.sort()
         return np.split(candidates, np.searchsorted(candidates, bounds))
 

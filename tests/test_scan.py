@@ -1,3 +1,4 @@
+import functools
 import os
 import platform
 import random
@@ -18,6 +19,7 @@ from sl3f7.classify import (
     NotEigenfree,
     NotInSL3,
     eigenfree_labels,
+    is_eigenfree_label,
     order_of_label,
     representative,
 )
@@ -223,6 +225,41 @@ class TestCachedTables:
             planes[0, 0] = 1
         assert scan._coefficient_planes(d) is planes
 
+    @pytest.mark.parametrize("table", [scan._rootless_bins, lambda: scan._unity_bins(19)],
+                             ids=["rootless", "unity-19"])
+    def test_bin_tables_are_read_only(self, table):
+        bins = table()
+        assert bins.dtype == bool and bins.shape == (49,)
+        with pytest.raises(ValueError):
+            bins[0] = not bins[0]
+        assert table() is bins
+
+
+def _divides_cube_of_unity_poly(i: int, j: int, n: int) -> bool:
+    """Whether t^3 - i t^2 + j t - 1 divides (t^n - 1)^3 over F7, by long
+    division; coefficient lists run from the constant term up."""
+    rem = [0] * (3 * n + 1)
+    for k, c in zip((0, n, 2 * n, 3 * n), (-1, 3, -3, 1)):
+        rem[k] = c % 7
+    chi = (-1 % 7, j, -i % 7, 1)
+    for top in range(3 * n, 2, -1):
+        c = rem[top]
+        for k in range(4):
+            rem[top - 3 + k] = (rem[top - 3 + k] - c * chi[k]) % 7
+    return not any(rem)
+
+
+class TestBinTables:
+    @pytest.mark.parametrize("n", [1, 3, 9, 19, 27, 513])
+    def test_unity_bins_by_long_division(self, n):
+        expected = [_divides_cube_of_unity_poly(*divmod(k, 7), n) for k in range(49)]
+        assert scan._unity_bins(n).tolist() == expected
+        assert expected[7 * 3 + 3]  # the identity's (t - 1)^3
+
+    def test_rootless_bins_are_the_eigenfree_labels(self):
+        assert scan._rootless_bins().tolist() == [
+            is_eigenfree_label(ClassLabel(*divmod(k, 7))) for k in range(49)]
+
 
 # the chunks the selection tests run on: seeded windows of the element
 # stream, the powers of M0 among random elements, and chunks of one repeated
@@ -299,14 +336,28 @@ class TestSelection:
             assert got.size == d.shape[1]
 
 
+def _code_runs():
+    """Digit planes of all 7^9 codes, det-1 or not, as the 343 runs of 7^6
+    codes that share their third row, in ascending code order.
+
+    Digits 0..5 are written once; each run refills planes 6..8 of the same
+    (9, 7^6) uint8 buffer and yields it, so a consumer must not keep a run
+    across iterations."""
+    planes = np.empty((9, 7**6), dtype=np.uint8)
+    planes[:6] = scan._decode_planes(np.arange(7**6))[:6]
+    for row3 in scan._decode_planes(np.arange(343))[:3].T:
+        planes[6:] = row3[:, None]
+        yield planes
+
+
 class TestCodeRuns:
-    # count_sl3 reads all 7^9 codes as the runs of _code_runs
+    # the det histogram of the 7^9 codes reads them as the runs of _code_runs
     RUNS = (0, 1, 171, 342)
 
     @pytest.fixture(scope="class")
     def runs(self):
         # copies, since every run is the same buffer
-        return [d.copy() if k in self.RUNS else None for k, d in enumerate(scan._code_runs())]
+        return [d.copy() if k in self.RUNS else None for k, d in enumerate(_code_runs())]
 
     def test_run_count(self, runs):
         assert len(runs) == 343
@@ -318,11 +369,28 @@ class TestCodeRuns:
 
     @pytest.mark.parametrize("k", RUNS)
     def test_det_kernel(self, runs, k):
-        # the det kernel of count_sl3 against a pure-Python det, on the first
-        # and last 3_000 codes of the run
+        # the det kernel against a pure-Python det, on the first and last
+        # 3_000 codes of the run
         for s in (0, 7**6 - 3_000):
             assert scan._det_plane(runs[k][:, s:s + 3_000]).tolist() == [
                 det(decode(c)) for c in range(k * 7**6 + s, k * 7**6 + s + 3_000)]
+
+
+class TestCountSl3:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return scan._det_one_runs()
+
+    def test_total(self, runs):
+        assert len(runs) == 343
+        assert sum(runs) == scan.count_sl3() == GROUP_ORDER
+
+    @pytest.mark.parametrize("row3", [0, 1, 8, 171, 300, 342])
+    def test_run_matches_pure_python_det(self, runs, row3):
+        # every one of the 7^6 codes whose third row has code row3
+        third = decode(343**2 * row3)[6:]
+        rows = [decode(c)[:3] for c in range(343)]
+        assert runs[row3] == sum(det(r1 + r2 + third) == 1 for r2 in rows for r1 in rows)
 
 
 class TestElementStream:
@@ -490,7 +558,7 @@ class TestCensus:
         # det histogram over all 7^9 codes: det 0 on the non-invertible ones,
         # and |GL3| / 6 = |SL3| on each nonzero det
         gl3 = (7**3 - 1) * (7**3 - 7) * (7**3 - 7**2)
-        hist = sum(np.bincount(scan._det_plane(d), minlength=7) for d in scan._code_runs())
+        hist = sum(np.bincount(scan._det_plane(d), minlength=7) for d in _code_runs())
         assert hist.tolist() == [CODE_SPACE - gl3] + [GROUP_ORDER] * 6
 
     def test_serialization(self):
@@ -580,6 +648,23 @@ class TestPowerKernel:
                     for k in (1, 3, 9, 19, 27)}
         for exponents in LIBRARY_EXPONENTS:
             assert scan._power_chunk(planes, exponents).tolist() == [expected[k] for k in exponents]
+
+    @pytest.fixture(scope="class")
+    def unfiltered(self):
+        # every chunk's powers taken on all of its elements, no bin filter
+        return {e: sum(scan._map_chunks(functools.partial(scan._power_chunk, exponents=e),
+                                        threads=1)).tolist()
+                for e in LIBRARY_EXPONENTS}
+
+    @pytest.mark.parametrize("chunk_size,threads", [(None, 1), (None, 2), (10_007, 1), (10_007, 2)])
+    def test_bin_filter_keeps_every_solution(self, unfiltered, chunk_size, threads, monkeypatch):
+        if chunk_size:
+            monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 2 threads on any host
+        for exponents in LIBRARY_EXPONENTS:
+            counts = scan._power_counts(threads, exponents)
+            assert list(counts) == list(exponents)
+            assert list(counts.values()) == unfiltered[exponents]
 
     # each entry point runs one pass and, per chunk, only the products its
     # answer reads; a return to the full chain costs 7

@@ -2,15 +2,23 @@ import pytest
 
 from conftest import least_sl3, random_sl3
 from sl3f7 import matrix3, scan, simconj
-from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, class_label, representative
+from sl3f7.classify import (
+    KNOWN_REPRESENTATIVES,
+    ClassLabel,
+    class_label,
+    eigenfree_labels,
+    representative,
+)
 from sl3f7.matrix3 import (
     IDENTITY,
     Mat3,
     decode,
     encode,
+    has_fp_eigenvalue,
     mat,
     mat_inv,
     mat_mul,
+    mat_order,
     mat_pow,
     mat_scale,
     scalar_mat,
@@ -89,6 +97,48 @@ class TestAnalyzeTuple:
             assert isinstance(t, CommutingTuple)
             for m, e in zip(t.members, t.exponents):
                 assert mat_pow(t.base, e) == m
+
+
+    @staticmethod
+    def reference(members):
+        """(base, exponents) with the anchor's order from mat_order and each
+        exponent found by mat_pow."""
+        anchor = next(m for m in members if not has_fp_eigenvalue(m))
+        base = anchor if mat_order(anchor) == 57 else mat_scale(2, anchor)
+        return base, tuple(next(k for k in range(1, 57) if mat_pow(base, k) == m) for m in members)
+
+    def test_seeded_tuples_match_the_reference(self, rng):
+        # conjugates of every eigenfree representative; the anchor (the first
+        # member) has order 19 when its exponent is a multiple of 3
+        valid = [e for e in range(1, 57) if e % 19]
+        anchor_orders = set()
+        for label in eigenfree_labels():
+            rep = representative(label)
+            gen = conj(random_sl3(rng), rep if mat_pow(rep, 19) != IDENTITY else mat_scale(2, rep))
+            members = tuple(mat_pow(gen, rng.choice(valid)) for _ in range(rng.randint(1, 3)))
+            anchor_orders.add(mat_order(members[0]))
+            t = analyze_tuple(members)
+            assert (t.base, t.exponents) == self.reference(members)
+        assert anchor_orders == {19, 57}
+
+    @pytest.mark.parametrize("first", [1, 3], ids=["order-57-anchor", "order-19-anchor"])
+    def test_products_for_three_members(self, first, monkeypatch):
+        # one walk of the anchor's powers, 55 products (18 when the walk
+        # stops at an order-19 anchor's 19th power), and 6 for the commuting
+        # check; the anchor's order is read from the walk
+        real, calls = matrix3.mat_mul, []
+
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        members = tuple(mat_pow(M0, e) for e in (first, 20, 5))
+        monkeypatch.setattr(matrix3, "mat_mul", counting)
+        monkeypatch.setattr(simconj, "mat_mul", counting)
+        t = analyze_tuple(members)
+        monkeypatch.undo()
+        assert (t.base, t.exponents) == self.reference(members)
+        assert len(calls) <= 62
 
 
 class TestFindConjugator:
