@@ -28,7 +28,8 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import _decode_planes, _encode_planes, _mod7, _mul_planes, _resolve_threads
+from .scan import (_bitset, _decode_planes, _encode_planes, _mark, _mod7, _mul_planes,
+                   _resolve_threads, _unmarked)
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -65,7 +66,7 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     finite group g^-1 = g^(ord g - 1), so the monoid the generators span is
     the subgroup.  Every element enters exactly one frontier and is expanded
     once per generator, so the levels produce |gens| * |<gens>| candidates in
-    all.  Visited states live in a presence bitmap over the 7^9 codes.
+    all.  Visited codes live in a 5 MB presence bitset (scan._bitset).
     Right multiplication by s maps each row r of g to r*s on its own, so a
     code splits into code mod 343^2 (rows 1 and 2) and code // 343^2 (row
     3), and each step s gets one table per part (_step_tables): a neighbour
@@ -73,14 +74,15 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
 
     threads is a group scan's setting (scan._resolve_threads), and each level
     runs in two phases on that many threads.  First each thread expands one
-    slice of the frontier, sorts the candidates and splits them at the fixed
-    code boundaries CODE_SPACE * r // threads.  Then each thread owns one
-    code range: it joins its pieces (sorting them when there are several),
-    drops the visited codes and all but the first of each run of equal
-    codes with one mask, and marks the rest in its own range of the bitmap,
-    so no two threads write the same bytes.  The ranges join in ascending order: the
-    same ascending frontier on every level for any thread count, the one
-    np.unique would give.  np.unique is not used because on numpy 2.4 it is
+    slice of the frontier, drops each generator's visited candidates, sorts
+    the rest and splits them at the fixed code boundaries CODE_SPACE * r //
+    threads rounded down to a multiple of 8; no thread marks before every
+    expansion ends.  Then each thread owns one code range: it joins and
+    sorts its pieces, keeps the first of each run of equal codes and marks
+    them in its own bytes of the bitset, so no two threads write the same
+    byte.  The ranges join in ascending order: the same ascending frontier
+    on every level for any thread count, the one np.unique would give.
+    np.unique is not used because on numpy 2.4 it is
     50-80x slower than np.sort on code arrays (7.7 s against 0.14 s on 9 M
     random int64 codes, 2-core x86-64), and np.compress selects 3-5x faster
     than a boolean index on these masks.
@@ -92,15 +94,16 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
         if det(g) != 1:
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
     tables = [_step_tables(g) for g in gens]
-    bounds = [CODE_SPACE * r // threads for r in range(1, threads)]
-    visited = np.zeros(CODE_SPACE, dtype=bool)
+    bounds = [CODE_SPACE * r // threads // 8 * 8 for r in range(1, threads)]
+    visited = _bitset()
 
     def expand(part: np.ndarray) -> list[np.ndarray]:
         # int32 division (int64's is ~5x slower); the wide table gathers ~2x
         # faster by np.take on one intp index than by indexing with int32
         high, low = np.divmod(part, 343**2)
         low = low.astype(np.intp)
-        candidates = np.concatenate([np.take(pair, low) + np.take(row3, high) for pair, row3 in tables])
+        candidates = np.concatenate([_unmarked(visited, np.take(pair, low) + np.take(row3, high))
+                                     for pair, row3 in tables])
         candidates.sort()
         return np.split(candidates, np.searchsorted(candidates, bounds))
 
@@ -109,14 +112,14 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
         if len(pieces) > 1:
             codes = np.concatenate(pieces)
             codes.sort()
-        keep = ~visited[codes]
-        keep[1:] &= codes[1:] != codes[:-1]
+        keep = np.ones(codes.size, dtype=bool)
+        keep[1:] = codes[1:] != codes[:-1]
         fresh = np.compress(keep, codes)
-        visited[fresh] = True
+        _mark(visited, fresh)
         return fresh
 
     frontier = np.array([encode(IDENTITY)], dtype=np.int32)
-    visited[frontier] = True
+    _mark(visited, frontier)
     size = 1
     with ThreadPoolExecutor(max_workers=threads) as ex:
         while frontier.size:

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -169,6 +170,16 @@ class TestClosure:
         with pytest.raises(ClosureCapExceeded):
             generator_closure((M2,), cap=5)
 
+    def test_peak_allocation_is_below_a_code_space_array(self):
+        # a bool per code would alone take 38.5 MiB; the visited bitset takes 4.8 MiB
+        tracemalloc.start()
+        try:
+            assert generator_closure((M2,)) == 19
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     # closure sizes cannot catch a transposed table: X^T, Y^T, Z^T also
     # generate G, and the transposed H generators give a group of order 98784
     @pytest.mark.parametrize("gens", [(X, Y, Z), PARABOLIC_GENERATORS], ids=["XYZ", "H"])
@@ -196,8 +207,12 @@ class TestClosure:
             # each map of the inner function admit returns one level, range by range
             def map(self, fn, *iterables):
                 results = list(super().map(fn, *iterables))
+                if fn.__name__ == "expand":
+                    # byte-aligned ranges: no two threads mark the same bitset byte
+                    used = inspect.getclosurevars(fn).nonlocals["bounds"]
+                    assert used == bounds[1:-1]
+                    assert all(b % 8 == 0 for b in used)
                 if fn.__name__ == "admit":
-                    bounds = [CODE_SPACE * r // threads for r in range(threads + 1)]
                     assert all(lo <= c < hi for part, lo, hi in zip(results, bounds, bounds[1:])
                                for c in part.tolist())
                     levels[threads].append(np.concatenate(results).tolist())
@@ -207,9 +222,21 @@ class TestClosure:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 code ranges on any host
         for threads in (1, 2, 3):
             levels[threads] = []
+            bounds = [0, *(CODE_SPACE * r // threads // 8 * 8 for r in range(1, threads)), CODE_SPACE]
             assert generator_closure(PARABOLIC_GENERATORS, threads=threads) == 98_784
         assert levels[1] == levels[2] == levels[3]
         assert all(level == sorted(set(level)) for level in levels[1])
+
+    def test_shared_bitset_loses_no_mark_with_more_threads_than_cores(self, monkeypatch):
+        # a lost mark re-admits a visited code, and the exact cap then raises
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=8) == 98_784
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_cap_holds_at_two_threads(self):
         assert generator_closure((IDENTITY,), cap=1, threads=2) == 1
