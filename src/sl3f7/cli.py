@@ -111,7 +111,7 @@ def cmd_power_table(args: argparse.Namespace) -> dict:
 
 
 def cmd_census(args: argparse.Namespace) -> dict:
-    return scan.census(threads=args.threads).to_json()
+    return scan.census().to_json()
 
 
 def cmd_centralizer(args: argparse.Namespace) -> dict:

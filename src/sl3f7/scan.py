@@ -12,10 +12,12 @@ pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
 A scan always covers the whole group: it takes no window.  It splits the
 ranks into consecutive chunks of CHUNK ranks, a fixed internal constant,
-evaluates a vectorized kernel on each chunk's digit planes, and merges
-partial results by addition or concatenation, so results are independent
-of the chunking and of thread count, the only setting of a scan; the
-tests vary CHUNK to show the former.
+evaluates a vectorized kernel on each chunk's digit planes in the calling
+thread, and merges partial results by addition or concatenation, so
+results are independent of the chunking; the tests vary CHUNK to show it.
+A scan takes no setting: on a 2-core host a second thread made every
+stream scan but orbit_oracle slower (the GIL passes back and forth around
+short numpy calls), so only the closure BFS of subgroups keeps a pool.
 
 Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
@@ -42,7 +44,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
@@ -103,7 +104,7 @@ def default_threads() -> int:
 
 @functools.cache
 def _warn_bad_threads(raw: str) -> None:
-    """Once per process and value, although every scan reads SL3F7_THREADS."""
+    """Once per process and value, although every closure reads SL3F7_THREADS."""
     print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
           file=sys.stderr)
 
@@ -183,7 +184,7 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """The thread setting of a scan: SL3F7_THREADS when None, a ValueError
+    """The closure BFS's thread count: SL3F7_THREADS when None, a ValueError
     when below 1, and at most os.cpu_count() workers."""
     threads = default_threads() if threads is None else threads
     if threads < 1:
@@ -191,22 +192,11 @@ def _resolve_threads(threads: int | None) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _map_chunks(kernel: Callable[[np.ndarray], _T], *, threads: int | None = None) -> Iterator[_T]:
+def _map_chunks(kernel: Callable[[np.ndarray], _T]) -> Iterator[_T]:
     """Apply kernel to the element planes of the consecutive rank ranges,
-    CHUNK long, that cover the whole group, yielding results in rank order.
-    An explicit threads below 1 is a ValueError, raised before any chunk runs."""
-    ranges = [(lo, min(lo + CHUNK, GROUP_ORDER)) for lo in range(0, GROUP_ORDER, CHUNK)]
-    threads = _resolve_threads(threads)
-
-    def worker(r: tuple[int, int]) -> _T:
-        return kernel(_element_planes(*r))
-
-    if threads == 1 or len(ranges) <= 1:
-        for r in ranges:
-            yield worker(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            yield from ex.map(worker, ranges)
+    CHUNK long, that cover the whole group, yielding results in rank order."""
+    for lo in range(0, GROUP_ORDER, CHUNK):
+        yield kernel(_element_planes(lo, min(lo + CHUNK, GROUP_ORDER)))
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
@@ -335,10 +325,14 @@ def _census_chunk(d: np.ndarray) -> np.ndarray:
 def census(*, threads: int | None = None) -> ScanSummary:
     """Full-group census: eigenfree counts by trace and label.
 
-    Deterministic for any chunk size or thread count (partial results merge
-    by pointwise addition).
+    Runs in the calling thread, like every stream scan; threads is kept for
+    callers that pass one, and an explicit value below 1 is a ValueError.
+    Deterministic for any chunk size (partial results merge by pointwise
+    addition).
     """
-    counts = sum(_map_chunks(_census_chunk, threads=threads))
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    counts = sum(_map_chunks(_census_chunk))
     by_label = {
         ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v
     }
@@ -352,12 +346,12 @@ def census(*, threads: int | None = None) -> ScanSummary:
     )
 
 
-def label_member_codes(label: ClassLabel, *, threads: int | None = None) -> np.ndarray:
+def label_member_codes(label: ClassLabel) -> np.ndarray:
     """Sorted codes of every SL3 matrix carrying the given eigenfree label."""
     if not is_eigenfree_label(label):
         raise NotEigenfree(f"{label} is not an eigenvector-free label")
     kernel = functools.partial(_label_chunk, label=label)
-    return np.concatenate(list(_map_chunks(kernel, threads=threads)))
+    return np.concatenate(list(_map_chunks(kernel)))
 
 
 def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
@@ -383,11 +377,11 @@ def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
     return _encode_planes(np.compress((_mul_planes(d, a) == _mul_planes(b, d)).all(axis=0), d, axis=1))
 
 
-def intertwiner_codes(a: Mat3, b: Mat3, *, threads: int | None = None) -> np.ndarray:
+def intertwiner_codes(a: Mat3, b: Mat3) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
     ascending, by full group scan.  Exhaustive oracle for intertwiners."""
     kernel = functools.partial(_commute_chunk, a=a, b=b)
-    return np.concatenate(list(_map_chunks(kernel, threads=threads)))
+    return np.concatenate(list(_map_chunks(kernel)))
 
 
 def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
@@ -505,7 +499,7 @@ def _marked_codes(bits: np.ndarray) -> np.ndarray:
     return 8 * nonzero[k >> 3] + (k & 7)
 
 
-def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
+def orbit_oracle(m: Mat3) -> set[int]:
     """Brute-force conjugation orbit {encode(g m g^-1) : g in SL3}.
 
     Independent oracle for class_size and for the fact that the label sets
@@ -514,7 +508,7 @@ def orbit_oracle(m: Mat3, *, threads: int | None = None) -> set[int]:
     """
     _require_sl3(m)
     seen = _bitset()
-    for codes in _map_chunks(lambda g: _conjugate_codes(g, m), threads=threads):
+    for codes in _map_chunks(lambda g: _conjugate_codes(g, m)):
         _mark(seen, _unmarked(seen, codes))
     return set(_marked_codes(seen).tolist())
 
@@ -565,7 +559,7 @@ def _unity_bins(n: int) -> np.ndarray:
     return _read_only(np.array([mat_pow(d, 3) == (0,) * 9 for d in gaps]))
 
 
-def _power_counts(threads: int | None, exponents: tuple[int, ...]) -> dict[int, int]:
+def _power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
     """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass.
     _power_chunk runs on the planes in the few bins of _unity_bins(lcm(exponents)),
     matched by one broadcast equality (3-4x faster than a 49-entry lookup)."""
@@ -575,13 +569,13 @@ def _power_counts(threads: int | None, exponents: tuple[int, ...]) -> dict[int, 
         tr, jc = _char_planes(d)
         return _power_chunk(np.compress((tr * 7 + jc == kept).any(axis=0), d, axis=1), exponents)
 
-    totals = sum(_map_chunks(kernel, threads=threads))
+    totals = sum(_map_chunks(kernel))
     return dict(zip(exponents, totals.tolist()))
 
 
-def count_order19_elements(*, threads: int | None = None) -> int:
+def count_order19_elements() -> int:
     """Number of elements of order exactly 19 (g^19 = I and g != I)."""
-    return _power_counts(threads, (19,))[19] - 1
+    return _power_counts((19,))[19] - 1
 
 
 def sylow19_count(elements: int) -> int:
@@ -619,7 +613,7 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
     return sum(intertwiners(p_generator, pk).size for pk in powers if char_poly(pk) == target)
 
 
-def normalizer_oracle(p_generator: Mat3, *, threads: int | None = None) -> int:
+def normalizer_oracle(p_generator: Mat3) -> int:
     """|N(<P>)| by full group scan, counting the g with g P g^-1 among the
     19 powers of P.  Exhaustive oracle for normalizer_of_cyclic."""
     _require_order19(p_generator)
@@ -629,7 +623,7 @@ def normalizer_oracle(p_generator: Mat3, *, threads: int | None = None) -> int:
     def kernel(g: np.ndarray) -> int:
         return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
 
-    return sum(_map_chunks(kernel, threads=threads))
+    return sum(_map_chunks(kernel))
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:
@@ -637,11 +631,11 @@ def _order_absent(counts: dict[int, int], n: int) -> bool:
     return counts[n] == counts[n // 3]
 
 
-def order_absence_check(n: int, *, threads: int | None = None) -> bool:
+def order_absence_check(n: int) -> bool:
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    return _order_absent(_power_counts(threads, (n // 3, n)), n)
+    return _order_absent(_power_counts((n // 3, n)), n)
 
 
 # ---------------------------------------------------------------------------

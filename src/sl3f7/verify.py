@@ -83,29 +83,28 @@ def _conj(g: Mat3, m: Mat3) -> Mat3:
 # checks; each returns (ok, detail)
 
 
-def _stream_is_det1(threads: int | None) -> bool:
+def _stream_is_det1() -> bool:
     """The element stream behind every group scan is strictly ascending,
     all det 1 and GROUP_ORDER long: with count_sl3 = GROUP_ORDER, it is
     exactly the det-1 set."""
     last, total, ok = -1, 0, True
-    for codes, dets in scan._map_chunks(
-            lambda d: (scan._encode_planes(d), scan._det_plane(d)), threads=threads):
+    for codes, dets in scan._map_chunks(lambda d: (scan._encode_planes(d), scan._det_plane(d))):
         ok = ok and codes[0] > last and bool(np.all(np.diff(codes) > 0) & np.all(dets == 1))
         last, total = int(codes[-1]), total + codes.size
     return ok and total == GROUP_ORDER
 
 
 def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = scan.count_sl3()
-    dt = time.time() - t0
-    ok = n == GROUP_ORDER and dt <= 60.0 and _stream_is_det1(threads)
+    dt = time.perf_counter() - t0
+    ok = n == GROUP_ORDER and dt <= 60.0 and _stream_is_det1()
     budget = "within 60s budget" if dt <= 60.0 else f"OVER BUDGET: {dt:.1f}s > 60s"
     return ok, f"count={n} (expected {GROUP_ORDER}), {budget}"
 
 
 def check_census(full: bool, threads: int | None) -> tuple[bool, str]:
-    s = scan.census(threads=threads)
+    s = scan.census()
     expected_traces = {0: 296_352, 1: 296_352, 2: 296_352, 3: 197_568,
                        4: 296_352, 5: 197_568, 6: 197_568}
     ok = s.eigenfree_total == 1_778_112 and s.by_trace == expected_traces
@@ -115,7 +114,7 @@ def check_census(full: bool, threads: int | None) -> tuple[bool, str]:
 
 def check_label_catalog(full: bool, threads: int | None) -> tuple[bool, str]:
     labels = [tuple(l) for l in classify.eigenfree_labels()]
-    s = scan.census(threads=threads)
+    s = scan.census()
     counts = {tuple(l): n for l, n in s.by_label.items()}
     ok = (
         labels == EXPECTED_LABELS
@@ -149,7 +148,7 @@ def check_eigenvalue_orders(full: bool, threads: int | None) -> tuple[bool, str]
 def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
     rep = scan.centralizer(M04)
     algebraic_ok = np.array_equal(scan.intertwiners(M04, M04),
-                                  scan.intertwiner_codes(M04, M04, threads=threads))
+                                  scan.intertwiner_codes(M04, M04))
     powers = {encode(p) for p in mat_powers(M04, 57)}
     table_total = scan.centralizer_parameter_count()
     family = sorted(encode(scan.commutant_family(a, b, d))
@@ -173,7 +172,7 @@ def check_conjugacy(full: bool, threads: int | None) -> tuple[bool, str]:
     for label in labels:
         m = classify.representative(label)
         report = scan.centralizer(m)
-        oracle = scan.intertwiner_codes(m, m, threads=threads)
+        oracle = scan.intertwiner_codes(m, m)
         sizes_ok = sizes_ok and report.size == 57 and report.is_cyclic
         sizes_ok = sizes_ok and report.elements == tuple(oracle.tolist())
         sizes_ok = sizes_ok and scan.class_size(m) == 98_784
@@ -181,10 +180,10 @@ def check_conjugacy(full: bool, threads: int | None) -> tuple[bool, str]:
     orbits_ok = True
     budget_ok = True
     for label in orbit_labels:
-        t0 = time.time()
-        orbit = scan.orbit_oracle(classify.representative(label), threads=threads)
-        budget_ok = budget_ok and (time.time() - t0) <= 300.0
-        members = scan.label_member_codes(label, threads=threads)
+        t0 = time.perf_counter()
+        orbit = scan.orbit_oracle(classify.representative(label))
+        budget_ok = budget_ok and (time.perf_counter() - t0) <= 300.0
+        members = scan.label_member_codes(label)
         orbits_ok = orbits_ok and orbit == {int(c) for c in members}
     ok = sizes_ok and orbits_ok and budget_ok
     budget = "within budget" if budget_ok else "ORBIT SCAN OVER 300s BUDGET"
@@ -227,7 +226,7 @@ def check_power_bijections(full: bool, threads: int | None) -> tuple[bool, str]:
 
 
 def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
-    elements = scan.count_order19_elements(threads=threads)
+    elements = scan.count_order19_elements()
     n19 = scan.sylow19_count(elements)
     ok = (
         n19 == 32_928
@@ -242,13 +241,13 @@ def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
 
 def check_normalizer(full: bool, threads: int | None) -> tuple[bool, str]:
     n = scan.normalizer_of_cyclic(M02)
-    ok = (n == scan.normalizer_oracle(M02, threads=threads) == 171
+    ok = (n == scan.normalizer_oracle(M02) == 171
           and n % 57 == 0 and n // 19 == 9)
     return ok, f"|N(<P>)|={n} = 3^2 * 19"
 
 
 def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
-    counts = scan._power_counts(threads, (1, 3, 9, 27))
+    counts = scan._power_counts((1, 3, 9, 27))
     absent9 = scan._order_absent(counts, 9)
     absent27 = scan._order_absent(counts, 27)
     present3 = not scan._order_absent(counts, 3)
@@ -278,11 +277,10 @@ def check_commuting_reps(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"18 labels covered; 54 powers split {len(histogram)} x 3; all pairs commute"
 
 
-def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...],
-                    threads: int | None) -> Mat3 | None:
+def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...]) -> Mat3 | None:
     """Brute-force oracle: every g with g*A1 = B1*g, found by a full group
     scan, with the remaining coordinates tested exactly."""
-    for code in scan.intertwiner_codes(t1[0], t2[0], threads=threads):
+    for code in scan.intertwiner_codes(t1[0], t2[0]):
         g = decode(int(code))
         if all(_conj(g, a) == b for a, b in zip(t1[1:], t2[1:])):
             return g
@@ -314,7 +312,7 @@ def check_simconj(full: bool, threads: int | None) -> tuple[bool, str]:
         verdict = simconj.decide_simconj(
             simconj.analyze_tuple(t1), simconj.analyze_tuple(t2)
         )
-        oracle_witness = _oracle_simconj(t1, t2, threads)
+        oracle_witness = _oracle_simconj(t1, t2)
         if verdict.equivalent == (oracle_witness is not None):
             agreements += 1
         if verdict.equivalent:
@@ -333,10 +331,10 @@ def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
 
     closure_note = "closure skipped (quick)"
     if full:
-        t0 = time.time()
+        t0 = time.perf_counter()
         closure = subgroups.generator_closure((subgroups.X, subgroups.Y, subgroups.Z),
                                              threads=threads)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         ok = ok and closure == GROUP_ORDER and dt <= 300.0
         budget = "within 300s budget" if dt <= 300.0 else f"OVER BUDGET: {dt:.1f}s"
         closure_note = f"closure({{X,Y,Z}})={closure}, {budget}"
@@ -404,9 +402,9 @@ def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | N
     all_ok = True
     failures = []
     for check in checks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = check.fn(full, threads)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
         print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}")
         print(f"        {check.name}: {dt:.1f}s", file=sys.stderr)

@@ -4,6 +4,10 @@ Each criterion prints one pass/fail line (visible with -v via the test id
 and with -s via the explicit line below).
 """
 
+import itertools
+import re
+import time
+
 import pytest
 
 from sl3f7 import scan, verify
@@ -19,7 +23,8 @@ def test_acceptance_criterion(check):
     assert ok, f"criterion {check.number} {check.name}: {detail}"
 
 
-# a scan or closure given no thread count reads SL3F7_THREADS through default_threads
+# a closure given no thread count reads SL3F7_THREADS through default_threads;
+# the stream scans run in the calling thread and read it never
 def no_fallback():
     raise AssertionError("a check left a scan to pick its own thread count")
 
@@ -36,3 +41,17 @@ def test_full_subgroup_check_hands_its_threads_to_the_closure(monkeypatch):
     monkeypatch.setattr(scan, "default_threads", no_fallback)
     ok, detail = verify.check_subgroups(True, 2)
     assert ok, detail
+
+
+def test_budgets_read_a_monotonic_clock(monkeypatch, capsys):
+    # a wall clock that steps an hour forward on every reading neither
+    # fails the budget gates of checks 1, 7 and 15 nor shows on stderr
+    start, steps = time.time(), itertools.count()
+    monkeypatch.setattr(time, "time", lambda: start + 3600.0 * next(steps))
+    for check, full in ((verify.check_group_order, False), (verify.check_conjugacy, False),
+                        (verify.check_subgroups, True)):
+        ok, detail = check(full, 1)
+        assert ok and "within" in detail and "OVER" not in detail, detail
+    assert verify.run_suite("quick", threads=1, only="group-order")
+    seconds = re.fullmatch(r"\s+group-order: ([0-9.]+)s\n", capsys.readouterr().err)
+    assert seconds and float(seconds.group(1)) < 60

@@ -4,6 +4,7 @@ import platform
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -406,29 +407,28 @@ class TestElementStream:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return (scan.census(threads=1), scan.intertwiner_codes(M0, M0, threads=1))
+        return (scan.census(), scan.intertwiner_codes(M0, M0))
 
-    @pytest.mark.parametrize("chunk_size,threads", [(1000, 1), (200_003, 2), (200_003, 3)])
-    def test_scans_independent_of_partitioning(self, reference, chunk_size, threads, monkeypatch):
+    # a scan runs in the calling thread, so CHUNK is its only partitioning
+    @pytest.mark.parametrize("chunk_size", [1000, 200_003])
+    def test_scans_independent_of_partitioning(self, reference, chunk_size, monkeypatch):
         census, centralizer_codes = reference
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 threads on any host
-        assert scan.census(threads=threads) == census
-        assert np.array_equal(scan.intertwiner_codes(M0, M0, threads=threads), centralizer_codes)
-        assert scan._power_counts(threads, (1, 3, 9, 19, 27)) == {
+        assert scan.census() == census
+        assert np.array_equal(scan.intertwiner_codes(M0, M0), centralizer_codes)
+        assert scan._power_counts((1, 3, 9, 19, 27)) == {
             1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
         if chunk_size == 200_003:
             # the broadcast product of _conjugate_codes at a chunk that is not a power of two
-            assert len(scan.orbit_oracle(M0, threads=threads)) == scan.class_size(M0) == 98_784
+            assert len(scan.orbit_oracle(M0)) == scan.class_size(M0) == 98_784
 
 
 _FAULTS_OF_SECOND_PASS = """
-import resource, sys
+import resource
 from sl3f7 import scan
-threads = int(sys.argv[1])
-scan.order_absence_check(27, threads=threads)
+scan.order_absence_check(27)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-scan.order_absence_check(27, threads=threads)
+scan.order_absence_check(27)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -440,14 +440,13 @@ class TestPageFaults:
     # reuses its pages instead of returning them to the kernel after every
     # chunk and faulting them back in: at CHUNK = 2^18 the second pass took
     # 30 000-37 000 minor faults, at 2^16 with broadcast products 0-2.
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_second_power_pass_reuses_its_pages(self, threads):
+    def test_second_power_pass_reuses_its_pages(self):
         # a fresh interpreter, with no allocator setting from the environment
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
         src = str(Path(scan.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_PASS, str(threads)],
+        out = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_PASS],
                              env=env, capture_output=True, text=True, check=True).stdout
         assert int(out) < 2_000
 
@@ -483,43 +482,46 @@ class TestDefaultThreads:
 
 class TestThreadClamping:
     def test_nonpositive_threads_are_a_value_error(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
         def no_chunk(lo, hi):
             raise AssertionError("a chunk ran")
 
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(scan, "_element_planes", no_chunk)
         for threads in (0, -4):
             with pytest.raises(ValueError, match="threads must be at least 1"):
                 scan.census(threads=threads)
 
-    def test_two_threads_start_a_pool_of_two(self, monkeypatch):
-        base = scan.census(threads=1)
-        real_pool = scan.ThreadPoolExecutor
-        requested = []
-
-        def recording_pool(max_workers):
-            requested.append(max_workers)
-            return real_pool(max_workers=2)
-
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", recording_pool)
-        assert scan.census(threads=2) == base
-        assert requested == [2]
-
-    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
-        # explicit and SL3F7_THREADS counts alike; the stand-in pool starts no thread
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", inline_pool)
-        monkeypatch.setattr(scan, "_element_planes", lambda lo, hi: hi - lo)
-        assert sum(scan._map_chunks(lambda n: n, threads=10**6)) == GROUP_ORDER
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # explicit and SL3F7_THREADS counts alike, as the closure BFS resolves them
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert scan._resolve_threads(10**6) == 4
         monkeypatch.setenv("SL3F7_THREADS", str(10**6))
-        assert sum(scan._map_chunks(lambda n: n)) == GROUP_ORDER
-        assert inline_pool.workers == [4, 4]
+        assert scan._resolve_threads(None) == 4
 
     def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert scan._resolve_threads(8) == 1
+
+    def test_stream_scans_start_no_thread(self, monkeypatch):
+        # only the closure BFS keeps a pool: with threads asked for and CPUs
+        # to run them, no stream scan starts a thread or reads SL3F7_THREADS
+        def no_thread(self):
+            raise AssertionError("a stream scan started a thread")
+
+        def no_setting():
+            raise AssertionError("a stream scan read SL3F7_THREADS")
+
+        monkeypatch.setenv("SL3F7_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(scan, "default_threads", no_setting)
+        assert scan.census(threads=2).eigenfree_total == 1_778_112
+        assert scan.intertwiner_codes(M0, M0).size == 57
+        assert scan.label_member_codes(ClassLabel(0, 4)).size == 98_784
+        assert len(scan.orbit_oracle(M0)) == 98_784
+        assert scan.count_order19_elements() == 592_704
+        assert scan.order_absence_check(27)
+        assert scan.normalizer_oracle(M2) == 171
+        assert verify._stream_is_det1()
 
 
 class TestCensus:
@@ -549,11 +551,9 @@ class TestCensus:
         other = scan.census()
         assert other == base
 
-    def test_deterministic_across_threads(self, monkeypatch):
-        base = scan.census()
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 threads on any host
-        threaded = scan.census(threads=3)
-        assert threaded == base
+    def test_deterministic_across_threads(self):
+        # census accepts a thread count and runs in the calling thread anyway
+        assert scan.census(threads=3) == scan.census()
 
     def test_gl3_cross_check(self):
         # det histogram over all 7^9 codes: det 0 on the non-invertible ones,
@@ -690,7 +690,7 @@ class TestLabelMembers:
 @pytest.fixture(scope="module")
 def power_counts():
     """One power pass, read by the Sylow and order-absence tests."""
-    return scan._power_counts(None, (1, 3, 9, 19, 27))
+    return scan._power_counts((1, 3, 9, 19, 27))
 
 
 # the exponent tuples the library asks the power pass for, and the whole chain
@@ -713,17 +713,15 @@ class TestPowerKernel:
     @pytest.fixture(scope="class")
     def unfiltered(self):
         # every chunk's powers taken on all of its elements, no bin filter
-        return {e: sum(scan._map_chunks(functools.partial(scan._power_chunk, exponents=e),
-                                        threads=1)).tolist()
+        return {e: sum(scan._map_chunks(functools.partial(scan._power_chunk, exponents=e))).tolist()
                 for e in LIBRARY_EXPONENTS}
 
-    @pytest.mark.parametrize("chunk_size,threads", [(None, 1), (None, 2), (10_007, 1), (10_007, 2)])
-    def test_bin_filter_keeps_every_solution(self, unfiltered, chunk_size, threads, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [None, 10_007])
+    def test_bin_filter_keeps_every_solution(self, unfiltered, chunk_size, monkeypatch):
         if chunk_size:
             monkeypatch.setattr(scan, "CHUNK", chunk_size)
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 2 threads on any host
         for exponents in LIBRARY_EXPONENTS:
-            counts = scan._power_counts(threads, exponents)
+            counts = scan._power_counts(exponents)
             assert list(counts) == list(exponents)
             assert list(counts.values()) == unfiltered[exponents]
 
@@ -740,7 +738,7 @@ class TestPowerKernel:
         calls = {"passes": 0, "products": 0}
         mul_planes = scan._mul_planes
 
-        def one_chunk(kernel, *, threads=None):
+        def one_chunk(kernel):
             calls["passes"] += 1
             yield kernel(scan._element_planes(0, 1_000))
 
@@ -817,7 +815,7 @@ class TestNormalizer:
 
     def test_agrees_with_oracle_off_m02(self):
         p = representative(ClassLabel(3, 1))
-        assert scan.normalizer_of_cyclic(p) == scan.normalizer_oracle(p, threads=2) == 171
+        assert scan.normalizer_of_cyclic(p) == scan.normalizer_oracle(p) == 171
 
 
 class TestOrderAbsence:

@@ -98,6 +98,17 @@ class TestParabolicSize:
         assert GROUP_ORDER // parabolic_size() == 57
         assert parabolic_size() * 57 == GROUP_ORDER
 
+    def test_peak_allocation_is_below_a_7_7_decode(self):
+        # decoding all 7^7 tuples into planes took a 25.9 MiB peak; the 7^6
+        # minors that each a scales take 3.7 MiB
+        tracemalloc.start()
+        try:
+            assert parabolic_size.__wrapped__() == 98_784
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_uint8_kernel_matches_scalar_det(self):
         # det of [[a, b, c], [0, e, f], [0, h, i]] ignores b and c, so the
         # scalar count runs over (a, e, f, h, i) and weighs each by 7^2; it
@@ -109,14 +120,17 @@ class TestParabolicSize:
 
 
 class TestClosure:
+    # a closure test passes its exact size as the cap, so a closure that
+    # loses visited marks raises ClosureCapExceeded at once instead of
+    # running level after level up to the default cap of |G|
     def test_single_order19_generator(self):
-        assert generator_closure((M2,)) == 19
+        assert generator_closure((M2,), cap=19) == 19
 
     def test_single_order57_generator(self):
-        assert generator_closure((M0,)) == 57
+        assert generator_closure((M0,), cap=57) == 57
 
     def test_parabolic_generators_generate_h(self):
-        assert generator_closure(PARABOLIC_GENERATORS) == 98_784
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
 
     def test_identity_alone_ends_on_an_empty_level(self):
         # the first level's candidates are all visited, so the dedupe sees []
@@ -142,7 +156,7 @@ class TestClosure:
         assert generator_closure((X, Y, Z)) == 5_630_688
         assert built == [X, Y, Z]
         built.clear()
-        assert generator_closure(PARABOLIC_GENERATORS) == 98_784
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
         assert built == list(PARABOLIC_GENERATORS)
 
     # a cyclic closure cannot tell whether inverse steps are needed, since
@@ -161,10 +175,9 @@ class TestClosure:
         if with_c:
             cs = [c for c in map(decode, scan.intertwiners(p, p).tolist()) if mat_order(c) == 57]
             gens += (cs[pick % len(cs)],)
-        size = generator_closure(gens)
-        assert size == set_closure(gens)
-        assert size == (171 if with_c else 57)
-        assert generator_closure(gens, threads=2) == size
+        size = 171 if with_c else 57
+        assert generator_closure(gens, cap=size) == set_closure(gens) == size
+        assert generator_closure(gens, cap=size, threads=2) == size
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
@@ -174,7 +187,7 @@ class TestClosure:
         # a bool per code would alone take 38.5 MiB; the visited bitset takes 4.8 MiB
         tracemalloc.start()
         try:
-            assert generator_closure((M2,)) == 19
+            assert generator_closure((M2,), cap=19) == 19
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -198,7 +211,7 @@ class TestClosure:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_size_is_independent_of_threads(self, gens, size, threads, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 code ranges on any host
-        assert generator_closure(gens, threads=threads) == size
+        assert generator_closure(gens, cap=size, threads=threads) == size
 
     def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
         levels: dict[int, list[list[int]]] = {}
@@ -223,7 +236,7 @@ class TestClosure:
         for threads in (1, 2, 3):
             levels[threads] = []
             bounds = [0, *(CODE_SPACE * r // threads // 8 * 8 for r in range(1, threads)), CODE_SPACE]
-            assert generator_closure(PARABOLIC_GENERATORS, threads=threads) == 98_784
+            assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=threads) == 98_784
         assert levels[1] == levels[2] == levels[3]
         assert all(level == sorted(set(level)) for level in levels[1])
 
@@ -246,7 +259,7 @@ class TestClosure:
     def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
         # the stand-in pool starts no thread and fails on more workers than CPUs
         monkeypatch.setattr(subgroups, "ThreadPoolExecutor", inline_pool)
-        assert generator_closure((M2,), threads=10**6) == 19
+        assert generator_closure((M2,), cap=19, threads=10**6) == 19
         assert inline_pool.workers == [4]
         # every level splits the frontier into 4 slices and the codes into 4 ranges
         assert set(inline_pool.inputs) == {"expand", "admit"}
