@@ -484,7 +484,7 @@ def _bitset() -> np.ndarray:
 
 def _unmarked(bits: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The codes whose bit is clear, in their order, repeats kept."""
-    return np.compress((np.take(bits, codes >> 3) >> (codes & 7)) & 1 == 0, codes)
+    return np.compress((np.take(bits, codes >> 3) >> (codes & 7).astype(np.uint8)) & 1 == 0, codes)
 
 
 def _mark(bits: np.ndarray, codes: np.ndarray) -> None:

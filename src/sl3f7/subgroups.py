@@ -18,7 +18,6 @@ import numpy as np
 from .classify import NotInSL3
 from .field import fp_inv
 from .matrix3 import (
-    CODE_SPACE,
     GROUP_ORDER,
     IDENTITY,
     Mat3,
@@ -28,8 +27,8 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import (_bitset, _decode_planes, _encode_planes, _mark, _mod7, _mul_planes,
-                   _resolve_threads, _unmarked)
+from .scan import (CHUNK, _bitset, _decode_planes, _encode_planes, _mark, _mod7,
+                   _mul_planes, _resolve_threads, _unmarked)
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -76,16 +75,15 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     is two gathers, with no plane product per level.
 
     threads comes from scan._resolve_threads, and the package's only thread
-    pool runs each level in two phases on that many threads.  First each
-    thread expands one slice of the frontier, drops each generator's visited
-    candidates, sorts the rest and splits them at the fixed code boundaries
-    CODE_SPACE * r // threads rounded down to a multiple of 8; no thread
-    marks before every expansion ends.  Then each thread owns one code
-    range: it joins and sorts its pieces, keeps the first of each run of
-    equal codes and marks them in its own bytes of the bitset, so no two
-    threads write the same byte.  The ranges join in ascending order: the
-    same ascending frontier on every level for any thread count, the one
-    np.unique would give.
+    pool runs each level in one phase on that many threads: expand takes one
+    CHUNK-long slice of the frontier, gathers its neighbours and keeps those
+    whose bit is clear.  Workers only read the bitset.  The calling thread
+    then joins the survivors, sorts them, keeps the first of each run of
+    equal codes and marks those, so every level is the same ascending set of
+    unique codes for any thread count, the one np.unique would give.  No
+    array but the frontier, the survivors and the merge's outgrows one
+    slice's |gens| * CHUNK codes, so the workers allocate little in their
+    own glibc arenas.
     np.unique is not used because on numpy 2.4 it is
     50-80x slower than np.sort on code arrays (7.7 s against 0.14 s on 9 M
     random int64 codes, 2-core x86-64), and np.compress selects 3-5x faster
@@ -98,39 +96,29 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
         if det(g) != 1:
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
     tables = [_step_tables(g) for g in gens]
-    bounds = [CODE_SPACE * r // threads // 8 * 8 for r in range(1, threads)]
     visited = _bitset()
 
-    def expand(part: np.ndarray) -> list[np.ndarray]:
+    def expand(part: np.ndarray) -> np.ndarray:
         # int32 division (int64's is ~5x slower); the wide table gathers ~2x
         # faster by np.take on one intp index than by indexing with int32
         high, low = np.divmod(part, 343**2)
         low = low.astype(np.intp)
-        candidates = np.concatenate([_unmarked(visited, np.take(pair, low) + np.take(row3, high))
-                                     for pair, row3 in tables])
-        candidates.sort()
-        return np.split(candidates, np.searchsorted(candidates, bounds))
-
-    def admit(pieces: list[np.ndarray]) -> np.ndarray:
-        codes = pieces[0]
-        if len(pieces) > 1:
-            codes = np.concatenate(pieces)
-            codes.sort()
-        keep = np.ones(codes.size, dtype=bool)
-        keep[1:] = codes[1:] != codes[:-1]
-        fresh = np.compress(keep, codes)
-        _mark(visited, fresh)
-        return fresh
+        return np.concatenate([_unmarked(visited, np.take(pair, low) + np.take(row3, high))
+                               for pair, row3 in tables])
 
     frontier = np.array([encode(IDENTITY)], dtype=np.int32)
     _mark(visited, frontier)
     size = 1
     with ThreadPoolExecutor(max_workers=threads) as ex:
         while frontier.size:
-            slices = np.array_split(frontier, threads)
-            # zip(*) hands each range its piece of every slice; no name keeps
-            # the pieces, so they are freed before the next level expands
-            frontier = np.concatenate(list(ex.map(admit, zip(*ex.map(expand, slices)))))
+            slices = (frontier[lo:lo + CHUNK] for lo in range(0, frontier.size, CHUNK))
+            codes = np.concatenate(list(ex.map(expand, slices)))
+            codes.sort()
+            keep = np.ones(codes.size, dtype=bool)
+            keep[1:] = codes[1:] != codes[:-1]
+            frontier = np.compress(keep, codes)
+            del codes, keep  # freed now, not when the next level rebinds them
+            _mark(visited, frontier)
             size += int(frontier.size)
             if size > cap:
                 raise ClosureCapExceeded(f"closure exceeded cap {cap}")

@@ -35,12 +35,12 @@ def rng() -> random.Random:
 
 class InlinePool:
     """ThreadPoolExecutor stand-in that starts no thread: it records each
-    pool's max_workers and, by mapped function name, the length of each
+    pool's max_workers and, by mapped function name, the items of each
     map's input, then runs the work in the calling thread.  A pool larger
     than os.cpu_count() fails at once, before any work."""
 
     workers: list[int]
-    inputs: dict[str, list[int]]
+    inputs: dict[str, list[list]]
 
     def __init__(self, max_workers: int):
         assert max_workers <= os.cpu_count(), f"a pool of {max_workers} workers"
@@ -54,7 +54,7 @@ class InlinePool:
 
     def map(self, fn, iterable):
         items = list(iterable)
-        self.inputs.setdefault(fn.__name__, []).append(len(items))
+        self.inputs.setdefault(fn.__name__, []).append(items)
         return map(fn, items)
 
 

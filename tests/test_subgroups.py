@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import textwrap
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,8 +46,7 @@ from sl3f7.subgroups import (
 
 M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
-# SL2(F7) in the top-left block: every code lies in [7^8, 2 * 7^8), below
-# CODE_SPACE / 2, so at 2 threads the upper code range is empty on every level
+# SL2(F7) in the top-left block: every code lies in [7^8, 2 * 7^8)
 SL2_GENERATORS = (mat("1 1 0; 0 1 0; 0 0 1"), mat("1 0 0; 1 1 0; 0 0 1"))
 
 
@@ -153,7 +153,15 @@ class TestClosure:
             return _step_tables(s)
 
         monkeypatch.setattr(subgroups, "_step_tables", counted)
-        assert generator_closure((X, Y, Z)) == 5_630_688
+        # the visited bitset, the largest level and its merge: 20.8 MiB, where
+        # per-thread code ranges took 30.0 MiB
+        tracemalloc.start()
+        try:
+            assert generator_closure((X, Y, Z)) == 5_630_688
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
         assert built == [X, Y, Z]
         built.clear()
         assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
@@ -210,35 +218,57 @@ class TestClosure:
                              ids=["H", "M2", "M0", "SL2"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_size_is_independent_of_threads(self, gens, size, threads, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 code ranges on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 workers on any host
         assert generator_closure(gens, cap=size, threads=threads) == size
 
     def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
-        levels: dict[int, list[list[int]]] = {}
+        levels: dict[tuple[int, int], list[list[int]]] = {}
+        slices: list[list[np.ndarray]] = []
 
         class Recording(ThreadPoolExecutor):
-            # each map of the inner function admit returns one level, range by range
-            def map(self, fn, *iterables):
-                results = list(super().map(fn, *iterables))
-                if fn.__name__ == "expand":
-                    # byte-aligned ranges: no two threads mark the same bitset byte
-                    used = inspect.getclosurevars(fn).nonlocals["bounds"]
-                    assert used == bounds[1:-1]
-                    assert all(b % 8 == 0 for b in used)
-                if fn.__name__ == "admit":
-                    assert all(lo <= c < hi for part, lo, hi in zip(results, bounds, bounds[1:])
-                               for c in part.tolist())
-                    levels[threads].append(np.concatenate(results).tolist())
-                return results
+            def map(self, fn, iterable):
+                items = list(iterable)
+                slices.append(items)
+                return super().map(fn, items)
 
+        def mark(bits, codes):
+            levels[chunk, threads].append(codes.tolist())
+            marked(bits, codes)
+
+        marked = subgroups._mark
         monkeypatch.setattr(subgroups, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 code ranges on any host
-        for threads in (1, 2, 3):
-            levels[threads] = []
-            bounds = [0, *(CODE_SPACE * r // threads // 8 * 8 for r in range(1, threads)), CODE_SPACE]
-            assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=threads) == 98_784
-        assert levels[1] == levels[2] == levels[3]
-        assert all(level == sorted(set(level)) for level in levels[1])
+        monkeypatch.setattr(subgroups, "_mark", mark)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 workers on any host
+        # H's levels have at most 28 701 codes, so only 1 000-code slices split one
+        for chunk in (scan.CHUNK, 1_000):
+            monkeypatch.setattr(subgroups, "CHUNK", chunk)
+            for threads in (1, 2, 3):
+                run = levels[chunk, threads] = []
+                slices.clear()
+                size = generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=threads)
+                assert size == 98_784
+                # each level expands the whole last frontier, in order, in
+                # slices of at most chunk codes
+                assert [np.concatenate(parts).tolist() for parts in slices] == run[:-1]
+                assert all(part.size <= chunk for parts in slices for part in parts)
+        first, *rest = levels.values()
+        assert all(level == first for level in rest)
+        assert all(level == sorted(set(level)) for level in first)
+
+    def test_only_the_calling_thread_marks(self, monkeypatch):
+        # the workers only read the bitset, so no two threads ever write it
+        threads = []
+
+        def mark(bits, codes):
+            threads.append(threading.current_thread())
+            marked(bits, codes)
+
+        marked = subgroups._mark
+        monkeypatch.setattr(subgroups, "_mark", mark)
+        monkeypatch.setattr(subgroups, "CHUNK", 1_000)  # several slices per level
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=3) == 98_784
+        assert threads and set(threads) == {threading.main_thread()}
 
     def test_shared_bitset_loses_no_mark_with_more_threads_than_cores(self, monkeypatch):
         # a lost mark re-admits a visited code, and the exact cap then raises
@@ -259,11 +289,14 @@ class TestClosure:
     def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
         # the stand-in pool starts no thread and fails on more workers than CPUs
         monkeypatch.setattr(subgroups, "ThreadPoolExecutor", inline_pool)
-        assert generator_closure((M2,), cap=19, threads=10**6) == 19
+        monkeypatch.setattr(subgroups, "CHUNK", 1_000)
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=10**6) == 98_784
         assert inline_pool.workers == [4]
-        # every level splits the frontier into 4 slices and the codes into 4 ranges
-        assert set(inline_pool.inputs) == {"expand", "admit"}
-        assert set(inline_pool.inputs["expand"]) == set(inline_pool.inputs["admit"]) == {4}
+        # one map per level; no expand input is longer than CHUNK, and some
+        # level takes more than one
+        assert set(inline_pool.inputs) == {"expand"}
+        assert all(part.size <= 1_000 for parts in inline_pool.inputs["expand"] for part in parts)
+        assert max(map(len, inline_pool.inputs["expand"])) > 1
 
     def test_nonpositive_threads_rejected_before_any_table(self, monkeypatch):
         def no_tables(s):
