@@ -16,8 +16,7 @@ def document(kind: str, **fields) -> dict:
     return {"schema": SCHEMA, "kind": kind, **fields}
 
 
-# kind -> {field: required type}; optional fields may be null and are listed
-# in _NULLABLE.
+# kind -> {field: required type}; other fields are optional and not checked.
 REQUIRED_FIELDS: dict[str, dict[str, type]] = {
     "classify": {
         "matrix": str, "det": int, "trace": int, "char_poly": dict,
@@ -37,13 +36,6 @@ REQUIRED_FIELDS: dict[str, dict[str, type]] = {
     "simconj": {"equivalent": bool},
 }
 
-_NULLABLE = {
-    ("classify", "label"), ("classify", "psl_label"),
-    ("centralizer", "generator"), ("centralizer", "elements"),
-    ("simconj", "witness"), ("simconj", "certificate"),
-}
-
-
 class SchemaError(ValueError):
     """Document does not conform to sl3f7/v1."""
 
@@ -60,8 +52,6 @@ def validate_document(doc: dict) -> None:
         if name not in doc:
             raise SchemaError(f"{kind}: missing field {name!r}")
         value = doc[name]
-        if value is None and (kind, name) in _NULLABLE:
-            continue
         if typ is int and isinstance(value, bool):
             raise SchemaError(f"{kind}.{name}: expected int, got bool")
         if not isinstance(value, typ):

@@ -9,7 +9,6 @@ element generates the whole group.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,7 +48,6 @@ def in_parabolic(m: Mat3) -> bool:
     return m[3] == 0 and m[6] == 0 and det(m) == 1
 
 
-@functools.cache
 def parabolic_size() -> int:
     """Direct count of the 7^7 entry tuples (d = g = 0) with det = 1.  In
     block form det = a * det([[e,f],[h,i]]), so the minor of the 7^6 tuples

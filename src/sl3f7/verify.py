@@ -399,7 +399,6 @@ def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | N
     if not checks:
         raise ValueError(f"no check name contains {only!r}")
     full = suite == "full"
-    all_ok = True
     failures = []
     for check in checks:
         t0 = time.perf_counter()
@@ -410,7 +409,6 @@ def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | N
         print(f"        {check.name}: {dt:.1f}s", file=sys.stderr)
         if not ok:
             failures.append(check.name)
-            all_ok = False
     if failures:
         print(f"FAILED: {', '.join(failures)}")
-    return all_ok
+    return not failures

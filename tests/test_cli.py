@@ -62,6 +62,12 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "2 0 0; 0 1 0; 0 0 1")
         assert code == 3
 
+    def test_no_matrix_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no matrix given (inline argument or --file)\n"
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(M0_TEXT + "\n")
@@ -140,6 +146,14 @@ class TestScanningCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --threads: not a positive integer" in captured.err
+
+    def test_threads_not_a_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["census", "--threads", "abc"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --threads: not a positive integer: 'abc'" in captured.err
 
     def test_thread_count_gives_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "census", "--format", "json", "--threads", "1")
@@ -285,6 +299,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_unknown_suite_is_a_value_error(self):
+        from sl3f7 import verify as verify_mod
+
+        with pytest.raises(ValueError, match="suite must be quick or full, got 'medium'"):
+            verify_mod.run_suite("medium")
 
     def test_failing_suite_would_exit_1(self, capsys, monkeypatch):
         from sl3f7 import verify as verify_mod

@@ -96,6 +96,12 @@ class TestExtArithmetic:
         for code in range(343):
             assert ext_pack(ext_unpack(code)) == code
 
+    def test_negative_exponent_and_out_of_range_code_raise(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            ext_pow(EXT_X, -1)
+        with pytest.raises(ValueError, match="out of range: 343"):
+            ext_unpack(343)
+
 
 class TestExtOrder:
     def test_identity(self):

@@ -770,6 +770,11 @@ class TestSylow:
         with pytest.raises(scan.NonIntegerCount):
             scan.sylow19_count(592_705)
 
+    def test_count_failing_the_sylow_constraints_raises(self):
+        # 36 = 18 * 2 divides, but n19 = 2 is not 1 mod 19
+        with pytest.raises(scan.NonIntegerCount, match="n19 = 2 fails the Sylow constraints"):
+            scan.sylow19_count(36)
+
 
 class TestNormalizer:
     def test_m2_normalizer(self):

@@ -5,6 +5,7 @@ from sl3f7 import matrix3, scan, simconj
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
     ClassLabel,
+    NotInSL3,
     class_label,
     eigenfree_labels,
     representative,
@@ -165,6 +166,13 @@ class TestFindConjugator:
         for lam in (1, 2, 4):
             assert find_conjugator(scalar_mat(lam), scalar_mat(lam)) == least
 
+    def test_det_2_argument_raises(self):
+        det2 = mat((2, 0, 0, 0, 1, 0, 0, 0, 1))
+        with pytest.raises(NotInSL3):
+            find_conjugator(det2, M0)
+        with pytest.raises(NotInSL3):
+            find_conjugator(M0, det2)
+
     def test_least_code_matches_oracle_minimum(self, rng):
         a = conj(random_sl3(rng), M0)
         b = conj(random_sl3(rng), a)
@@ -189,6 +197,15 @@ class TestDecide:
         )
         assert not verdict.equivalent
         assert verdict.certificate is not None
+
+    def test_no_exponent_matching_pair_certificate(self):
+        # M0^2 and M0^14 = (M0^2)^7 share a label, so every member pair matches
+        # in class; but M0 -> M0 allows only u = 1, and 14 != 2 mod 57
+        t1, t2 = analyze_tuple((M0, mat_pow(M0, 2))), analyze_tuple((M0, mat_pow(M0, 14)))
+        assert [class_label(m) for m in t1.members] == [class_label(m) for m in t2.members]
+        verdict = decide_simconj(t1, t2)
+        assert not verdict.equivalent
+        assert verdict.certificate == "no exponent-matching generator pair"
 
     def test_single_members_same_class_equivalent(self, rng):
         rep = representative(ClassLabel(0, 2))

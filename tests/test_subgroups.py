@@ -103,7 +103,7 @@ class TestParabolicSize:
         # minors that each a scales take 3.7 MiB
         tracemalloc.start()
         try:
-            assert parabolic_size.__wrapped__() == 98_784
+            assert parabolic_size() == 98_784
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
