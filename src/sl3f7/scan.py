@@ -10,8 +10,10 @@ Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
 pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
-A scan always covers the whole group: it takes no window.  It splits the
-ranks into consecutive chunks of CHUNK ranks, a fixed internal constant,
+A scan walks the whole group unless its answer cannot tell g from 2g and
+4g (conjugation, and g^k with 3 | k): it then walks _PSL_RANGES, one element
+of each coset of the centre {I, 2I, 4I}, and scales up.  It splits its
+ranges into chunks of at most CHUNK ranks, a fixed internal constant,
 evaluates a vectorized kernel on each chunk's digit planes in the calling
 thread, and merges partial results by addition or concatenation, so
 results are independent of the chunking; the tests vary CHUNK to show it.
@@ -192,11 +194,21 @@ def _resolve_threads(threads: int | None) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _map_chunks(kernel: Callable[[np.ndarray], _T]) -> Iterator[_T]:
-    """Apply kernel to the element planes of the consecutive rank ranges,
-    CHUNK long, that cover the whole group, yielding results in rank order."""
-    for lo in range(0, GROUP_ORDER, CHUNK):
-        yield kernel(_element_planes(lo, min(lo + CHUNK, GROUP_ORDER)))
+# Third-row code c > 0 owns ranks [(c - 1) * _R3_BLOCK, c * _R3_BLOCK).  2 and 4
+# permute {1, 2, 4} and {3, 6, 5}, so exactly one of r3, 2r3 and 4r3 leads with 1
+# or 3: those rows' six ranges hold one element of each coset {g, 2g, 4g}.
+_R3_BLOCK = GROUP_ORDER // 342  # 336 second rows times 49 first rows
+_PSL_RANGES = tuple(sorted(((lead * p - 1) * _R3_BLOCK, ((lead + 1) * p - 1) * _R3_BLOCK)
+                           for lead in (1, 3) for p in (1, 7, 49)))
+
+
+def _map_chunks(kernel: Callable[[np.ndarray], _T],
+                ranges: tuple[tuple[int, int], ...] = ((0, GROUP_ORDER),)) -> Iterator[_T]:
+    """Apply kernel to the element planes of each rank range [lo, hi) in
+    ranges, in pieces at most CHUNK long, yielding results in rank order."""
+    for start, stop in ranges:
+        for lo in range(start, stop, CHUNK):
+            yield kernel(_element_planes(lo, min(lo + CHUNK, stop)))
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
@@ -379,9 +391,13 @@ def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
 
 def intertwiner_codes(a: Mat3, b: Mat3) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
-    ascending, by full group scan.  Exhaustive oracle for intertwiners."""
+    ascending, by group scan.  Exhaustive oracle for intertwiners.  A scalar
+    commutes with a and b, so 2g and 4g intertwine when g does: the scan
+    walks _PSL_RANGES and adds each hit scaled by 2 and by 4."""
     kernel = functools.partial(_commute_chunk, a=a, b=b)
-    return np.concatenate(list(_map_chunks(kernel)))
+    hits = np.concatenate(list(_map_chunks(kernel, _PSL_RANGES)))
+    planes = _decode_planes(hits)
+    return np.sort(np.concatenate([hits] + [_encode_planes(_mod7(lam * planes)) for lam in (2, 4)]))
 
 
 def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
@@ -503,12 +519,13 @@ def orbit_oracle(m: Mat3) -> set[int]:
     """Brute-force conjugation orbit {encode(g m g^-1) : g in SL3}.
 
     Independent oracle for class_size and for the fact that the label sets
-    are whole conjugacy classes.  A chunk's conjugates not yet in the bitset
-    are kept, then marked: bitwise_or.at sees about |orbit| codes, not |G|.
+    are whole conjugacy classes.  g and a scalar times g conjugate alike, so
+    it walks _PSL_RANGES.  A chunk's conjugates not yet in the bitset are
+    kept, then marked: bitwise_or.at sees about |orbit| codes, not |G| / 3.
     """
     _require_sl3(m)
     seen = _bitset()
-    for codes in _map_chunks(lambda g: _conjugate_codes(g, m)):
+    for codes in _map_chunks(lambda g: _conjugate_codes(g, m), _PSL_RANGES):
         _mark(seen, _unmarked(seen, codes))
     return set(_marked_codes(seen).tolist())
 
@@ -556,14 +573,19 @@ def _unity_bins(n: int) -> np.ndarray:
 def _power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
     """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass.
     _power_chunk runs on the planes in the few bins of _unity_bins(lcm(exponents)),
-    matched by one broadcast equality (3-4x faster than a 49-entry lookup)."""
+    matched by one broadcast equality (3-4x faster than a 49-entry lookup).
+    (2g)^k = (4g)^k = g^k when 3 | k, so if 3 divides every exponent the pass
+    walks _PSL_RANGES and counts 3 for each hit, else the whole group."""
     kept = np.flatnonzero(_unity_bins(math.lcm(*exponents))).astype(np.uint8)[:, None]
 
     def kernel(d: np.ndarray) -> np.ndarray:
         tr, jc = _char_planes(d)
         return _power_chunk(np.compress((tr * 7 + jc == kept).any(axis=0), d, axis=1), exponents)
 
-    totals = sum(_map_chunks(kernel))
+    if all(k % 3 == 0 for k in exponents):
+        totals = 3 * sum(_map_chunks(kernel, _PSL_RANGES))
+    else:
+        totals = sum(_map_chunks(kernel))
     return dict(zip(exponents, totals.tolist()))
 
 
@@ -608,8 +630,9 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
 
 
 def normalizer_oracle(p_generator: Mat3) -> int:
-    """|N(<P>)| by full group scan, counting the g with g P g^-1 among the
-    19 powers of P.  Exhaustive oracle for normalizer_of_cyclic."""
+    """|N(<P>)| by group scan, counting the g with g P g^-1 among the 19
+    powers of P.  Exhaustive oracle for normalizer_of_cyclic.  g, 2g and 4g
+    conjugate P alike, so it counts over _PSL_RANGES and multiplies by 3."""
     _require_order19(p_generator)
     member_codes = np.sort(np.array(
         [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int64))
@@ -617,7 +640,7 @@ def normalizer_oracle(p_generator: Mat3) -> int:
     def kernel(g: np.ndarray) -> int:
         return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
 
-    return sum(_map_chunks(kernel))
+    return 3 * sum(_map_chunks(kernel, _PSL_RANGES))
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:

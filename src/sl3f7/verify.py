@@ -86,12 +86,14 @@ def _conj(g: Mat3, m: Mat3) -> Mat3:
 def _stream_is_det1() -> bool:
     """The element stream behind every group scan is strictly ascending,
     all det 1 and GROUP_ORDER long: with count_sl3 = GROUP_ORDER, it is
-    exactly the det-1 set."""
-    last, total, ok = -1, 0, True
+    exactly the det-1 set.  Each nonzero third row owns one block of
+    _R3_BLOCK consecutive ranks, the layout scan._PSL_RANGES reads."""
+    last, total, ok, per_row3 = -1, 0, True, 0
     for codes, dets in scan._map_chunks(lambda d: (scan._encode_planes(d), scan._det_plane(d))):
         ok = ok and codes[0] > last and bool(np.all(np.diff(codes) > 0) & np.all(dets == 1))
         last, total = int(codes[-1]), total + codes.size
-    return ok and total == GROUP_ORDER
+        per_row3 = per_row3 + np.bincount(codes // 343**2, minlength=343)
+    return ok and total == GROUP_ORDER and np.array_equal(per_row3, [0] + [scan._R3_BLOCK] * 342)
 
 
 def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import platform
 import random
@@ -738,7 +739,7 @@ class TestPowerKernel:
         calls = {"passes": 0, "products": 0}
         mul_planes = scan._mul_planes
 
-        def one_chunk(kernel):
+        def one_chunk(kernel, ranges=None):
             calls["passes"] += 1
             yield kernel(scan._element_planes(0, 1_000))
 
@@ -979,3 +980,119 @@ class TestIntertwiner:
     def test_different_labels_never_conjugate(self):
         assert scan.intertwiners(M0, mat_scale(2, M0)).size == 0
         assert scan.intertwiner_codes(M0, mat_scale(2, M0)).size == 0
+
+
+# third-row block of the stream: 336 second rows times 49 first rows
+R3_BLOCK = 16_464
+
+
+def _whole_group_orbit(m: Mat3) -> set[int]:
+    seen = scan._bitset()
+    for codes in scan._map_chunks(lambda g: scan._conjugate_codes(g, m)):
+        scan._mark(seen, scan._unmarked(seen, codes))
+    return set(scan._marked_codes(seen).tolist())
+
+
+def _whole_group_intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
+    return np.concatenate(list(scan._map_chunks(functools.partial(scan._commute_chunk, a=a, b=b))))
+
+
+def _whole_group_normalizer(p: Mat3) -> int:
+    members = [encode(mat_pow(p, k)) for k in range(19)]
+    return sum(int(np.count_nonzero(np.isin(scan._conjugate_codes(g, p), members)))
+               for g in scan._map_chunks(lambda g: g))
+
+
+def _whole_group_power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
+    bins = np.flatnonzero(scan._unity_bins(math.lcm(*exponents)))
+
+    def kernel(d: np.ndarray) -> np.ndarray:
+        tr, jc = scan._char_planes(d)
+        return scan._power_chunk(np.compress(np.isin(tr * 7 + jc, bins), d, axis=1), exponents)
+
+    return dict(zip(exponents, sum(scan._map_chunks(kernel)).tolist()))
+
+
+_ORBIT_SUBJECTS = {"eigenfree": M0, "diag-1-2-4": mat("1 0 0; 0 2 0; 0 0 4"),
+                   "transvection": mat("1 1 0; 0 1 0; 0 0 1")}
+_INTERTWINER_KINDS = ["conjugate", "non-conjugate", "derogatory"]
+_CENTRAL_EXPONENTS = [(3,), (3, 9), (9, 27)]
+
+
+class TestCosetWalk:
+    """The scans whose answer cannot tell g from 2g and 4g walk one element
+    of each coset of the centre {I, 2I, 4I}; each must equal its kernel run
+    over the whole group here, for any CHUNK."""
+
+    def test_ranges_hold_a_third_of_the_group_in_whole_row3_blocks(self):
+        ranges = scan._PSL_RANGES
+        assert sum(hi - lo for lo, hi in ranges) * 3 == GROUP_ORDER
+        assert all(bound % R3_BLOCK == 0 for r in ranges for bound in r)
+        bounds = [bound for r in ranges for bound in r]
+        assert bounds == sorted(bounds) and all(lo < hi for lo, hi in ranges)
+
+    def test_exactly_one_of_g_2g_4g_has_its_row3_block_in_the_ranges(self):
+        rng = np.random.default_rng(0xC05E7)
+        planes = scan._decode_planes(rng.integers(0, CODE_SPACE, 100_000))
+        g = np.compress(scan._det_plane(planes) == 1, planes, axis=1)[:, :10_000]
+        assert g.shape[1] == 10_000
+        hits = np.zeros(g.shape[1], dtype=int)
+        for lam in (1, 2, 4):
+            row3 = scan._encode_planes(scan._mod7(lam * g)) // 343**2
+            lo, hi = (row3 - 1) * R3_BLOCK, row3 * R3_BLOCK
+            hits += np.any([(start <= lo) & (hi <= stop) for start, stop in scan._PSL_RANGES], axis=0)
+        assert np.all(hits == 1)
+
+    @pytest.fixture(scope="class")
+    def whole_group(self):
+        pairs = {kind: intertwiner_pair(kind, random.Random(0xC05)) for kind in _INTERTWINER_KINDS}
+        return {
+            "orbits": {name: _whole_group_orbit(m) for name, m in _ORBIT_SUBJECTS.items()},
+            "pairs": pairs,
+            "intertwiners": {kind: _whole_group_intertwiners(*pair) for kind, pair in pairs.items()},
+            "normalizer": _whole_group_normalizer(M2),
+            "powers": {e: _whole_group_power_counts(e) for e in _CENTRAL_EXPONENTS},
+        }
+
+    @pytest.mark.parametrize("chunk_size", [1 << 16, 1000, 200_003])
+    def test_each_scan_equals_its_whole_group_kernel(self, whole_group, chunk_size, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        for name, m in _ORBIT_SUBJECTS.items():
+            assert scan.orbit_oracle(m) == whole_group["orbits"][name], name
+        for kind, pair in whole_group["pairs"].items():
+            codes = scan.intertwiner_codes(*pair)
+            expected = whole_group["intertwiners"][kind]
+            assert codes.dtype == expected.dtype and np.array_equal(codes, expected), kind
+            assert (codes.size == 0) == (kind == "non-conjugate"), kind
+        assert scan.normalizer_oracle(M2) == whole_group["normalizer"] == 171
+        for exponents in _CENTRAL_EXPONENTS:
+            assert scan._power_counts(exponents) == whole_group["powers"][exponents]
+
+    # where g^k and (2g)^k differ, or a count, label or det is asked, the
+    # whole group is walked
+    @pytest.mark.parametrize("entry,coset", [
+        (lambda: scan.order_absence_check(3), False),
+        (lambda: scan.order_absence_check(9), True),
+        (lambda: scan.order_absence_check(27), True),
+        (lambda: scan._power_counts((3,)), True),
+        (lambda: scan.count_order19_elements(), False),
+        (lambda: verify.check_order_absence(True, None), False),
+        (lambda: scan.orbit_oracle(M0), True),
+        (lambda: scan.intertwiner_codes(M0, M0), True),
+        (lambda: scan.normalizer_oracle(M2), True),
+        (lambda: scan.census(), False),
+        (lambda: scan.label_member_codes(ClassLabel(0, 4)), False),
+        (lambda: verify._stream_is_det1(), False),
+    ], ids=["absence-3", "absence-9", "absence-27", "power-3", "order-19", "check-12",
+            "orbit", "intertwiner", "normalizer", "census", "label-members", "stream-check"])
+    def test_walk_chosen(self, entry, coset, monkeypatch):
+        walked = []
+        map_chunks = scan._map_chunks
+
+        def first_chunk(kernel, ranges=((0, GROUP_ORDER),)):
+            walked.append(ranges)
+            return map_chunks(kernel, ((ranges[0][0], ranges[0][0] + 1000),))
+
+        monkeypatch.setattr(scan, "_map_chunks", first_chunk)
+        entry()
+        assert walked == [scan._PSL_RANGES if coset else ((0, GROUP_ORDER),)]
