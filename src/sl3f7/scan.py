@@ -23,16 +23,18 @@ short numpy calls), so only the closure BFS of subgroups keeps a pool.
 
 Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
-and a sum of three at most 108.  A subtraction would wrap mod 256, not
-mod 7, so each kernel that subtracts first adds a multiple of 7 at least
-as large as the subtrahend (e*i + 42 - f*h, never below 6 nor above 78),
-and a value that needs more room is widened explicitly.  Kernels reduce
-mod 7 with _mod7, not %, which numpy does not vectorize.  The product and
-identity kernels broadcast over all their entries at once, as (3, 3, n)
-arrays: 8 ufunc calls per product, not 72, so the passes built on
-products stay cheap at a small chunk.  Kernels that filter a chunk select
-with np.compress, not a boolean index, which numpy 2.4.6 runs 3-5x slower
-on these masks (3.5 against 1.1 ms on nine 2^18 planes).
+and a sum of three at most 108.  A subtraction wraps mod 256, not mod 7,
+so a kernel that subtracts first adds a multiple of 7 at least as large as
+the subtrahend.  _cross holds the one + 42 of the minors that the stream
+tables, dets, adjugates and count_sl3 take; the three other offsets are
+_char_planes' + 126, _commute_chunk's + 112 and + 42 in the one minor of
+subgroups.parabolic_size.  A value that needs more room is widened.
+Kernels reduce mod 7 with _mod7, not %, which numpy does not vectorize.
+The product and identity kernels broadcast over all their entries at once,
+as (3, 3, n) arrays: 8 ufunc calls per product, not 72, so the passes
+built on products stay cheap at a small chunk.  Kernels that filter a
+chunk select with np.compress, not a boolean index, which numpy 2.4.6 runs
+3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
 
 What depends on an element's characteristic pair (i, j) alone is done
 once per bin 7 * i + j (_rootless_bins, _unity_bins).  Only count_sl3, the
@@ -44,8 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
@@ -91,31 +91,18 @@ class UnsupportedOrder(ValueError):
     """order_absence_check supports n in {3, 9, 27} only."""
 
 
-def default_threads() -> int:
-    """Thread count from SL3F7_THREADS; 1, with a warning, when it is not a positive integer."""
-    raw = os.environ.get("SL3F7_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        _warn_bad_threads(raw)
-        return 1
-    return n
-
-
-@functools.cache
-def _warn_bad_threads(raw: str) -> None:
-    """Once per process and value, although every closure reads SL3F7_THREADS."""
-    print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
-          file=sys.stderr)
-
-
 def _mod7(x: np.ndarray) -> np.ndarray:
     """np.remainder(x, 7) by floor division, which numpy 2.4.6 vectorizes and % not
     (0.038 against 0.64 ms on 2^18 uint8).  Exact on every uint8, and on signed
     dtypes where 7 * (x // 7) fits; kernel operands stay in 0..255 (see above)."""
     return x - 7 * (x // 7)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three planes of u x v mod 7 for (3, ...) digit-plane stacks; a digit
+    product is at most 36, so each component x*y + 42 - z*w lies in 6..78."""
+    (a, b, c), (x, y, z) = u, v
+    return _mod7(b * z + 42 - c * y), _mod7(c * x + 42 - a * z), _mod7(a * y + 42 - b * x)
 
 
 def _decode_planes(codes: np.ndarray) -> np.ndarray:
@@ -148,10 +135,7 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dot = _mod7(x[:, None] * x + y[:, None] * y + z[:, None] * z)  # [c, r1] = r1 . c
     _, r1 = np.nonzero(dot[1:] == 1)  # 49 per nonzero c, ascending r1 within each
     solutions = np.concatenate([np.zeros(49, dtype=np.int64), r1]).reshape(343, 49)
-    # cross products r2 x r3 on the grid [r3, r2]
-    cx = _mod7(y[None, :] * z[:, None] + 42 - z[None, :] * y[:, None])
-    cy = _mod7(z[None, :] * x[:, None] + 42 - x[None, :] * z[:, None])
-    cz = _mod7(x[None, :] * y[:, None] + 42 - y[None, :] * x[:, None])
+    cx, cy, cz = _cross(rows[:, None, :], rows[:, :, None])  # r2 x r3 on the grid [r3, r2]
     cross = cx + 7 * cy + 49 * cz.astype(np.int16)  # row codes reach 342
     r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
     pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
@@ -185,15 +169,6 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """The closure BFS's thread count: SL3F7_THREADS when None, a ValueError
-    when below 1, and at most os.cpu_count() workers."""
-    threads = default_threads() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
-
-
 # Third-row code c > 0 owns ranks [(c - 1) * _R3_BLOCK, c * _R3_BLOCK).  2 and 4
 # permute {1, 2, 4} and {3, 6, 5}, so exactly one of r3, 2r3 and 4r3 leads with 1
 # or 3: those rows' six ranges hold one element of each coset {g, 2g, 4g}.
@@ -212,11 +187,9 @@ def _map_chunks(kernel: Callable[[np.ndarray], _T],
 
 
 def _det_plane(d: np.ndarray) -> np.ndarray:
-    """det mod 7 by the first row; each 2x2 minor is reduced before its
-    digit multiplies it, so no value passes 108."""
-    a, b, c, dd, e, f, g, h, i = d
-    return _mod7(a * _mod7(e * i + 42 - f * h) + b * _mod7(f * g + 42 - dd * i)
-                 + c * _mod7(dd * h + 42 - e * g))
+    """det mod 7 as r1 . (r2 x r3), the minors reduced, so no value passes 108."""
+    m0, m1, m2 = _cross(d[3:6], d[6:9])
+    return _mod7(d[0] * m0 + d[1] * m1 + d[2] * m2)
 
 
 def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,18 +204,12 @@ def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _adjugate_planes(d: np.ndarray) -> np.ndarray:
-    """Adjugate of unit-determinant planes, i.e. the inverse when det = 1."""
-    a, b, c, dd, e, f, g, h, i = d
+    """Adjugate, columns r2 x r3, r3 x r1 and r1 x r2: the inverse when det = 1."""
+    r1, r2, r3 = d[0:3], d[3:6], d[6:9]
     out = np.empty_like(d)
-    out[0] = _mod7(e * i + 42 - f * h)
-    out[1] = _mod7(c * h + 42 - b * i)
-    out[2] = _mod7(b * f + 42 - c * e)
-    out[3] = _mod7(f * g + 42 - dd * i)
-    out[4] = _mod7(a * i + 42 - c * g)
-    out[5] = _mod7(c * dd + 42 - a * f)
-    out[6] = _mod7(dd * h + 42 - e * g)
-    out[7] = _mod7(b * g + 42 - a * h)
-    out[8] = _mod7(a * e + 42 - b * dd)
+    out[0], out[3], out[6] = _cross(r2, r3)
+    out[1], out[4], out[7] = _cross(r3, r1)
+    out[2], out[5], out[8] = _cross(r1, r2)
     return out
 
 
@@ -279,10 +246,10 @@ def count_sl3() -> int:
 
 def _det_one_runs() -> list[int]:
     """det-1 counts of the 343 runs of 7^6 codes sharing a third row (g, h, i),
-    in code order: det = g*m0 + h*m1 + i*m2 over the reduced 2x2 minors of
-    rows 1-2, taken once for all runs; each term is at most 36."""
-    a, b, c, dd, e, f = _decode_planes(np.arange(7**6))[:6]
-    m0, m1, m2 = _mod7(b * f + 42 - c * e), _mod7(c * dd + 42 - a * f), _mod7(a * e + 42 - b * dd)
+    in code order: det = g*m0 + h*m1 + i*m2 over the reduced minors r1 x r2,
+    taken once for all runs; each term is at most 36."""
+    d = _decode_planes(np.arange(7**6))
+    m0, m1, m2 = _cross(d[0:3], d[3:6])
     return [int(np.count_nonzero(_mod7(g * m0 + h * m1 + i * m2) == 1))
             for g, h, i in _decode_planes(np.arange(343))[:3].T]
 
@@ -321,11 +288,8 @@ def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _rootless_bins() -> np.ndarray:
     """Whether t^3 - i t^2 + j t - 1 has no root in F7, for the bins 7 * i + j."""
-    tr, jc = np.divmod(np.arange(49, dtype=np.uint8), 7)
-    lam = np.arange(1, 7, dtype=np.uint8)[:, None]  # 0 never solves t^3 - i t^2 + j t - 1 = 0
-    # one row per lam; constants reduced mod 7, so tr * (lam^2 % 7) <= 36 <= 42
-    has_root = (_mod7(jc * lam + ((lam**3 - 1) % 7 + 42) - tr * (lam * lam % 7)) == 0).any(axis=0)
-    return _read_only(~has_root)
+    return _read_only(np.array([all((t**3 - i * t * t + j * t - 1) % 7 for t in range(7))
+                                for i in range(7) for j in range(7)]))
 
 
 def _census_chunk(d: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ element generates the whole group.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +30,7 @@ from .matrix3 import (
     mat_mul,
 )
 from .scan import (CHUNK, _bitset, _decode_planes, _encode_planes, _mark, _mod7,
-                   _mul_planes, _resolve_threads, _unmarked)
+                   _mul_planes, _unmarked)
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -58,6 +61,35 @@ def parabolic_size() -> int:
     return sum(int(np.count_nonzero(_mod7(a * minor) == 1)) for a in range(7))
 
 
+def default_threads() -> int:
+    """Thread count from SL3F7_THREADS; 1, with a warning, when it is not a positive integer."""
+    raw = os.environ.get("SL3F7_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        _warn_bad_threads(raw)
+        return 1
+    return n
+
+
+@functools.cache
+def _warn_bad_threads(raw: str) -> None:
+    """Once per process and value, although every closure reads SL3F7_THREADS."""
+    print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
+          file=sys.stderr)
+
+
+def _resolve_threads(threads: int | None) -> int:
+    """The closure BFS's thread count: SL3F7_THREADS when None, a ValueError
+    when below 1, and at most os.cpu_count() workers."""
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER,
                       threads: int | None = None) -> int:
     """Size of the subgroup generated, by breadth-first closure over MatCodes.
@@ -72,7 +104,7 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     3), and each step s gets one table per part (_step_tables): a neighbour
     is two gathers, with no plane product per level.
 
-    threads comes from scan._resolve_threads, and the package's only thread
+    threads comes from _resolve_threads, and the package's only thread
     pool runs each level in one phase on that many threads: expand takes one
     CHUNK-long slice of the frontier, gathers its neighbours and keeps those
     whose bit is clear.  Workers only read the bitset.  The calling thread

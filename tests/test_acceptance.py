@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from sl3f7 import scan, verify
+from sl3f7 import subgroups, verify
 
 
 @pytest.mark.parametrize(
@@ -30,7 +30,7 @@ def no_fallback():
 
 
 def test_every_check_hands_its_threads_to_the_scans(monkeypatch):
-    monkeypatch.setattr(scan, "default_threads", no_fallback)
+    monkeypatch.setattr(subgroups, "default_threads", no_fallback)
     for check in verify.CHECKS:
         ok, detail = check.fn(False, 2)
         assert ok, f"criterion {check.number} {check.name}: {detail}"
@@ -38,7 +38,7 @@ def test_every_check_hands_its_threads_to_the_scans(monkeypatch):
 
 def test_full_subgroup_check_hands_its_threads_to_the_closure(monkeypatch):
     # the quick suite skips the closure, so the loop above does not reach it
-    monkeypatch.setattr(scan, "default_threads", no_fallback)
+    monkeypatch.setattr(subgroups, "default_threads", no_fallback)
     ok, detail = verify.check_subgroups(True, 2)
     assert ok, detail
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import least_sl3, random_sl3
-from sl3f7 import scan, verify
+from sl3f7 import scan, subgroups, verify
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
     ClassLabel,
@@ -115,6 +115,14 @@ class TestUint8Kernels:
         got = scan._mod7(x)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.remainder(x, 7))
+
+    def test_cross_on_every_digit_pair(self):
+        # all 7^6 pairs (u, v), so every minor the + 42 must keep inside uint8
+        d = scan._decode_planes(np.arange(7**6))
+        got = scan._cross(d[:3], d[3:6])
+        assert all(plane.dtype == np.uint8 for plane in got)
+        wide = d.astype(np.int64).T
+        assert np.array_equal(np.stack(got), np.remainder(np.cross(wide[:, :3], wide[:, 3:6]), 7).T)
 
     def test_det_plane(self):
         got = scan._det_plane(_planes(MIXED))
@@ -456,26 +464,26 @@ class TestDefaultThreads:
     @pytest.fixture(autouse=True)
     def fresh_warning(self):
         # the warning is printed once per process and value
-        scan._warn_bad_threads.cache_clear()
+        subgroups._warn_bad_threads.cache_clear()
 
     @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
     def test_bad_value_warns_once_and_falls_back_to_one(self, monkeypatch, capsys, value):
         monkeypatch.setenv("SL3F7_THREADS", value)
-        assert scan.default_threads() == 1
+        assert subgroups.default_threads() == 1
         err = capsys.readouterr().err
         assert err.startswith("warning:")
         assert err.count("\n") == 1
 
     def test_valid_or_unset_value_is_silent(self, monkeypatch, capsys):
         monkeypatch.setenv("SL3F7_THREADS", "3")
-        assert scan.default_threads() == 3
+        assert subgroups.default_threads() == 3
         monkeypatch.delenv("SL3F7_THREADS")
-        assert scan.default_threads() == 1
+        assert subgroups.default_threads() == 1
         assert capsys.readouterr().err == ""
 
     def test_bad_value_warns_once_per_process(self, monkeypatch, capsys):
         monkeypatch.setenv("SL3F7_THREADS", "x")
-        assert scan.default_threads() == scan.default_threads() == 1
+        assert subgroups.default_threads() == subgroups.default_threads() == 1
         err = capsys.readouterr().err
         assert err.startswith("warning:")
         assert err.count("\n") == 1
@@ -494,13 +502,13 @@ class TestThreadClamping:
     def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
         # explicit and SL3F7_THREADS counts alike, as the closure BFS resolves them
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert scan._resolve_threads(10**6) == 4
+        assert subgroups._resolve_threads(10**6) == 4
         monkeypatch.setenv("SL3F7_THREADS", str(10**6))
-        assert scan._resolve_threads(None) == 4
+        assert subgroups._resolve_threads(None) == 4
 
     def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert scan._resolve_threads(8) == 1
+        assert subgroups._resolve_threads(8) == 1
 
     def test_stream_scans_start_no_thread(self, monkeypatch):
         # only the closure BFS keeps a pool: with threads asked for and CPUs
@@ -514,7 +522,7 @@ class TestThreadClamping:
         monkeypatch.setenv("SL3F7_THREADS", "2")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        monkeypatch.setattr(scan, "default_threads", no_setting)
+        monkeypatch.setattr(subgroups, "default_threads", no_setting)
         assert scan.census(threads=2).eigenfree_total == 1_778_112
         assert scan.intertwiner_codes(M0, M0).size == 57
         assert scan.label_member_codes(ClassLabel(0, 4)).size == 98_784
