@@ -66,7 +66,8 @@ def _add_format(p: argparse.ArgumentParser, choices=("table", "csv", "json")) ->
 
 
 def _threads(text: str) -> int:
-    """A --threads value below 1 is a usage error (exit 2), like a bad --format."""
+    """--threads is accepted and ignored, as every path runs in the calling
+    thread; a value below 1 is still a usage error (exit 2), like a bad --format."""
     try:
         n = int(text)
     except ValueError:
@@ -198,7 +199,7 @@ def cmd_simconj(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ok = verify.run_suite(args.suite, threads=args.threads, only=args.only)
+    ok = verify.run_suite(args.suite, only=args.only)
     return 0 if ok else 1
 
 

@@ -9,10 +9,6 @@ element generates the whole group.
 
 from __future__ import annotations
 
-import functools
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,37 +57,7 @@ def parabolic_size() -> int:
     return sum(int(np.count_nonzero(_mod7(a * minor) == 1)) for a in range(7))
 
 
-def default_threads() -> int:
-    """Thread count from SL3F7_THREADS; 1, with a warning, when it is not a positive integer."""
-    raw = os.environ.get("SL3F7_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        _warn_bad_threads(raw)
-        return 1
-    return n
-
-
-@functools.cache
-def _warn_bad_threads(raw: str) -> None:
-    """Once per process and value, although every closure reads SL3F7_THREADS."""
-    print(f"warning: SL3F7_THREADS={raw!r} is not a positive integer; using 1 thread",
-          file=sys.stderr)
-
-
-def _resolve_threads(threads: int | None) -> int:
-    """The closure BFS's thread count: SL3F7_THREADS when None, a ValueError
-    when below 1, and at most os.cpu_count() workers."""
-    threads = default_threads() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
-
-
-def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER,
-                      threads: int | None = None) -> int:
+def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER) -> int:
     """Size of the subgroup generated, by breadth-first closure over MatCodes.
 
     The frontier multiplies on the right by each generator alone: in a
@@ -104,22 +70,17 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     3), and each step s gets one table per part (_step_tables): a neighbour
     is two gathers, with no plane product per level.
 
-    threads comes from _resolve_threads, and the package's only thread
-    pool runs each level in one phase on that many threads: expand takes one
-    CHUNK-long slice of the frontier, gathers its neighbours and keeps those
-    whose bit is clear.  Workers only read the bitset.  The calling thread
-    then joins the survivors, sorts them, keeps the first of each run of
-    equal codes and marks those, so every level is the same ascending set of
-    unique codes for any thread count, the one np.unique would give.  No
-    array but the frontier, the survivors and the merge's outgrows one
-    slice's |gens| * CHUNK codes, so the workers allocate little in their
-    own glibc arenas; the old frontier is dropped before the join.
-    np.unique is not used because on numpy 2.4 it is
+    Each level runs in the calling thread, in two phases.  Every CHUNK-long
+    slice of the frontier gathers its neighbours and keeps those whose bit
+    is clear, so no temporary outgrows |gens| * CHUNK codes.  The survivors
+    are then joined, sorted, cut to the first of each run of equal codes and
+    marked, so every level is the ascending set of unique codes that
+    np.unique would give, for any CHUNK; the old frontier is dropped before
+    the join.  np.unique is not used because on numpy 2.4 it is
     50-80x slower than np.sort on code arrays (7.7 s against 0.14 s on 9 M
     random int64 codes, 2-core x86-64), and np.compress selects 3-5x faster
     than a boolean index on these masks.
     """
-    threads = _resolve_threads(threads)
     if not gens:
         raise ValueError("generator set must be nonempty")
     for g in gens:
@@ -127,34 +88,30 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
     tables = [_step_tables(g) for g in gens]
     visited = _bitset()
-
-    def expand(part: np.ndarray) -> np.ndarray:
-        # int32 division (int64's is ~5x slower); the wide table gathers ~2x
-        # faster by np.take on one intp index than by indexing with int32
-        high, low = np.divmod(part, 343**2)
-        low = low.astype(np.intp)
-        return np.concatenate([_unmarked(visited, np.take(pair, low) + np.take(row3, high))
-                               for pair, row3 in tables])
-
     frontier = np.array([encode(IDENTITY)], dtype=np.int32)
     _mark(visited, frontier)
     size = 1
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        while frontier.size:
-            slices = (frontier[lo:lo + CHUNK] for lo in range(0, frontier.size, CHUNK))
-            pieces = list(ex.map(expand, slices))
-            del frontier, slices  # the old level goes before the join, the pieces after it
-            codes = np.concatenate(pieces)
-            del pieces
-            codes.sort()
-            keep = np.ones(codes.size, dtype=bool)
-            keep[1:] = codes[1:] != codes[:-1]
-            frontier = np.compress(keep, codes)
-            del codes, keep  # freed now, not when the next level rebinds them
-            _mark(visited, frontier)
-            size += int(frontier.size)
-            if size > cap:
-                raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+    while frontier.size:
+        pieces = []
+        for lo in range(0, frontier.size, CHUNK):
+            # int32 division (int64's is ~5x slower); the wide table gathers ~2x
+            # faster by np.take on one intp index than by indexing with int32
+            high, low = np.divmod(frontier[lo:lo + CHUNK], 343**2)
+            low = low.astype(np.intp)
+            pieces += [_unmarked(visited, np.take(pair, low) + np.take(row3, high))
+                       for pair, row3 in tables]
+        del frontier, high, low  # the old level goes before the join, the pieces after it
+        codes = np.concatenate(pieces)
+        del pieces
+        codes.sort()
+        keep = np.ones(codes.size, dtype=bool)
+        keep[1:] = codes[1:] != codes[:-1]
+        frontier = np.compress(keep, codes)
+        del codes, keep  # freed now, not when the next level rebinds them
+        _mark(visited, frontier)
+        size += int(frontier.size)
+        if size > cap:
+            raise ClosureCapExceeded(f"closure exceeded cap {cap}")
     return size
 
 

@@ -87,16 +87,17 @@ def _stream_is_det1() -> bool:
     """The element stream behind every group scan is strictly ascending,
     all det 1 and GROUP_ORDER long: with count_sl3 = GROUP_ORDER, it is
     exactly the det-1 set.  Each nonzero third row owns one block of
-    _R3_BLOCK consecutive ranks, the layout scan._PSL_RANGES reads."""
+    _R3_BLOCK consecutive ranks, the layout scan._PSL_RANGES reads; a
+    chunk's blocks are counted by binary search on its ascending codes."""
     last, total, ok, per_row3 = -1, 0, True, 0
     for codes, dets in scan._map_chunks(lambda d: (scan._encode_planes(d), scan._det_plane(d))):
         ok = ok and codes[0] > last and bool(np.all(np.diff(codes) > 0) & np.all(dets == 1))
         last, total = int(codes[-1]), total + codes.size
-        per_row3 = per_row3 + np.bincount(codes // 343**2, minlength=343)
+        per_row3 = per_row3 + np.diff(np.searchsorted(codes, 343**2 * np.arange(344)))
     return ok and total == GROUP_ORDER and np.array_equal(per_row3, [0] + [scan._R3_BLOCK] * 342)
 
 
-def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_group_order(full: bool) -> tuple[bool, str]:
     t0 = time.perf_counter()
     n = scan.count_sl3()
     dt = time.perf_counter() - t0
@@ -105,7 +106,7 @@ def check_group_order(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"count={n} (expected {GROUP_ORDER}), {budget}"
 
 
-def check_census(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_census(full: bool) -> tuple[bool, str]:
     s = scan.census()
     expected_traces = {0: 296_352, 1: 296_352, 2: 296_352, 3: 197_568,
                        4: 296_352, 5: 197_568, 6: 197_568}
@@ -114,7 +115,7 @@ def check_census(full: bool, threads: int | None) -> tuple[bool, str]:
                 f"by_trace={[s.by_trace[t] for t in range(7)]}")
 
 
-def check_label_catalog(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_label_catalog(full: bool) -> tuple[bool, str]:
     labels = [tuple(l) for l in classify.eigenfree_labels()]
     s = scan.census()
     counts = {tuple(l): n for l, n in s.by_label.items()}
@@ -127,7 +128,7 @@ def check_label_catalog(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"{len(labels)} labels, counts={sorted(set(counts.values()))}"
 
 
-def check_orders(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_orders(full: bool) -> tuple[bool, str]:
     order = classify.order_of_label
     ok = all(order(ClassLabel(*l)) == (19 if l in ORDER19 else 57) for l in EXPECTED_LABELS)
     for label in classify.eigenfree_labels():
@@ -137,7 +138,7 @@ def check_orders(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"6 labels of order 19, 12 of order 57; M04^19 = {mat_pow(M04, 19)[0]}I"
 
 
-def check_eigenvalue_orders(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_eigenvalue_orders(full: bool) -> tuple[bool, str]:
     ok = True
     for i, j in [(0, 2), (4, 3), (3, 1), (1, 3)]:
         roots = cubic_roots_ext(CubicPoly(i, j))
@@ -147,7 +148,7 @@ def check_eigenvalue_orders(full: bool, threads: int | None) -> tuple[bool, str]
     return ok, "all roots of the four order-19 cubics satisfy r^19 = 1, r != 1"
 
 
-def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_centralizer(full: bool) -> tuple[bool, str]:
     rep = scan.centralizer(M04)
     algebraic_ok = np.array_equal(scan.intertwiners(M04, M04),
                                   scan.intertwiner_codes(M04, M04))
@@ -168,7 +169,7 @@ def check_centralizer(full: bool, threads: int | None) -> tuple[bool, str]:
                 f"elements = the 57 powers, (b,d)-table total={table_total}")
 
 
-def check_conjugacy(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_conjugacy(full: bool) -> tuple[bool, str]:
     labels = classify.eigenfree_labels() if full else classify.eigenfree_labels()[:3]
     sizes_ok = True
     for label in labels:
@@ -193,7 +194,7 @@ def check_conjugacy(full: bool, threads: int | None) -> tuple[bool, str]:
                 f"label(s); orbit equals label set for {[str(l) for l in orbit_labels]}, {budget}")
 
 
-def check_power_table(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_power_table(full: bool) -> tuple[bool, str]:
     rows = scan.power_table(M02, 20)
     ok = [r.trace for r in rows] == M02_TRACE_COLUMN
     ok = ok and [r.pair for r in rows] == M02_CLASS_COLUMN
@@ -203,7 +204,7 @@ def check_power_table(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, "trace/class columns match for the [0,2] and [1,3] subjects"
 
 
-def check_power_bijections(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_power_bijections(full: bool) -> tuple[bool, str]:
     ok = True
     for idx, label in enumerate(SQUARE_CYCLE):
         expected = SQUARE_CYCLE[(idx + 1) % 6]
@@ -227,7 +228,7 @@ def check_power_bijections(full: bool, threads: int | None) -> tuple[bool, str]:
                 "on order-19 labels and on PSL classes; exp 18 inversion; exp 4 three-cycles")
 
 
-def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_sylow(full: bool) -> tuple[bool, str]:
     elements = scan.count_order19_elements()
     n19 = scan.sylow19_count(elements)
     ok = (
@@ -241,14 +242,14 @@ def check_sylow(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"n19={n19}, order-19 elements={elements}"
 
 
-def check_normalizer(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_normalizer(full: bool) -> tuple[bool, str]:
     n = scan.normalizer_of_cyclic(M02)
     ok = (n == scan.normalizer_oracle(M02) == 171
           and n % 57 == 0 and n // 19 == 9)
     return ok, f"|N(<P>)|={n} = 3^2 * 19"
 
 
-def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_order_absence(full: bool) -> tuple[bool, str]:
     counts = scan._power_counts((1, 3, 9, 27))
     absent9 = scan._order_absent(counts, 9)
     absent27 = scan._order_absent(counts, 27)
@@ -257,7 +258,7 @@ def check_order_absence(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"order 9 absent={absent9}, order 27 absent={absent27}, order 3 present={present3}"
 
 
-def check_commuting_reps(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_commuting_reps(full: bool) -> tuple[bool, str]:
     reps = simconj.eighteen_commuting_reps()
     histogram: dict[tuple[int, int], int] = {}
     for k, p in enumerate(mat_powers(M04, 56), 1):
@@ -289,7 +290,7 @@ def _oracle_simconj(t1: tuple[Mat3, ...], t2: tuple[Mat3, ...]) -> Mat3 | None:
     return None
 
 
-def check_simconj(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_simconj(full: bool) -> tuple[bool, str]:
     rng = random.Random(0xC0457)
     n_pairs = 50 if full else 8
     valid_exps = [e for e in range(1, 57) if e % 19 != 0]
@@ -326,7 +327,7 @@ def check_simconj(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"{agreements}/{n_pairs} oracle agreements; all witnesses verified exactly"
 
 
-def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_subgroups(full: bool) -> tuple[bool, str]:
     direct = subgroups.parabolic_size()
     formula = (7**2 - 1) * (7**2 - 7) * 7**2
     ok = direct == 98_784 == formula and GROUP_ORDER == direct * 57
@@ -334,8 +335,7 @@ def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
     closure_note = "closure skipped (quick)"
     if full:
         t0 = time.perf_counter()
-        closure = subgroups.generator_closure((subgroups.X, subgroups.Y, subgroups.Z),
-                                             threads=threads)
+        closure = subgroups.generator_closure((subgroups.X, subgroups.Y, subgroups.Z))
         dt = time.perf_counter() - t0
         ok = ok and closure == GROUP_ORDER and dt <= 300.0
         budget = "within 300s budget" if dt <= 300.0 else f"OVER BUDGET: {dt:.1f}s"
@@ -353,7 +353,7 @@ def check_subgroups(full: bool, threads: int | None) -> tuple[bool, str]:
     return ok, f"parabolic={direct}; {closure_note}; {samples} reductions verified per target"
 
 
-def check_psl_collapse(full: bool, threads: int | None) -> tuple[bool, str]:
+def check_psl_collapse(full: bool) -> tuple[bool, str]:
     orbits: dict[tuple[int, int], set] = {}
     for label in classify.eigenfree_labels():
         orbits.setdefault(tuple(classify.psl_label(label)), set()).add(tuple(label))
@@ -365,7 +365,7 @@ def check_psl_collapse(full: bool, threads: int | None) -> tuple[bool, str]:
 class Check:
     number: int
     name: str
-    fn: Callable[[bool, int | None], tuple[bool, str]]
+    fn: Callable[[bool], tuple[bool, str]]
 
 
 CHECKS: tuple[Check, ...] = (
@@ -388,11 +388,11 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | None = None) -> bool:
+def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
     """Run the selected suite, printing one pass/fail line per check.
 
-    The stdout report is deterministic (byte-identical for any thread
-    count); wall-clock timings go to stderr.  A filter that no check name
+    The stdout report is deterministic (byte-identical on every run);
+    wall-clock timings go to stderr.  A filter that no check name
     contains is a ValueError, not an empty pass.
     """
     if suite not in ("quick", "full"):
@@ -404,7 +404,7 @@ def run_suite(suite: str = "quick", *, threads: int | None = None, only: str | N
     failures = []
     for check in checks:
         t0 = time.perf_counter()
-        ok, detail = check.fn(full, threads)
+        ok, detail = check.fn(full)
         dt = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
         print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}")

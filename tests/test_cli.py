@@ -309,7 +309,7 @@ class TestVerify:
     def test_failing_suite_would_exit_1(self, capsys, monkeypatch):
         from sl3f7 import verify as verify_mod
 
-        broken = verify_mod.Check(99, "always-fails", lambda full, threads: (False, "boom"))
+        broken = verify_mod.Check(99, "always-fails", lambda full: (False, "boom"))
         monkeypatch.setattr(verify_mod, "CHECKS", (broken,))
         code, out, _ = run(capsys, "verify", "--only", "always")
         assert code == 1
@@ -423,7 +423,7 @@ def test_sylow_answers_without_a_group_scan(capsys, monkeypatch, argv, golden):
 
 
 def test_closure_text_unchanged_at_two_threads(capsys, monkeypatch):
-    # SL3F7_THREADS is the only way the closure subcommand gets a thread count
+    # SL3F7_THREADS is read by nothing, so it leaves the closure's text as it is
     monkeypatch.setenv("SL3F7_THREADS", "2")
     code, out, _ = run(capsys, *TEXT_GOLDENS["closure-default"])
     assert code == 0

@@ -15,7 +15,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import least_sl3, random_sl3
-from sl3f7 import scan, subgroups, verify
+from sl3f7 import cli, scan, subgroups, verify
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
     ClassLabel,
@@ -460,35 +460,6 @@ class TestPageFaults:
         assert int(out) < 2_000
 
 
-class TestDefaultThreads:
-    @pytest.fixture(autouse=True)
-    def fresh_warning(self):
-        # the warning is printed once per process and value
-        subgroups._warn_bad_threads.cache_clear()
-
-    @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
-    def test_bad_value_warns_once_and_falls_back_to_one(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("SL3F7_THREADS", value)
-        assert subgroups.default_threads() == 1
-        err = capsys.readouterr().err
-        assert err.startswith("warning:")
-        assert err.count("\n") == 1
-
-    def test_valid_or_unset_value_is_silent(self, monkeypatch, capsys):
-        monkeypatch.setenv("SL3F7_THREADS", "3")
-        assert subgroups.default_threads() == 3
-        monkeypatch.delenv("SL3F7_THREADS")
-        assert subgroups.default_threads() == 1
-        assert capsys.readouterr().err == ""
-
-    def test_bad_value_warns_once_per_process(self, monkeypatch, capsys):
-        monkeypatch.setenv("SL3F7_THREADS", "x")
-        assert subgroups.default_threads() == subgroups.default_threads() == 1
-        err = capsys.readouterr().err
-        assert err.startswith("warning:")
-        assert err.count("\n") == 1
-
-
 class TestThreadClamping:
     def test_nonpositive_threads_are_a_value_error(self, monkeypatch):
         def no_chunk(lo, hi):
@@ -499,30 +470,14 @@ class TestThreadClamping:
             with pytest.raises(ValueError, match="threads must be at least 1"):
                 scan.census(threads=threads)
 
-    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
-        # explicit and SL3F7_THREADS counts alike, as the closure BFS resolves them
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert subgroups._resolve_threads(10**6) == 4
-        monkeypatch.setenv("SL3F7_THREADS", str(10**6))
-        assert subgroups._resolve_threads(None) == 4
-
-    def test_unknown_cpu_count_means_one_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert subgroups._resolve_threads(8) == 1
-
     def test_stream_scans_start_no_thread(self, monkeypatch):
-        # only the closure BFS keeps a pool: with threads asked for and CPUs
-        # to run them, no stream scan starts a thread or reads SL3F7_THREADS
+        # with threads asked for and CPUs to run them, no stream scan starts a thread
         def no_thread(self):
             raise AssertionError("a stream scan started a thread")
-
-        def no_setting():
-            raise AssertionError("a stream scan read SL3F7_THREADS")
 
         monkeypatch.setenv("SL3F7_THREADS", "2")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        monkeypatch.setattr(subgroups, "default_threads", no_setting)
         assert scan.census(threads=2).eigenfree_total == 1_778_112
         assert scan.intertwiner_codes(M0, M0).size == 57
         assert scan.label_member_codes(ClassLabel(0, 4)).size == 98_784
@@ -531,6 +486,21 @@ class TestThreadClamping:
         assert scan.order_absence_check(27)
         assert scan.normalizer_oracle(M2) == 171
         assert verify._stream_is_det1()
+
+    def test_no_path_starts_a_thread(self, monkeypatch, capsys):
+        # the closure BFS, the quick suite and the closure subcommand run in
+        # the calling thread, as the stream scans above do, and read no
+        # SL3F7_THREADS, which would warn on stderr at a value that is not a number
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setenv("SL3F7_THREADS", "x")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert subgroups.generator_closure(subgroups.PARABOLIC_GENERATORS, cap=98_784) == 98_784
+        assert verify.run_suite("quick")
+        capsys.readouterr()
+        assert cli.main(["closure"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCensus:
@@ -741,7 +711,7 @@ class TestPowerKernel:
         (lambda: scan.order_absence_check(9), 4),
         (lambda: scan.order_absence_check(27), 6),
         (lambda: scan.count_order19_elements(), 6),
-        (lambda: verify.check_order_absence(True, None), 6),
+        (lambda: verify.check_order_absence(True), 6),
     ], ids=["absence-3", "absence-9", "absence-27", "order-19", "check-12"])
     def test_products_per_chunk(self, entry, products, monkeypatch):
         calls = {"passes": 0, "products": 0}
@@ -1084,7 +1054,7 @@ class TestCosetWalk:
         (lambda: scan.order_absence_check(27), True),
         (lambda: scan._power_counts((3,)), True),
         (lambda: scan.count_order19_elements(), False),
-        (lambda: verify.check_order_absence(True, None), False),
+        (lambda: verify.check_order_absence(True), False),
         (lambda: scan.orbit_oracle(M0), True),
         (lambda: scan.intertwiner_codes(M0, M0), True),
         (lambda: scan.normalizer_oracle(M2), True),

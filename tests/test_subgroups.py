@@ -6,7 +6,6 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,7 +185,6 @@ class TestClosure:
             gens += (cs[pick % len(cs)],)
         size = 171 if with_c else 57
         assert generator_closure(gens, cap=size) == set_closure(gens) == size
-        assert generator_closure(gens, cap=size, threads=2) == size
 
     def test_cap_exceeded(self):
         with pytest.raises(ClosureCapExceeded):
@@ -214,50 +212,50 @@ class TestClosure:
         assert got.dtype == np.int32
         assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
 
+    # the closure runs in the calling thread: a thread count asked for
+    # through SL3F7_THREADS, on a host with that many CPUs, changes nothing
     @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
                              ids=["H", "M2", "M0", "SL2"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_size_is_independent_of_threads(self, gens, size, threads, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)  # 3 workers on any host
-        assert generator_closure(gens, cap=size, threads=threads) == size
+        monkeypatch.setenv("SL3F7_THREADS", str(threads))
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        assert generator_closure(gens, cap=size) == size
 
     def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
         levels: dict[tuple[int, int], list[list[int]]] = {}
-        slices: list[list[np.ndarray]] = []
-
-        class Recording(ThreadPoolExecutor):
-            def map(self, fn, iterable):
-                items = list(iterable)
-                slices.append(items)
-                return super().map(fn, items)
+        gathers: list[int] = []
 
         def mark(bits, codes):
             levels[chunk, threads].append(codes.tolist())
             marked(bits, codes)
 
-        marked = subgroups._mark
-        monkeypatch.setattr(subgroups, "ThreadPoolExecutor", Recording)
+        def unmarked(bits, codes):
+            gathers.append(codes.size)
+            return kept(bits, codes)
+
+        marked, kept = subgroups._mark, subgroups._unmarked
         monkeypatch.setattr(subgroups, "_mark", mark)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 workers on any host
+        monkeypatch.setattr(subgroups, "_unmarked", unmarked)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # H's levels have at most 28 701 codes, so only 1 000-code slices split one
         for chunk in (scan.CHUNK, 1_000):
             monkeypatch.setattr(subgroups, "CHUNK", chunk)
             for threads in (1, 2, 3):
+                monkeypatch.setenv("SL3F7_THREADS", str(threads))
                 run = levels[chunk, threads] = []
-                slices.clear()
-                size = generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=threads)
-                assert size == 98_784
-                # each level expands the whole last frontier, in order, in
-                # slices of at most chunk codes
-                assert [np.concatenate(parts).tolist() for parts in slices] == run[:-1]
-                assert all(part.size <= chunk for parts in slices for part in parts)
+                gathers.clear()
+                assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
+                # one gather per generator and slice of at most chunk codes
+                assert max(gathers) <= chunk
+                assert len(gathers) == len(PARABOLIC_GENERATORS) * sum(
+                    -(-len(level) // chunk) for level in run[:-1])
         first, *rest = levels.values()
         assert all(level == first for level in rest)
         assert all(level == sorted(set(level)) for level in first)
 
     def test_only_the_calling_thread_marks(self, monkeypatch):
-        # the workers only read the bitset, so no two threads ever write it
         threads = []
 
         def mark(bits, codes):
@@ -267,46 +265,37 @@ class TestClosure:
         marked = subgroups._mark
         monkeypatch.setattr(subgroups, "_mark", mark)
         monkeypatch.setattr(subgroups, "CHUNK", 1_000)  # several slices per level
+        monkeypatch.setenv("SL3F7_THREADS", "3")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=3) == 98_784
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
         assert threads and set(threads) == {threading.main_thread()}
 
-    def test_shared_bitset_loses_no_mark_with_more_threads_than_cores(self, monkeypatch):
-        # a lost mark re-admits a visited code, and the exact cap then raises
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=8) == 98_784
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_cap_holds_at_two_threads(self):
-        assert generator_closure((IDENTITY,), cap=1, threads=2) == 1
+    def test_cap_holds_at_two_threads(self, monkeypatch):
+        monkeypatch.setenv("SL3F7_THREADS", "2")
+        assert generator_closure((IDENTITY,), cap=1) == 1
         with pytest.raises(ClosureCapExceeded):
-            generator_closure((M2,), cap=5, threads=2)
+            generator_closure((M2,), cap=5)
 
-    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch, inline_pool):
-        # the stand-in pool starts no thread and fails on more workers than CPUs
-        monkeypatch.setattr(subgroups, "ThreadPoolExecutor", inline_pool)
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # a million threads asked for on a 4-CPU host start none at all,
+        # and the frontier is still expanded in slices of at most CHUNK codes
+        def no_thread(self):
+            raise AssertionError("the closure started a thread")
+
+        gathers: list[int] = []
+
+        def unmarked(bits, codes):
+            gathers.append(codes.size)
+            return kept(bits, codes)
+
+        kept = subgroups._unmarked
+        monkeypatch.setattr(subgroups, "_unmarked", unmarked)
         monkeypatch.setattr(subgroups, "CHUNK", 1_000)
-        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784, threads=10**6) == 98_784
-        assert inline_pool.workers == [4]
-        # one map per level; no expand input is longer than CHUNK, and some
-        # level takes more than one
-        assert set(inline_pool.inputs) == {"expand"}
-        assert all(part.size <= 1_000 for parts in inline_pool.inputs["expand"] for part in parts)
-        assert max(map(len, inline_pool.inputs["expand"])) > 1
-
-    def test_nonpositive_threads_rejected_before_any_table(self, monkeypatch):
-        def no_tables(s):
-            raise AssertionError("a step table was built")
-
-        monkeypatch.setattr(subgroups, "_step_tables", no_tables)
-        for threads in (0, -2):
-            with pytest.raises(ValueError, match="threads must be at least 1"):
-                generator_closure((X, Y, Z), threads=threads)
+        monkeypatch.setenv("SL3F7_THREADS", str(10**6))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
+        assert max(gathers) <= 1_000 and gathers.count(1_000) > 0
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
