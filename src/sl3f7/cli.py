@@ -31,14 +31,14 @@ from .matrix3 import (
 )
 from .scan import WrongOrder
 from .schema import document
-from .simconj import EmptyAfterScalarStrip, NotCommuting
+from .simconj import EmptyAfterScalarStrip, LengthMismatch, NotCommuting
 from .subgroups import InParabolic
 
 _PRECONDITION_ERRORS = (
     NotInSL3, HasEigenvector, NotEigenfree, SingularMatrix, WrongOrder,
     InParabolic, ZeroInverse, ZeroElement,
 )
-_SEMANTIC_ERRORS = (NotCommuting, EmptyAfterScalarStrip)
+_SEMANTIC_ERRORS = (NotCommuting, EmptyAfterScalarStrip, LengthMismatch)
 
 
 def _add_matrix_arg(p: argparse.ArgumentParser) -> None:
@@ -105,8 +105,8 @@ def cmd_classify(args: argparse.Namespace) -> dict:
 
 def cmd_power_table(args: argparse.Namespace) -> dict:
     return document("power_table", rows=[
-        {"k": r.k, "matrix": format_matrix(r.matrix, signed=args.signed), "trace": r.trace,
-         "class": _label_text(r.pair), "eigenfree": r.label is not None, "note": r.note}
+        {"k": r.k, "matrix": format_matrix(r.matrix, signed=args.signed), "trace": r.pair[0],
+         "class": _label_text(r.pair), "eigenfree": r.note is None, "note": r.note}
         for r in scan.power_table(_read_matrix(args), args.limit)
     ])
 

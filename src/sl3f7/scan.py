@@ -26,10 +26,10 @@ Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
 and a sum of three at most 108.  A subtraction wraps mod 256, not mod 7,
 so a kernel that subtracts first adds a multiple of 7 at least as large as
-the subtrahend.  _cross holds the one + 42 of the minors that the stream
-tables, dets, adjugates and count_sl3 take; the three other offsets are
-_char_planes' + 126, _commute_chunk's + 112 and + 42 in the one minor of
-subgroups.parabolic_size.  A value that needs more room is widened.
+the subtrahend.  There are three offsets: _cross's + 42 in the minors of the
+stream tables, dets, adjugates and the det runs of count_sl3, which also
+give |H| (subgroups.parabolic_size), _char_planes' + 126 and _commute_chunk's
++ 112.  A value that needs more room is widened.
 Kernels reduce mod 7 with _mod7, not %, which numpy does not vectorize.
 The product and identity kernels broadcast over all their entries at once,
 as (3, 3, n) arrays: 8 ufunc calls per product, not 72, so the passes
@@ -68,7 +68,6 @@ from .matrix3 import (
     mat_pow,
     mat_powers,
     nullspace,
-    trace,
 )
 from .schema import document
 
@@ -245,14 +244,14 @@ def count_sl3() -> int:
     return sum(_det_one_runs())
 
 
-def _det_one_runs() -> list[int]:
-    """det-1 counts of the 343 runs of 7^6 codes sharing a third row (g, h, i),
-    in code order: det = g*m0 + h*m1 + i*m2 over the reduced minors r1 x r2,
-    taken once for all runs; each term is at most 36."""
+def _det_one_runs(rows: range = range(343)) -> list[int]:
+    """det-1 counts of the runs of 7^6 codes sharing a third row (g, h, i), one
+    per row code in rows: det = g*m0 + h*m1 + i*m2 over the reduced minors
+    r1 x r2, taken once for all runs; each term is at most 36."""
     d = _decode_planes(np.arange(7**6))
     m0, m1, m2 = _cross(d[0:3], d[3:6])
     return [int(np.count_nonzero(_mod7(g * m0 + h * m1 + i * m2) == 1))
-            for g, h, i in _decode_planes(np.arange(343))[:3].T]
+            for g, h, i in _decode_planes(rows)[:3].T]
 
 
 # ---------------------------------------------------------------------------
@@ -629,30 +628,24 @@ def order_absence_check(n: int) -> bool:
 class PowerTableRow:
     k: int
     matrix: Mat3
-    trace: int
-    pair: tuple[int, int]  # characteristic pair (i, j), display for every row
-    label: ClassLabel | None  # set only when the power is eigenvector-free
-    note: str | None
+    pair: tuple[int, int]  # characteristic pair (i, j) of m^k; i is its trace
+    note: str | None  # None exactly when m^k is eigenvector-free; pair is then its label
+
+
+def _power_note(mk: Mat3) -> str | None:
+    if is_scalar(mk):
+        return "identity" if mk == IDENTITY else f"scalar {mk[0]}I"
+    return "has eigenvector" if has_fp_eigenvalue(mk) else None
 
 
 def power_table(m: Mat3, limit: int) -> list[PowerTableRow]:
-    """Rows k = 1..limit with m^k, its trace, and class label when eigenfree."""
+    """Rows k = 1..limit with m^k, its characteristic pair, and a note on each
+    power with an eigenvector: identity, scalar or has eigenvector."""
     _require_sl3(m)
     if not 1 <= limit <= 120:
         raise ValueError(f"limit must be in 1..120, got {limit}")
-    rows: list[PowerTableRow] = []
-    for k, mk in enumerate(mat_powers(m, limit), 1):
-        poly, _ = char_poly(mk)
-        pair = (poly.i, poly.j)
-        if not has_fp_eigenvalue(mk):
-            rows.append(PowerTableRow(k, mk, trace(mk), pair, ClassLabel(*pair), None))
-        elif mk == IDENTITY:
-            rows.append(PowerTableRow(k, mk, trace(mk), pair, None, "identity"))
-        elif is_scalar(mk):
-            rows.append(PowerTableRow(k, mk, trace(mk), pair, None, f"scalar {mk[0]}I"))
-        else:
-            rows.append(PowerTableRow(k, mk, trace(mk), pair, None, "has eigenvector"))
-    return rows
+    return [PowerTableRow(k, mk, tuple(char_poly(mk)[0]), _power_note(mk))
+            for k, mk in enumerate(mat_powers(m, limit), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +680,3 @@ def centralizer_parameter_table() -> list[tuple[int, int, tuple[int, ...]]]:
         for b in range(7)
         for d in range(7)
     ]
-
-
-def centralizer_parameter_count() -> int:
-    return sum(len(sols) for _, _, sols in centralizer_parameter_table())

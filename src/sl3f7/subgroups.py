@@ -25,7 +25,7 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import (CHUNK, _bitset, _decode_planes, _encode_planes, _mark, _mod7,
+from .scan import (CHUNK, _bitset, _decode_planes, _det_one_runs, _encode_planes, _mark,
                    _mul_planes, _unmarked)
 
 # Generators of the full group; X lies in H, Y and Z do not.
@@ -48,13 +48,10 @@ def in_parabolic(m: Mat3) -> bool:
 
 
 def parabolic_size() -> int:
-    """Direct count of the 7^7 entry tuples (d = g = 0) with det = 1.  In
-    block form det = a * det([[e,f],[h,i]]), so the minor of the 7^6 tuples
-    (b, c, e, f, h, i) is taken once and each a in F7 scales it: one det
-    per tuple, with no 7^7 decode."""
-    _, _, e, f, h, i = _decode_planes(np.arange(7**6))[:6]
-    minor = _mod7(e * i + 42 - f * h)
-    return sum(int(np.count_nonzero(_mod7(a * minor) == 1)) for a in range(7))
+    """Direct count of H, the det-1 matrices with d = g = 0.  Transposing and
+    rotating the rows (an even permutation) maps H onto the det-1 matrices
+    with third row (a, 0, 0), a != 0: count_sl3's det runs of row codes 1..6."""
+    return sum(_det_one_runs(range(1, 7)))
 
 
 def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER) -> int:

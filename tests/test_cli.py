@@ -255,12 +255,15 @@ class TestSimconj:
         code, _, err = run(capsys, "simconj", str(f1), str(f2))
         assert code == 4
 
-    def test_length_mismatch_exit_2(self, capsys, tmp_path):
+    def test_length_mismatch_exit_4(self, capsys, tmp_path):
+        # both files parse and each tuple commutes, so this is a semantic error
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
         self.write_tuple(f1, (M0,))
-        self.write_tuple(f2, (M0, mat_pow(M0, 2)))
-        code, _, err = run(capsys, "simconj", str(f1), str(f2))
-        assert code == 2
+        self.write_tuple(f2, (M0, M0))
+        code, out, err = run(capsys, "simconj", str(f1), str(f2))
+        assert code == 4
+        assert out == ""
+        assert err == "error: 1 vs 2 members\n"
 
     def test_equal_lengths_with_different_scalars_exit_0(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -420,14 +423,6 @@ def test_sylow_answers_without_a_group_scan(capsys, monkeypatch, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
-
-
-def test_closure_text_unchanged_at_two_threads(capsys, monkeypatch):
-    # SL3F7_THREADS is read by nothing, so it leaves the closure's text as it is
-    monkeypatch.setenv("SL3F7_THREADS", "2")
-    code, out, _ = run(capsys, *TEXT_GOLDENS["closure-default"])
-    assert code == 0
-    assert out == (GOLDEN_TEXT / "closure-default.txt").read_text(encoding="utf-8")
 
 
 # Generated with COLUMNS=80 on Python 3.11, the version CI runs; argparse

@@ -4,7 +4,6 @@ import os
 import random
 import sys
 import textwrap
-import threading
 import tracemalloc
 
 import numpy as np
@@ -212,23 +211,18 @@ class TestClosure:
         assert got.dtype == np.int32
         assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
 
-    # the closure runs in the calling thread: a thread count asked for
-    # through SL3F7_THREADS, on a host with that many CPUs, changes nothing
     @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
                              ids=["H", "M2", "M0", "SL2"])
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_size_is_independent_of_threads(self, gens, size, threads, monkeypatch):
-        monkeypatch.setenv("SL3F7_THREADS", str(threads))
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+    def test_size_at_its_exact_cap(self, gens, size):
         assert generator_closure(gens, cap=size) == size
 
-    def test_levels_are_the_same_ascending_frontier_for_any_thread_count(self, monkeypatch):
-        levels: dict[tuple[int, int], list[list[int]]] = {}
+    def test_levels_are_the_same_ascending_frontier_for_any_chunk(self, monkeypatch):
+        levels: dict[int, list[list[int]]] = {}
         gathers: list[int] = []
 
         def mark(bits, codes):
-            levels[chunk, threads].append(codes.tolist())
+            levels[chunk].append(codes.tolist())
             marked(bits, codes)
 
         def unmarked(bits, codes):
@@ -238,64 +232,18 @@ class TestClosure:
         marked, kept = subgroups._mark, subgroups._unmarked
         monkeypatch.setattr(subgroups, "_mark", mark)
         monkeypatch.setattr(subgroups, "_unmarked", unmarked)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         # H's levels have at most 28 701 codes, so only 1 000-code slices split one
         for chunk in (scan.CHUNK, 1_000):
             monkeypatch.setattr(subgroups, "CHUNK", chunk)
-            for threads in (1, 2, 3):
-                monkeypatch.setenv("SL3F7_THREADS", str(threads))
-                run = levels[chunk, threads] = []
-                gathers.clear()
-                assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-                # one gather per generator and slice of at most chunk codes
-                assert max(gathers) <= chunk
-                assert len(gathers) == len(PARABOLIC_GENERATORS) * sum(
-                    -(-len(level) // chunk) for level in run[:-1])
-        first, *rest = levels.values()
-        assert all(level == first for level in rest)
-        assert all(level == sorted(set(level)) for level in first)
-
-    def test_only_the_calling_thread_marks(self, monkeypatch):
-        threads = []
-
-        def mark(bits, codes):
-            threads.append(threading.current_thread())
-            marked(bits, codes)
-
-        marked = subgroups._mark
-        monkeypatch.setattr(subgroups, "_mark", mark)
-        monkeypatch.setattr(subgroups, "CHUNK", 1_000)  # several slices per level
-        monkeypatch.setenv("SL3F7_THREADS", "3")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-        assert threads and set(threads) == {threading.main_thread()}
-
-    def test_cap_holds_at_two_threads(self, monkeypatch):
-        monkeypatch.setenv("SL3F7_THREADS", "2")
-        assert generator_closure((IDENTITY,), cap=1) == 1
-        with pytest.raises(ClosureCapExceeded):
-            generator_closure((M2,), cap=5)
-
-    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
-        # a million threads asked for on a 4-CPU host start none at all,
-        # and the frontier is still expanded in slices of at most CHUNK codes
-        def no_thread(self):
-            raise AssertionError("the closure started a thread")
-
-        gathers: list[int] = []
-
-        def unmarked(bits, codes):
-            gathers.append(codes.size)
-            return kept(bits, codes)
-
-        kept = subgroups._unmarked
-        monkeypatch.setattr(subgroups, "_unmarked", unmarked)
-        monkeypatch.setattr(subgroups, "CHUNK", 1_000)
-        monkeypatch.setenv("SL3F7_THREADS", str(10**6))
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-        assert max(gathers) <= 1_000 and gathers.count(1_000) > 0
+            run = levels[chunk] = []
+            gathers.clear()
+            assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
+            # one gather per generator and slice of at most chunk codes
+            assert max(gathers) <= chunk
+            assert len(gathers) == len(PARABOLIC_GENERATORS) * sum(
+                -(-len(level) // chunk) for level in run[:-1])
+        assert levels[scan.CHUNK] == levels[1_000]
+        assert all(level == sorted(set(level)) for level in levels[1_000])
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
