@@ -248,7 +248,7 @@ def _det_one_runs(rows: range = range(343)) -> list[int]:
     """det-1 counts of the runs of 7^6 codes sharing a third row (g, h, i), one
     per row code in rows: det = g*m0 + h*m1 + i*m2 over the reduced minors
     r1 x r2, taken once for all runs; each term is at most 36."""
-    d = _decode_planes(np.arange(7**6))
+    d = np.indices((7,) * 6, dtype=np.uint8)[::-1].reshape(6, -1)  # planes 0..5 of 0..7^6-1
     m0, m1, m2 = _cross(d[0:3], d[3:6])
     return [int(np.count_nonzero(_mod7(g * m0 + h * m1 + i * m2) == 1))
             for g, h, i in _decode_planes(rows)[:3].T]

@@ -3,22 +3,20 @@
 A commuting collection that contains one eigenvector-free matrix consists
 entirely of powers of a single order-57 generator (the centralizer of an
 eigenvector-free matrix is cyclic of order 57).  Tuples are therefore
-normalized to (base, exponents), and two tuples are simultaneously
-conjugate exactly when some generator choice for the second centralizer
-matches the first base's class and reproduces the exponents mod 57.
+normalized to (base, exponents).  The g with g a1 g^-1 = a2 (first members)
+form one coset of C(a1) = <base1>, which fixes every member of the first tuple,
+so the tuples are simultaneously conjugate iff the least such g pairs them all.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .classify import ClassLabel, KNOWN_REPRESENTATIVES, NotInSL3, class_label
 from .matrix3 import (
     IDENTITY,
     Mat3,
-    char_poly,
     decode,
     det,
     has_fp_eigenvalue,
@@ -136,11 +134,11 @@ def find_conjugator(a: Mat3, b: Mat3) -> Mat3 | None:
 def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
     """Simultaneous-conjugacy decision for normalized commuting tuples.
 
-    Equivalent iff some generator base2^u of the second centralizer (u in
-    the 36 residues coprime to 57) has the same class label as t1.base and
-    re-expresses t2's exponents as t1's componentwise mod 57.  Positive
-    verdicts carry an exactly verified witness.  The stripped scalars are
-    compared first, so LengthMismatch means the original lengths differ.
+    Equivalent iff the member labels agree and g = find_conjugator(a1, a2),
+    for the first members, has g a_k = b_k g for every k: each conjugator of
+    a1 onto a2 is g c with c in C(a1) = <t1.base>, and c fixes every member
+    of t1.  g is the witness.  The stripped scalars are compared first, so
+    LengthMismatch means the original lengths differ.
     """
     if t1.stripped != t2.stripped:
         return SimConjVerdict(
@@ -150,24 +148,15 @@ def decide_simconj(t1: CommutingTuple, t2: CommutingTuple) -> SimConjVerdict:
     if len(t1.members) != len(t2.members):
         raise LengthMismatch(f"{len(t1.members)} vs {len(t2.members)} members")
 
-    class_label(t1.base)  # raises unless t1.base is eigenvector-free of det 1
-    target = char_poly(t1.base)  # a det-1 base2^u has t1.base's label iff it has this
-    for u, candidate in enumerate(mat_powers(t2.base, 56), 1):  # base2^u, lazily
-        if math.gcd(u, 57) != 1 or char_poly(candidate) != target:
-            continue
-        u_inv = pow(u, -1, 57)
-        if all(e1 == e2 * u_inv % 57 for e1, e2 in zip(t1.exponents, t2.exponents)):
-            g = find_conjugator(t1.base, candidate)
-            assert g is not None, "equal labels must be conjugate"
-            for a_k, b_k in zip(t1.members, t2.members):
-                assert mat_mul(g, a_k) == mat_mul(b_k, g)
-            return SimConjVerdict(equivalent=True, witness=g)
-
     for k, (a_k, b_k) in enumerate(zip(t1.members, t2.members)):
         if class_label(a_k) != class_label(b_k):
             return SimConjVerdict(
                 equivalent=False, certificate=f"class mismatch at index {k}"
             )
+    g = find_conjugator(t1.members[0], t2.members[0])
+    assert g is not None, "equal labels must be conjugate"
+    if all(mat_mul(g, a_k) == mat_mul(b_k, g) for a_k, b_k in zip(t1.members, t2.members)):
+        return SimConjVerdict(equivalent=True, witness=g)
     return SimConjVerdict(
         equivalent=False, certificate="no exponent-matching generator pair"
     )

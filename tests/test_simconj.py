@@ -279,35 +279,38 @@ class TestDecide:
         assert decide_simconj(tb, tc).equivalent
         assert decide_simconj(ta, tc).equivalent
 
-    def test_candidates_come_from_products_not_powers(self, rng, monkeypatch):
-        # base2^u is stepped by one product per u; no power chain is run
-        # (simconj need not import mat_pow at all, hence raising=False)
-        def boom(*args):
-            raise AssertionError("mat_pow called")
+    @staticmethod
+    def least_intertwiner_calls(monkeypatch) -> list[tuple[Mat3, Mat3]]:
+        real, calls = scan.least_intertwiner, []
 
-        monkeypatch.setattr(simconj, "mat_pow", boom, raising=False)
-        t1 = analyze_tuple((M0, mat_pow(M0, 5)))
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(scan, "least_intertwiner", counting)
+        monkeypatch.setattr(simconj, "least_intertwiner", counting)
+        return calls
+
+    def test_class_mismatch_runs_no_intertwiner(self, monkeypatch):
+        # M0^2 has order 57 and M0^3 order 19: the labels differ at index 1
+        calls = self.least_intertwiner_calls(monkeypatch)
+        verdict = decide_simconj(
+            analyze_tuple((M0, mat_pow(M0, 2))), analyze_tuple((M0, mat_pow(M0, 3)))
+        )
+        assert verdict.certificate == "class mismatch at index 1"
+        assert calls == []
+
+    def test_one_intertwiner_of_the_first_members_per_decision(self, rng, monkeypatch):
+        # past the labels, one conjugator of the first members decides, both
+        # when it carries every member and when it does not
+        calls = self.least_intertwiner_calls(monkeypatch)
         h = random_sl3(rng)
-        t2 = analyze_tuple((conj(h, M0), conj(h, mat_pow(M0, 5))))
-        verdict = decide_simconj(t1, t2)
-        assert verdict.equivalent and conj(verdict.witness, M0) == conj(h, M0)
-        assert not decide_simconj(t1, analyze_tuple((M0, mat_pow(M0, 10)))).equivalent
-
-    def test_walk_stops_at_the_first_matching_generator(self, monkeypatch):
-        # decide_simconj(t, t) matches at u = 1; a walk built as a list of
-        # all 56 powers would make 55 products before its first test
-        real, calls = matrix3.mat_mul, []
-
-        def counting(x, y):
-            calls.append(1)
-            return real(x, y)
-
-        t = analyze_tuple((M0, mat_pow(M0, 5)))
-        monkeypatch.setattr(matrix3, "mat_mul", counting)
-        assert decide_simconj(t, t).equivalent
-        assert len(calls) < 55
-        list(matrix3.mat_powers(t.base, 56))  # the counter sees a whole walk
-        assert len(calls) >= 55
+        t1 = analyze_tuple((M0, mat_pow(M0, 2)))
+        positive = decide_simconj(t1, analyze_tuple((conj(h, M0), conj(h, mat_pow(M0, 2)))))
+        assert positive.equivalent and calls == [(M0, conj(h, M0))]
+        negative = decide_simconj(t1, analyze_tuple((M0, mat_pow(M0, 14))))
+        assert negative.certificate == "no exponent-matching generator pair"
+        assert calls == [(M0, conj(h, M0)), (M0, M0)]
 
     def test_agrees_with_oracle_on_randomized_pairs(self, rng):
         valid = [e for e in range(1, 57) if e % 19]
