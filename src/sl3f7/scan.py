@@ -10,13 +10,14 @@ Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
 pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
-A scan walks the whole group unless its answer cannot tell g from 2g and
-4g (conjugation, and g^k with 3 | k): it then walks _PSL_RANGES, one element
-of each coset of the centre {I, 2I, 4I}, and scales up.  It splits its
-ranges into chunks of at most CHUNK ranks, a fixed internal constant,
+A scan walks _PSL_RANGES, one g of each coset of the centre {I, 2I, 4I}, and
+rebuilds the whole group's answer, as lam*g has the pair (lam*i, lam^2*j),
+(lam*g)^k = lam^k g^k and lam*g conjugates as g does; only count_sl3,
+verify._stream_is_det1 and the closure of subgroups see every element.  A
+scan splits its ranges into chunks of at most CHUNK ranks, a fixed constant,
 evaluates a vectorized kernel on each chunk's digit planes in the calling
-thread, and merges partial results by addition or concatenation, so
-results are independent of the chunking; the tests vary CHUNK to show it.
+thread, and merges partial results by addition or concatenation, so results
+are independent of the chunking; the tests vary CHUNK to show it.
 A scan takes no setting: on a 2-core host a second thread made every
 stream scan but orbit_oracle slower (the GIL passes back and forth around
 short numpy calls), and the closure BFS of subgroups took 0.39 s on two
@@ -31,16 +32,16 @@ stream tables, dets, adjugates and the det runs of count_sl3, which also
 give |H| (subgroups.parabolic_size), _char_planes' + 126 and _commute_chunk's
 + 112.  A value that needs more room is widened.
 Kernels reduce mod 7 with _mod7, not %, which numpy does not vectorize.
-The product and identity kernels broadcast over all their entries at once,
+The product and scalar kernels broadcast over all their entries at once,
 as (3, 3, n) arrays: 8 ufunc calls per product, not 72, so the passes
-built on products stay cheap at a small chunk.  Kernels that filter a
-chunk select with np.compress, not a boolean index, which numpy 2.4.6 runs
-3-5x slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
+built on products stay cheap at a small chunk.  Chunk filters select with
+np.compress or np.take, not a boolean index, which numpy 2.4.6 runs 3-5x
+slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
 
 What depends on an element's characteristic pair (i, j) alone is done
-once per bin 7 * i + j (_rootless_bins, _unity_bins).  Only count_sl3, the
-oracle that the stream is exactly the det-1 set, scans all 7^9 codes, in
-one thread, as 343 runs of 7^6 codes sharing a third row.
+once per bin 7 * i + j (_rootless_bins, _unity_bins, _scaled_bins).  Only
+count_sl3, the oracle that the stream is exactly the det-1 set, scans all
+7^9 codes, in one thread, as 343 runs of 7^6 codes sharing a third row.
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def _eq_identity(d: np.ndarray) -> np.ndarray:
     return (d == np.array(IDENTITY, dtype=np.uint8)[:, None]).all(axis=0)
 
 
+def _eq_scalar(d: np.ndarray) -> np.ndarray:
+    return (d == np.array(IDENTITY, dtype=np.uint8)[:, None] * d[0]).all(axis=0)
+
+
 def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
     """Codes of g m g^-1 for the det-1 planes g."""
     return _encode_planes(_mul_planes(_mul_planes(g, np.array(m, dtype=np.uint8)),
@@ -286,6 +291,15 @@ def _char_planes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def _scaled_bins() -> np.ndarray:
+    """Rows lam = 1, 2, 4 map each bin 7 * i + j to the bin of lam * g for the
+    g in it: lam * g has the characteristic pair (lam * i, lam^2 * j)."""
+    i, j = divmod(np.arange(49), 7)
+    rows = [7 * (lam * i % 7) + lam * lam * j % 7 for lam in (1, 2, 4)]
+    return _read_only(np.array(rows, dtype=np.uint8))
+
+
+@functools.cache
 def _rootless_bins() -> np.ndarray:
     """Whether t^3 - i t^2 + j t - 1 has no root in F7, for the bins 7 * i + j."""
     return _read_only(np.array([all((t**3 - i * t * t + j * t - 1) % 7 for t in range(7))
@@ -303,13 +317,13 @@ def census(*, threads: int | None = None) -> ScanSummary:
 
     Runs in the calling thread, like every scan.  threads is accepted and
     ignored, since perfbench's sweep calls census(threads=1); an explicit
-    value below 1 is a ValueError.
-    Deterministic for any chunk size (partial results merge by pointwise
-    addition).
+    value below 1 is a ValueError.  Bin b sums the bins lam * b of the
+    _PSL_RANGES walk, lam = 1, 2, 4, as lam * g keeps g's root test.
+    Deterministic for any chunk size (partial results merge by addition).
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    counts = sum(_map_chunks(_census_chunk))
+    counts = sum(_map_chunks(_census_chunk, _PSL_RANGES))[_scaled_bins()].sum(axis=0)
     by_label = {
         ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v
     }
@@ -324,17 +338,22 @@ def census(*, threads: int | None = None) -> ScanSummary:
 
 
 def label_member_codes(label: ClassLabel) -> np.ndarray:
-    """Sorted codes of every SL3 matrix carrying the given eigenfree label."""
+    """Sorted codes of every SL3 matrix carrying the given eigenfree label,
+    found as lam * g for the g of _PSL_RANGES (_label_chunk) and sorted once."""
     if not is_eigenfree_label(label):
         raise NotEigenfree(f"{label} is not an eigenvector-free label")
     kernel = functools.partial(_label_chunk, label=label)
-    return np.concatenate(list(_map_chunks(kernel)))
+    return np.sort(np.concatenate(list(_map_chunks(kernel, _PSL_RANGES))))
 
 
 def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
-    """Codes of the planes d whose characteristic pair is label, ascending."""
+    """Codes of the lam * g with characteristic pair label, lam = 1, 2, 4 and g
+    among the planes d in the bin of label / lam: three disjoint bins."""
     tr, jc = _char_planes(d)
-    return _encode_planes(np.compress((tr == label.i) & (jc == label.j), d, axis=1))
+    hits = tr * 7 + jc == _scaled_bins()[(0, 2, 1), 7 * label.i + label.j, None]  # label / lam
+    kept = np.flatnonzero(hits.any(axis=0))
+    lam = np.array([1, 2, 4], dtype=np.uint8) @ np.take(hits, kept, axis=1)
+    return _encode_planes(_mod7(lam * np.take(d, kept, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +522,9 @@ _POWER_CHAIN = ((2, 1, 1), (3, 2, 1), (6, 3, 3), (9, 6, 3), (18, 9, 9), (19, 18,
 
 
 def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
-    """For each k in exponents, how many of the planes g have g^k = I.
+    """For each k in exponents, 3 per plane g with g^k = I when 3 | k, else 1
+    per scalar g^k: for det-1 g, the lam * g, lam = 1, 2, 4, with (lam * g)^k =
+    lam^k g^k = I, as lam^k is 1 when 3 | k and else runs over 1, 2, 4.
 
     The powers come from _POWER_CHAIN, seven plane products for all of
     (1, 3, 9, 19, 27), with g^19 = g^18 g and g^27 = g^18 g^9.  Only the
@@ -511,7 +532,7 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
     stops after the last power exponents needs: 2 products for (1, 3),
     4 for (3, 9), 6 for (19,), (9, 27) or (1, 3, 9, 27).  Every power is
     kept until the end: the bin filter of _power_counts leaves at most
-    12.6 % of a CHUNK, so seven powers of it take about 0.5 MB.
+    40.6 % of a CHUNK, so seven powers of it take about 1.7 MB.
     """
     steps: list[tuple[int, int, int]] = []
     needed = set(exponents)
@@ -522,7 +543,8 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
     powers = {1: g}
     for k, a, b in steps:
         powers[k] = _mul_planes(powers[a], powers[b])
-    return np.array([np.count_nonzero(_eq_identity(powers[k])) for k in exponents])
+    return np.array([3 * np.count_nonzero(_eq_identity(powers[k])) if k % 3 == 0
+                     else np.count_nonzero(_eq_scalar(powers[k])) for k in exponents])
 
 
 @functools.cache
@@ -536,22 +558,17 @@ def _unity_bins(n: int) -> np.ndarray:
 
 
 def _power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
-    """k -> number of g in SL3 with g^k = I, for each k in exponents, in one pass.
-    _power_chunk runs on the planes in the few bins of _unity_bins(lcm(exponents)),
-    matched by one broadcast equality (3-4x faster than a 49-entry lookup).
-    (2g)^k = (4g)^k = g^k when 3 | k, so if 3 divides every exponent the pass
-    walks _PSL_RANGES and counts 3 for each hit, else the whole group."""
-    kept = np.flatnonzero(_unity_bins(math.lcm(*exponents))).astype(np.uint8)[:, None]
+    """k -> number of g in SL3 with g^k = I, for each k in exponents, in one walk
+    of _PSL_RANGES counting whole cosets (_power_chunk).  It runs on the planes
+    in the few bins of _unity_bins(lcm(3, *exponents)), as g^k = lam I forces g^3k = I,
+    matched by one broadcast equality (3-4x faster than a 49-entry lookup)."""
+    kept = np.flatnonzero(_unity_bins(math.lcm(3, *exponents))).astype(np.uint8)[:, None]
 
     def kernel(d: np.ndarray) -> np.ndarray:
         tr, jc = _char_planes(d)
         return _power_chunk(np.compress((tr * 7 + jc == kept).any(axis=0), d, axis=1), exponents)
 
-    if all(k % 3 == 0 for k in exponents):
-        totals = 3 * sum(_map_chunks(kernel, _PSL_RANGES))
-    else:
-        totals = sum(_map_chunks(kernel))
-    return dict(zip(exponents, totals.tolist()))
+    return dict(zip(exponents, sum(_map_chunks(kernel, _PSL_RANGES)).tolist()))
 
 
 def count_order19_elements() -> int:

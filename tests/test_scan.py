@@ -36,6 +36,7 @@ from sl3f7.matrix3 import (
     det,
     encode,
     has_fp_eigenvalue,
+    is_scalar,
     mat,
     mat_inv,
     mat_mul,
@@ -199,8 +200,10 @@ class TestUint8Kernels:
         assert got.tolist() == expected
 
     def test_power_chunk(self):
+        # 3 per g^k = I when 3 | k, else 1 per scalar g^k, on planes of any det
         got = scan._power_chunk(_planes(MIXED), (1, 3, 9, 19, 27))
-        expected = [sum(mat_pow(g, k) == IDENTITY for g in MIXED) for k in (1, 3, 9, 19, 27)]
+        expected = [sum(3 * (mat_pow(g, k) == IDENTITY) if k % 3 == 0 else is_scalar(mat_pow(g, k))
+                        for g in MIXED) for k in (1, 3, 9, 19, 27)]
         assert got.tolist() == expected
 
     def test_stream_table_cross_products(self):
@@ -304,6 +307,16 @@ class TestSelection:
             assert np.count_nonzero(got) == {"identity": d.shape[1], "m0": 0, "powers": 1}[name]
 
     @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
+    def test_eq_scalar(self, name):
+        d = _SELECTION_CHUNKS[name]
+        got = scan._eq_scalar(d)
+        assert got.dtype == bool
+        assert got.tolist() == [is_scalar(m) for m in _columns(d)]
+        if name in ("identity", "m0", "powers"):
+            # M0 has order 57: M0^0, M0^19 and M0^38 are I, 2I and 4I in some order
+            assert np.count_nonzero(got) == {"identity": d.shape[1], "m0": 0, "powers": 3}[name]
+
+    @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
     def test_census_chunk(self, name):
         d = _SELECTION_CHUNKS[name]
         has_root = np.zeros(d.shape[1], dtype=bool)
@@ -321,9 +334,13 @@ class TestSelection:
     @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
     @pytest.mark.parametrize("label", [ClassLabel(0, 4), ClassLabel(0, 2), ClassLabel(1, 3)])
     def test_label_chunk(self, name, label):
+        # each column g gives the code of the one lam * g, lam = 1, 2, 4, that
+        # carries label, if there is one, in column order
         d = _SELECTION_CHUNKS[name]
-        tr, jc = scan._char_planes(d)
-        expected = scan._encode_planes(d[:, (tr == label.i) & (jc == label.j)])
+        scaled = [(lam * d) % 7 for lam in (1, 2, 4)]
+        hits = np.array([(tr == label.i) & (jc == label.j) for tr, jc in map(scan._char_planes, scaled)])
+        assert hits.sum(axis=0).max() <= 1
+        expected = np.array([scan._encode_planes(m) for m in scaled]).T[hits.T]
         got = scan._label_chunk(d, label)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -688,7 +705,9 @@ class TestPowerKernel:
         columns = [scan._element_planes(r, r + 1) for r in rng.sample(range(GROUP_ORDER), 3_000)]
         planes = np.concatenate(columns + [np.array(IDENTITY, dtype=np.uint8)[:, None]], axis=1)
         elements = [decode(int(c)) for c in scan._encode_planes(planes)]
-        expected = {k: sum(mat_pow(g, k) == IDENTITY for g in elements)
+        # every element of each coset {g, 2g, 4g} with a power equal to I
+        expected = {k: sum(mat_pow(mat_scale(lam, g), k) == IDENTITY
+                           for g in elements for lam in (1, 2, 4))
                     for k in (1, 3, 9, 19, 27)}
         for exponents in LIBRARY_EXPONENTS:
             assert scan._power_chunk(planes, exponents).tolist() == [expected[k] for k in exponents]
@@ -696,7 +715,8 @@ class TestPowerKernel:
     @pytest.fixture(scope="class")
     def unfiltered(self):
         # every chunk's powers taken on all of its elements, no bin filter
-        return {e: sum(scan._map_chunks(functools.partial(scan._power_chunk, exponents=e))).tolist()
+        return {e: sum(scan._map_chunks(functools.partial(scan._power_chunk, exponents=e),
+                                        scan._PSL_RANGES)).tolist()
                 for e in LIBRARY_EXPONENTS}
 
     @pytest.mark.parametrize("chunk_size", [None, 10_007])
@@ -984,25 +1004,48 @@ def _whole_group_normalizer(p: Mat3) -> int:
 
 
 def _whole_group_power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
+    # g^k by k - 1 products, with no addition chain and no coset count
     bins = np.flatnonzero(scan._unity_bins(math.lcm(*exponents)))
 
     def kernel(d: np.ndarray) -> np.ndarray:
         tr, jc = scan._char_planes(d)
-        return scan._power_chunk(np.compress(np.isin(tr * 7 + jc, bins), d, axis=1), exponents)
+        g = power = np.compress(np.isin(tr * 7 + jc, bins), d, axis=1)
+        counts = {}
+        for k in range(1, max(exponents) + 1):
+            counts[k] = np.count_nonzero(scan._eq_identity(power))
+            power = scan._mul_planes(power, g)
+        return np.array([counts[k] for k in exponents])
 
     return dict(zip(exponents, sum(scan._map_chunks(kernel)).tolist()))
+
+
+def _whole_group_census() -> dict[ClassLabel, int]:
+    counts = sum(scan._map_chunks(scan._census_chunk))
+    return {ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v}
+
+
+def _whole_group_label_codes(label: ClassLabel) -> np.ndarray:
+    def kernel(d: np.ndarray) -> np.ndarray:
+        tr, jc = scan._char_planes(d)
+        return scan._encode_planes(np.compress((tr == label.i) & (jc == label.j), d, axis=1))
+
+    return np.concatenate(list(scan._map_chunks(kernel)))
 
 
 _ORBIT_SUBJECTS = {"eigenfree": M0, "diag-1-2-4": mat("1 0 0; 0 2 0; 0 0 4"),
                    "transvection": mat("1 1 0; 0 1 0; 0 0 1")}
 _INTERTWINER_KINDS = ["conjugate", "non-conjugate", "derogatory"]
 _CENTRAL_EXPONENTS = [(3,), (3, 9), (9, 27)]
+# an exponent prime to 3 counts the cosets whose power is any scalar
+_MIXED_EXPONENTS = [(1, 3), (19,), (1, 3, 9, 27), (1, 3, 9, 19, 27)]
+# i = 0 and order 57, i != 0 and order 57, order 19
+_WALKED_LABELS = [ClassLabel(0, 4), ClassLabel(2, 5), ClassLabel(1, 3)]
 
 
 class TestCosetWalk:
-    """The scans whose answer cannot tell g from 2g and 4g walk one element
-    of each coset of the centre {I, 2I, 4I}; each must equal its kernel run
-    over the whole group here, for any CHUNK."""
+    """Every class-function and conjugation scan walks one element of each
+    coset of the centre {I, 2I, 4I} and rebuilds the whole-group answer; each
+    must equal its kernel run over the whole group here, for any CHUNK."""
 
     def test_ranges_hold_a_third_of_the_group_in_whole_row3_blocks(self):
         ranges = scan._PSL_RANGES
@@ -1031,7 +1074,9 @@ class TestCosetWalk:
             "pairs": pairs,
             "intertwiners": {kind: _whole_group_intertwiners(*pair) for kind, pair in pairs.items()},
             "normalizer": _whole_group_normalizer(M2),
-            "powers": {e: _whole_group_power_counts(e) for e in _CENTRAL_EXPONENTS},
+            "powers": _whole_group_power_counts((1, 3, 9, 19, 27)),
+            "census": _whole_group_census(),
+            "labels": {label: _whole_group_label_codes(label) for label in _WALKED_LABELS},
         }
 
     @pytest.mark.parametrize("chunk_size", [1 << 16, 1000, 200_003])
@@ -1045,23 +1090,30 @@ class TestCosetWalk:
             assert codes.dtype == expected.dtype and np.array_equal(codes, expected), kind
             assert (codes.size == 0) == (kind == "non-conjugate"), kind
         assert scan.normalizer_oracle(M2) == whole_group["normalizer"] == 171
-        for exponents in _CENTRAL_EXPONENTS:
-            assert scan._power_counts(exponents) == whole_group["powers"][exponents]
+        for exponents in _CENTRAL_EXPONENTS + _MIXED_EXPONENTS:
+            assert scan._power_counts(exponents) == {k: whole_group["powers"][k] for k in exponents}
+        census = scan.census()
+        assert census.by_label == whole_group["census"]
+        assert census.eigenfree_total == sum(whole_group["census"].values())
+        for label in _WALKED_LABELS:
+            codes = scan.label_member_codes(label)
+            expected = whole_group["labels"][label]
+            assert codes.dtype == expected.dtype and np.array_equal(codes, expected), label
 
-    # where g^k and (2g)^k differ, or a count, label or det is asked, the
-    # whole group is walked
+    # only a det or stream oracle walks the whole group: every class function,
+    # power count and conjugation scan walks one element per coset of the centre
     @pytest.mark.parametrize("entry,coset", [
-        (lambda: scan.order_absence_check(3), False),
+        (lambda: scan.order_absence_check(3), True),
         (lambda: scan.order_absence_check(9), True),
         (lambda: scan.order_absence_check(27), True),
         (lambda: scan._power_counts((3,)), True),
-        (lambda: scan.count_order19_elements(), False),
-        (lambda: verify.check_order_absence(True), False),
+        (lambda: scan.count_order19_elements(), True),
+        (lambda: verify.check_order_absence(True), True),
         (lambda: scan.orbit_oracle(M0), True),
         (lambda: scan.intertwiner_codes(M0, M0), True),
         (lambda: scan.normalizer_oracle(M2), True),
-        (lambda: scan.census(), False),
-        (lambda: scan.label_member_codes(ClassLabel(0, 4)), False),
+        (lambda: scan.census(), True),
+        (lambda: scan.label_member_codes(ClassLabel(0, 4)), True),
         (lambda: verify._stream_is_det1(), False),
     ], ids=["absence-3", "absence-9", "absence-27", "power-3", "order-19", "check-12",
             "orbit", "intertwiner", "normalizer", "census", "label-members", "stream-check"])
