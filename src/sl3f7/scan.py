@@ -12,8 +12,9 @@ pairs and the third rows completing them to det 1), so no 7^9 decode and
 no det filter precedes a kernel, and the group is never materialized.
 A scan walks _PSL_RANGES, one g of each coset of the centre {I, 2I, 4I}, and
 rebuilds the whole group's answer, as lam*g has the pair (lam*i, lam^2*j),
-(lam*g)^k = lam^k g^k and lam*g conjugates as g does; only count_sl3,
-verify._stream_is_det1 and the closure of subgroups see every element.  A
+(lam*g)^k = lam^k g^k and lam*g conjugates as g does; the closure of
+subgroups walks those cosets too, and only count_sl3 and
+verify._stream_is_det1 see every element.  A
 scan splits its ranges into chunks of at most CHUNK ranks, a fixed constant,
 evaluates a vectorized kernel on each chunk's digit planes in the calling
 thread, and merges partial results by addition or concatenation, so results
@@ -40,8 +41,9 @@ slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
 
 What depends on an element's characteristic pair (i, j) alone is done
 once per bin 7 * i + j (_rootless_bins, _unity_bins, _scaled_bins).  Only
-count_sl3, the oracle that the stream is exactly the det-1 set, scans all
-7^9 codes, in one thread, as 343 runs of 7^6 codes sharing a third row.
+count_sl3, the oracle that the stream is exactly the det-1 set, counts all
+7^9 codes, as 343 runs of 7^6 codes sharing a third row, summed from one
+histogram of the minors of rows 1 and 2.
 """
 
 from __future__ import annotations
@@ -170,12 +172,14 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-# Third-row code c > 0 owns ranks [(c - 1) * _R3_BLOCK, c * _R3_BLOCK).  2 and 4
-# permute {1, 2, 4} and {3, 6, 5}, so exactly one of r3, 2r3 and 4r3 leads with 1
-# or 3: those rows' six ranges hold one element of each coset {g, 2g, 4g}.
+# The row codes whose leading nonzero digit is 1 or 3, [lead * 7^k, (lead + 1) * 7^k):
+# 114 rows.  2 and 4 permute {1, 2, 4} and {3, 6, 5}, so exactly one of r, 2r and
+# 4r is among them for r != 0, and the g with one of them as third row hold one
+# element of each coset {g, 2g, 4g}.  Third-row code c > 0 owns the ranks
+# [(c - 1) * _R3_BLOCK, c * _R3_BLOCK), so those rows are six rank ranges.
+_LEAD_ROWS = tuple(sorted((lead * p, (lead + 1) * p) for lead in (1, 3) for p in (1, 7, 49)))
 _R3_BLOCK = GROUP_ORDER // 342  # 336 second rows times 49 first rows
-_PSL_RANGES = tuple(sorted(((lead * p - 1) * _R3_BLOCK, ((lead + 1) * p - 1) * _R3_BLOCK)
-                           for lead in (1, 3) for p in (1, 7, 49)))
+_PSL_RANGES = tuple(((lo - 1) * _R3_BLOCK, (hi - 1) * _R3_BLOCK) for lo, hi in _LEAD_ROWS)
 
 
 def _map_chunks(kernel: Callable[[np.ndarray], _T],
@@ -251,12 +255,14 @@ def count_sl3() -> int:
 
 def _det_one_runs(rows: range = range(343)) -> list[int]:
     """det-1 counts of the runs of 7^6 codes sharing a third row (g, h, i), one
-    per row code in rows: det = g*m0 + h*m1 + i*m2 over the reduced minors
-    r1 x r2, taken once for all runs; each term is at most 36."""
+    per row code in rows.  det = g*m0 + h*m1 + i*m2 over the reduced minors
+    m = r1 x r2, so the 7^6 pairs (r1, r2) are binned once by the row code of
+    m, and a run counts the pairs of the bins with (g, h, i) . m = 1."""
     d = np.indices((7,) * 6, dtype=np.uint8)[::-1].reshape(6, -1)  # planes 0..5 of 0..7^6-1
     m0, m1, m2 = _cross(d[0:3], d[3:6])
-    return [int(np.count_nonzero(_mod7(g * m0 + h * m1 + i * m2) == 1))
-            for g, h, i in _decode_planes(rows)[:3].T]
+    hist = np.bincount(m0 + 7 * m1 + 49 * m2.astype(np.int16), minlength=343)
+    (g, h, i), (x, y, z) = _decode_planes(rows)[:3, :, None], _decode_planes(np.arange(343))[:3]
+    return ((_mod7(g * x + h * y + i * z) == 1) @ hist).tolist()  # each term is at most 36
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ element generates the whole group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,8 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import (CHUNK, _bitset, _decode_planes, _det_one_runs, _encode_planes, _mark,
-                   _mul_planes, _unmarked)
+from .scan import (CHUNK, _LEAD_ROWS, _decode_planes, _det_one_runs, _encode_planes, _mod7,
+                   _mul_planes, _read_only)
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -55,28 +56,38 @@ def parabolic_size() -> int:
 
 
 def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER) -> int:
-    """Size of the subgroup generated, by breadth-first closure over MatCodes.
+    """Size of the subgroup generated, by breadth-first closure over the
+    cosets {g, 2g, 4g} of the centre Z = {I, 2I, 4I}.
 
     The frontier multiplies on the right by each generator alone: in a
     finite group g^-1 = g^(ord g - 1), so the monoid the generators span is
-    the subgroup.  Every element enters exactly one frontier and is expanded
-    once per generator, so the levels produce |gens| * |<gens>| candidates in
-    all.  Visited codes live in a 5 MB presence bitset (scan._bitset).
-    Right multiplication by s maps each row r of g to r*s on its own, so a
-    code splits into code mod 343^2 (rows 1 and 2) and code // 343^2 (row
-    3), and each step s gets one table per part (_step_tables): a neighbour
-    is two gathers, with no plane product per level.
+    the subgroup.  A node is a coset, named by its member m whose third row
+    leads with 1 or 3 (scan._LEAD_ROWS): node = 343^2 * (the index of m's
+    third row among those 114 rows) + (the code of m mod 343^2).  A frontier
+    entry is the int32 key node << 2 | tag for the element 2^tag * m that
+    the BFS reached, and a node's state, 2 bits of a 3.35 MB array, is 0
+    while it is unseen and 1 + tag after.  Each generator has two step
+    tables (_step_tables), so a neighbour is one division, small lookups on
+    the third row and one gather from a table of 3 * 343^2 entries.
+
+    The reached elements are a transversal of <gens> cap Z in <gens>, and an
+    edge that reaches a seen node, at an earlier level or at its own, with
+    another tag is a nontrivial Schreier generator t_n s t_ns^-1, a scalar
+    of <gens> (Schreier's lemma; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1).  Z has prime order 3, so
+    the size is 3 times the node count once an edge mismatches, and the node
+    count when none does; the edges are tested until one mismatches, and
+    the size known after each level is held to cap.
 
     Each level runs in the calling thread, in two phases.  Every CHUNK-long
-    slice of the frontier gathers its neighbours and keeps those whose bit
-    is clear, so no temporary outgrows |gens| * CHUNK codes.  The survivors
-    are then joined, sorted, cut to the first of each run of equal codes and
-    marked, so every level is the ascending set of unique codes that
-    np.unique would give, for any CHUNK; the old frontier is dropped before
-    the join.  np.unique is not used because on numpy 2.4 it is
-    50-80x slower than np.sort on code arrays (7.7 s against 0.14 s on 9 M
-    random int64 codes, 2-core x86-64), and np.compress selects 3-5x faster
-    than a boolean index on these masks.
+    slice of the frontier gathers its neighbours and keeps those whose node
+    is unseen, so no temporary outgrows |gens| * CHUNK keys.  The survivors
+    are then joined, sorted, cut to the first of each run of equal nodes and
+    marked, so every level is the same ascending set of keys for any CHUNK;
+    the old frontier is dropped before the join.  np.unique is not used
+    because on numpy 2.4 it is 50-80x slower than np.sort on code arrays
+    (7.7 s against 0.14 s on 9 M random int64 codes, 2-core x86-64), and
+    np.compress selects 3-5x faster than a boolean index on these masks.
     """
     if not gens:
         raise ValueError("generator set must be nonempty")
@@ -84,41 +95,86 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
         if det(g) != 1:
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
     tables = [_step_tables(g) for g in gens]
-    visited = _bitset()
-    frontier = np.array([encode(IDENTITY)], dtype=np.int32)
-    _mark(visited, frontier)
-    size = 1
+    states = np.zeros(-(-114 * 343**2 // 4), dtype=np.uint8)
+    row3, pair = divmod(encode(IDENTITY), 343**2)  # I's third row leads with 1: tag 0
+    frontier = np.array([(int(_lead_index()[row3]) * 343**2 + pair) << 2], dtype=np.int32)
+    _mark_nodes(states, frontier)
+    nodes, scalar = 1, False
     while frontier.size:
         pieces = []
         for lo in range(0, frontier.size, CHUNK):
             # int32 division (int64's is ~5x slower); the wide table gathers ~2x
             # faster by np.take on one intp index than by indexing with int32
-            high, low = np.divmod(frontier[lo:lo + CHUNK], 343**2)
-            low = low.astype(np.intp)
-            pieces += [_unmarked(visited, np.take(pair, low) + np.take(row3, high))
-                       for pair, row3 in tables]
-        del frontier, high, low  # the old level goes before the join, the pieces after it
-        codes = np.concatenate(pieces)
+            high, low = np.divmod(frontier[lo:lo + CHUNK], 4 * 343**2)
+            row, pair = high * 3 + (low & 3), (low >> 2).astype(np.intp)
+            for (step, scale), wide in tables:
+                keys = np.take(wide, np.take(scale, row) + pair) + np.take(step, row)
+                state = _node_states(states, keys)
+                pieces.append(np.compress(state == 0, keys))
+                scalar = scalar or bool(np.any((state != 0) & (state != (keys & 3) + 1)))
+        del frontier, high, low, row, pair  # the old level goes before the join, the pieces after it
+        keys = np.concatenate(pieces)
         del pieces
-        codes.sort()
-        keep = np.ones(codes.size, dtype=bool)
-        keep[1:] = codes[1:] != codes[:-1]
-        frontier = np.compress(keep, codes)
-        del codes, keep  # freed now, not when the next level rebinds them
-        _mark(visited, frontier)
-        size += int(frontier.size)
-        if size > cap:
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] >> 2 != keys[:-1] >> 2
+        frontier = np.compress(first, keys)
+        # a node reached in this level with two tags
+        scalar = scalar or bool(np.any(~first[1:] & (keys[1:] != keys[:-1])))
+        del keys, first  # freed now, not when the next level rebinds them
+        _mark_nodes(states, frontier)
+        nodes += int(frontier.size)
+        if nodes * (3 if scalar else 1) > cap:
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-    return size
+    return nodes * (3 if scalar else 1)
+
+
+@functools.cache
+def _lead_index() -> np.ndarray:
+    """Row code -> its index among the 114 rows of scan._LEAD_ROWS, -1 off them."""
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in _LEAD_ROWS])
+    index = np.full(343, -1, dtype=np.int32)
+    index[rows] = np.arange(rows.size)
+    return _read_only(index)
 
 
 def _step_tables(s: Mat3) -> tuple[np.ndarray, np.ndarray]:
-    """Right multiplication by s as two int32 tables: code mod 343^2 -> the
-    rows 1 and 2 part of the code of g*s (indexed [r2, r1], flattened), and
-    code // 343^2 -> its row 3 part, so the code of g*s is their sum."""
-    rows = _encode_planes(_mul_planes(_decode_planes(np.arange(343)), np.array(s, dtype=np.uint8)))
-    rows = rows.astype(np.int32)
-    return (rows[None, :] + 343 * rows[:, None]).ravel(), 343**2 * rows
+    """Right multiplication by s on the keys of generator_closure.
+
+    For the node member m with third row r, 2^e * m * s leads with 1 or 3
+    for one e in {0, 1, 2}, so the element 2^t * m steps to 2^(t - e) times
+    that member.  Returns two int32 tables:
+      small (2, 342), indexed by 3 * (index of r) + t: the child's third-row
+        part of the key, (index of 2^e * r * s) * 343^2 << 2 | (t - e) mod 3,
+        and e * 343^2, the offset of 2^e * s in the wide table;
+      wide (3, 343^2), indexed [e, code mod 343^2] of m: 4 times the rows 1
+        and 2 part of the code of 2^e * m * s.
+    So a child key is wide[offset + code mod 343^2] + small key.
+    """
+    index = _lead_index()
+    digits = _decode_planes(np.arange(343))
+    s = np.array(s, dtype=np.uint8)
+    rows = np.stack([_encode_planes(_mul_planes(_mod7(lam * digits), s))
+                     for lam in (1, 2, 4)]).astype(np.int32)  # [e, r]: the row 2^e * r * s
+    child = index[rows[:, index >= 0]]  # (3, 114): one lead row in each column, -1 twice
+    e = np.argmax(child >= 0, axis=0)
+    key = (child.max(axis=0) * 343**2 << 2)[:, None] | (np.arange(3) - e[:, None]) % 3
+    small = np.stack([key.ravel(), np.repeat(e * 343**2, 3)])
+    rows <<= 2  # shifted before the broadcast, which is then the one pass over wide
+    wide = rows[:, None, :] + 343 * rows[:, :, None]  # [e, r2, r1]
+    return small.astype(np.int32), wide.reshape(3, -1)
+
+
+def _node_states(states: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The 2-bit states of the keys' nodes, 0 unseen and 1 + tag seen: bits
+    2 * (node % 4) of byte node // 4, with node = key >> 2."""
+    return np.take(states, keys >> 4) >> ((keys >> 1) & 6).astype(np.uint8) & 3
+
+
+def _mark_nodes(states: np.ndarray, keys: np.ndarray) -> None:
+    """Store 1 + tag as the state of each key's unseen node; bitwise_or.at is
+    exact where a byte repeats."""
+    np.bitwise_or.at(states, keys >> 4, (((keys & 3) + 1) << ((keys >> 1) & 6)).astype(np.uint8))
 
 
 # Transvections and torus elements generating H (certified by a closure run

@@ -557,10 +557,12 @@ class TestCensus:
 
     def test_gl3_cross_check(self):
         # det histogram over all 7^9 codes: det 0 on the non-invertible ones,
-        # and |GL3| / 6 = |SL3| on each nonzero det
+        # and |GL3| / 6 = |SL3| on each nonzero det; its det-1 column, run by
+        # run, is what count_sl3 sums from its histogram of minors
         gl3 = (7**3 - 1) * (7**3 - 7) * (7**3 - 7**2)
-        hist = sum(np.bincount(scan._det_plane(d), minlength=7) for d in _code_runs())
-        assert hist.tolist() == [CODE_SPACE - gl3] + [GROUP_ORDER] * 6
+        runs = [np.bincount(scan._det_plane(d), minlength=7) for d in _code_runs()]
+        assert sum(runs).tolist() == [CODE_SPACE - gl3] + [GROUP_ORDER] * 6
+        assert [int(run[1]) for run in runs] == scan._det_one_runs()
 
     def test_serialization(self):
         doc = scan.census().to_json()

@@ -15,7 +15,6 @@ from conftest import random_sl3
 from sl3f7 import scan, subgroups
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotInSL3
 from sl3f7.matrix3 import (
-    CODE_SPACE,
     GROUP_ORDER,
     IDENTITY,
     decode,
@@ -53,6 +52,42 @@ def random_outside_h(rng: random.Random):
         a = random_sl3(rng)
         if not in_parabolic(a):
             return a
+
+
+def element_closure(gens) -> int:
+    """Reference closure: a BFS over the element codes, with a presence bit per
+    code (scan._bitset) and right multiplication by s split into a table of
+    the 343^2 codes of rows 1 and 2 and one of the 343 third rows."""
+    tables = []
+    for s in gens:
+        rows = scan._encode_planes(scan._mul_planes(scan._decode_planes(np.arange(343)),
+                                                    np.array(s, dtype=np.uint8)))
+        tables.append(((rows[None, :] + 343 * rows[:, None]).ravel(), 343**2 * rows))
+    visited = scan._bitset()
+    frontier = np.array([encode(IDENTITY)])
+    scan._mark(visited, frontier)
+    size = 1
+    while frontier.size:
+        high, low = np.divmod(frontier, 343**2)
+        codes = np.concatenate([scan._unmarked(visited, pair[low] + row3[high])
+                                for pair, row3 in tables])
+        frontier = np.unique(codes)
+        scan._mark(visited, frontier)
+        size += frontier.size
+    return size
+
+
+_LEAD = [r for lo, hi in scan._LEAD_ROWS for r in range(lo, hi)]
+
+
+def coset_key(g) -> int:
+    """generator_closure's key of g: the node of the member m of {g, 2g, 4g}
+    whose third row leads with 1 or 3, and the tag t with g = 2^t * m."""
+    for e, lam in enumerate((1, 2, 4)):
+        code = encode(tuple(lam * x % 7 for x in g))
+        if code // 343**2 in _LEAD:
+            return (_LEAD.index(code // 343**2) * 343**2 + code % 343**2) << 2 | -e % 3
+    raise AssertionError(f"{g} has a zero third row")
 
 
 def set_closure(gens) -> int:
@@ -119,8 +154,9 @@ class TestParabolicSize:
 
 class TestClosure:
     # a closure test passes its exact size as the cap, so a closure that
-    # loses visited marks raises ClosureCapExceeded at once instead of
-    # running level after level up to the default cap of |G|
+    # loses visited marks raises ClosureCapExceeded on the size known after
+    # some level (the node count, times 3 once an edge has shown the centre)
+    # instead of running level after level up to the default cap of |G|
     def test_single_order19_generator(self):
         assert generator_closure((M2,), cap=19) == 19
 
@@ -151,9 +187,10 @@ class TestClosure:
             return _step_tables(s)
 
         monkeypatch.setattr(subgroups, "_step_tables", counted)
-        # the visited bitset, the largest level and its merge: 18.3 MiB; 20.8
-        # while the old frontier lived through the merge, 30.0 with per-thread
-        # code ranges
+        # the node states, three wide step tables, the largest level and its
+        # merge: 12.2 MiB; 18.3 as an element BFS with a visited bitset, 20.8
+        # while the old frontier lived through the merge, 30.0 with
+        # per-thread code ranges
         tracemalloc.start()
         try:
             assert generator_closure((X, Y, Z)) == 5_630_688
@@ -190,7 +227,7 @@ class TestClosure:
             generator_closure((M2,), cap=5)
 
     def test_peak_allocation_is_below_a_code_space_array(self):
-        # a bool per code would alone take 38.5 MiB; the visited bitset takes 4.8 MiB
+        # a bool per code would alone take 38.5 MiB; the node states take 3.2 MiB
         tracemalloc.start()
         try:
             assert generator_closure((M2,), cap=19) == 19
@@ -203,13 +240,23 @@ class TestClosure:
     # generate G, and the transposed H generators give a group of order 98784
     @pytest.mark.parametrize("gens", [(X, Y, Z), PARABOLIC_GENERATORS], ids=["XYZ", "H"])
     def test_row_table_steps_are_right_products(self, gens):
+        # the largest and the least key, every third row and tag of the small
+        # table, then random keys; a member's rows 1 and 2 need not make det 1
         rng = random.Random(0x7AB1)
-        codes = [0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(2_000)]
+        nodes = [(113, 2), (0, 0)] + [(h, t) for h in range(114) for t in range(3)]
+        nodes += [(rng.randrange(114), rng.randrange(3)) for _ in range(2_000)]
+        lows = [343**2 - 1, 0] + [rng.randrange(343**2) for _ in range(len(nodes) - 2)]
+        keys = np.array([(h * 343**2 + low) << 2 | t for (h, t), low in zip(nodes, lows)],
+                        dtype=np.int32)
         steps = [s for g in gens for s in (g, mat_inv(g))]
-        high, low = np.divmod(np.array(codes, dtype=np.int32), 343**2)
-        got = np.concatenate([pair[low] + row3[high] for pair, row3 in map(_step_tables, steps)])
+        high, low = np.divmod(keys, 4 * 343**2)
+        row, pair = high * 3 + (low & 3), low >> 2
+        got = np.concatenate([wide.ravel()[small[1, row] + pair] + small[0, row]
+                              for small, wide in map(_step_tables, steps)])
         assert got.dtype == np.int32
-        assert got.tolist() == [encode(mat_mul(decode(c), s)) for s in steps for c in codes]
+        members = [tuple(2**t * x % 7 for x in decode(_LEAD[h] * 343**2 + low))
+                   for (h, t), low in zip(nodes, lows)]
+        assert got.tolist() == [coset_key(mat_mul(m, s)) for s in steps for m in members]
 
     @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
@@ -221,35 +268,83 @@ class TestClosure:
         levels: dict[int, list[list[int]]] = {}
         gathers: list[int] = []
 
-        def mark(bits, codes):
-            levels[chunk].append(codes.tolist())
-            marked(bits, codes)
+        def mark(states, keys):
+            levels[chunk].append(keys.tolist())
+            marked(states, keys)
 
-        def unmarked(bits, codes):
-            gathers.append(codes.size)
-            return kept(bits, codes)
+        def node_states(states, keys):
+            gathers.append(keys.size)
+            return read(states, keys)
 
-        marked, kept = subgroups._mark, subgroups._unmarked
-        monkeypatch.setattr(subgroups, "_mark", mark)
-        monkeypatch.setattr(subgroups, "_unmarked", unmarked)
-        # H's levels have at most 28 701 codes, so only 1 000-code slices split one
+        marked, read = subgroups._mark_nodes, subgroups._node_states
+        monkeypatch.setattr(subgroups, "_mark_nodes", mark)
+        monkeypatch.setattr(subgroups, "_node_states", node_states)
+        # H's levels have at most 12 699 nodes, so only 1 000-key slices split one
         for chunk in (scan.CHUNK, 1_000):
             monkeypatch.setattr(subgroups, "CHUNK", chunk)
             run = levels[chunk] = []
             gathers.clear()
             assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-            # one gather per generator and slice of at most chunk codes
+            # one gather per generator and slice of at most chunk keys
             assert max(gathers) <= chunk
             assert len(gathers) == len(PARABOLIC_GENERATORS) * sum(
                 -(-len(level) // chunk) for level in run[:-1])
         assert levels[scan.CHUNK] == levels[1_000]
-        assert all(level == sorted(set(level)) for level in levels[1_000])
+        assert max(map(len, levels[1_000])) == 12_699
+        # ascending keys, one per node; H holds Z, so the nodes are |H| / 3
+        nodes = [[k >> 2 for k in level] for level in levels[1_000]]
+        assert all(level == sorted(set(level)) for level in nodes)
+        assert sum(map(len, nodes)) == 98_784 // 3
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             generator_closure(())
         with pytest.raises(NotInSL3):
             generator_closure((mat("2 0 0; 0 1 0; 0 0 1"),))
+
+
+class TestCosetClosure:
+    """The coset BFS against the element BFS, for any CHUNK: a group with no
+    scalar but the identity has |<gens>| nodes, and one holding Z a third."""
+
+    @pytest.fixture(scope="class")
+    def normalizer(self):
+        # <P, n> with n P n^-1 = P^7 is non-abelian of order 57 and holds no
+        # scalar; adding an order-57 c of C(P) gives N(<P>), of order 171
+        h = decode(int(scan._encode_planes(scan._element_planes(4_321_987, 4_321_988))[0]))
+        p = mat_mul(mat_mul(h, M2), mat_inv(h))
+        n = decode(int(scan.intertwiners(p, mat_pow(p, 7))[0]))
+        c = next(c for c in map(decode, scan.intertwiners(p, p).tolist()) if mat_order(c) == 57)
+        return {"Pn": (p, n), "NP": (p, n, c)}
+
+    @pytest.mark.parametrize("chunk", [scan.CHUNK, 1_000])
+    @pytest.mark.parametrize("name, size", [
+        ("M2", 19), ("M0", 57), ("H", 98_784), ("SL2", 336), ("2I", 3), ("I", 1),
+        ("Pn", 57), ("NP", 171)])
+    def test_matches_the_element_bfs(self, monkeypatch, normalizer, name, size, chunk):
+        gens = {"M2": (M2,), "M0": (M0,), "H": PARABOLIC_GENERATORS, "SL2": SL2_GENERATORS,
+                "2I": (mat("2 0 0; 0 2 0; 0 0 2"),), "I": (IDENTITY,), **normalizer}[name]
+        monkeypatch.setattr(subgroups, "CHUNK", chunk)
+        assert generator_closure(gens, cap=size) == element_closure(gens) == size
+
+    def test_the_cap_counts_z_from_the_level_that_shows_it(self, monkeypatch):
+        # <M2, 2 M2> is <M2> x Z: level 1 reaches one node as M2 and as 2 M2,
+        # so its 2 nodes already stand for 6 elements and a cap of 5 stops
+        # there, not 4 levels later when 6 nodes pass it
+        levels = []
+
+        def mark(states, keys):
+            levels.append(keys.size)
+            marked(states, keys)
+
+        marked = subgroups._mark_nodes
+        monkeypatch.setattr(subgroups, "_mark_nodes", mark)
+        gens = (M2, tuple(2 * x % 7 for x in M2))
+        assert generator_closure(gens, cap=57) == element_closure(gens) == 57
+        levels.clear()
+        with pytest.raises(ClosureCapExceeded):
+            generator_closure(gens, cap=5)
+        assert levels == [1, 1]
 
 
 class TestReduction:
