@@ -615,64 +615,15 @@ class TestOrbitOracle:
         assert {type(c) for c in orbit} == {int}
 
     def test_peak_allocation_is_below_a_code_space_array(self):
-        # a bool per code would alone take 38.5 MiB; the bitset takes 4.8 MiB
+        # a bool per code would alone take 38.5 MiB; the int32 conjugates and
+        # their sort peak at 18.7 MiB, int64 codes at 28.6 MiB
         tracemalloc.start()
         try:
             assert len(scan.orbit_oracle(M0)) == 98_784
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30 * 2**20
-
-
-_BITSET_EDGES = [0, 7, 8, 9, CODE_SPACE - 1]
-
-
-class TestBitset:
-    @pytest.fixture(scope="class", params=[np.int32, np.int64])
-    def codes(self, request):
-        rng = np.random.default_rng(23)
-        drawn = rng.integers(0, CODE_SPACE, 10_000)
-        # repeats within one call, as the conjugates of a chunk have them
-        return np.concatenate([_BITSET_EDGES, drawn, drawn[::3]]).astype(request.param)
-
-    def test_size_covers_the_last_code(self):
-        assert scan._bitset().size == 5_044_201 > CODE_SPACE // 8
-
-    def test_marked_codes_are_the_sorted_distinct_codes(self, codes):
-        bits = scan._bitset()
-        scan._mark(bits, codes)
-        assert scan._marked_codes(bits).tolist() == sorted(set(codes.tolist()))
-
-    def test_marking_twice_equals_marking_once(self, codes):
-        once, twice = scan._bitset(), scan._bitset()
-        scan._mark(once, codes)
-        scan._mark(twice, codes)
-        scan._mark(twice, codes[::-1])
-        assert np.array_equal(once, twice)
-
-    def test_unmarked_keeps_exactly_the_clear_codes_in_order(self, codes):
-        bits = scan._bitset()
-        scan._mark(bits, codes[::2])
-        marked = set(codes[::2].tolist())
-        assert scan._unmarked(bits, codes).tolist() == [c for c in codes.tolist() if c not in marked]
-        assert scan._unmarked(bits, codes[::2]).size == 0
-
-    def test_a_later_mark_keeps_the_earlier_bits_of_its_byte(self):
-        bits = scan._bitset()
-        for c in (8, 15, 9):
-            scan._mark(bits, np.array([c]))
-        assert bits[1] == 0b1000_0011
-        assert scan._marked_codes(bits).tolist() == [8, 9, 15]
-        assert scan._unmarked(bits, np.arange(7, 17)).tolist() == [7, 10, 11, 12, 13, 14, 16]
-
-    @pytest.mark.parametrize("code", _BITSET_EDGES)
-    def test_each_edge_code_alone(self, code):
-        bits = scan._bitset()
-        scan._mark(bits, np.array([code]))
-        assert np.count_nonzero(bits) == 1 and bits[code // 8] == 1 << code % 8
-        assert scan._marked_codes(bits).tolist() == [code]
-        assert scan._unmarked(bits, np.array([code])).size == 0
+        assert peak < 24 * 2**20
 
 
 class TestLabelMembers:
@@ -989,10 +940,10 @@ R3_BLOCK = 16_464
 
 
 def _whole_group_orbit(m: Mat3) -> set[int]:
-    seen = scan._bitset()
+    orbit: set[int] = set()
     for codes in scan._map_chunks(lambda g: scan._conjugate_codes(g, m)):
-        scan._mark(seen, scan._unmarked(seen, codes))
-    return set(scan._marked_codes(seen).tolist())
+        orbit.update(codes.tolist())
+    return orbit
 
 
 def _whole_group_intertwiners(a: Mat3, b: Mat3) -> np.ndarray:

@@ -55,26 +55,22 @@ def random_outside_h(rng: random.Random):
 
 
 def element_closure(gens) -> int:
-    """Reference closure: a BFS over the element codes, with a presence bit per
-    code (scan._bitset) and right multiplication by s split into a table of
-    the 343^2 codes of rows 1 and 2 and one of the 343 third rows."""
+    """Reference closure: a BFS over the element codes, with the visited codes
+    in a Python set and right multiplication by s split into a table of the
+    343^2 codes of rows 1 and 2 and one of the 343 third rows."""
     tables = []
     for s in gens:
         rows = scan._encode_planes(scan._mul_planes(scan._decode_planes(np.arange(343)),
                                                     np.array(s, dtype=np.uint8)))
         tables.append(((rows[None, :] + 343 * rows[:, None]).ravel(), 343**2 * rows))
-    visited = scan._bitset()
+    visited = {encode(IDENTITY)}
     frontier = np.array([encode(IDENTITY)])
-    scan._mark(visited, frontier)
-    size = 1
     while frontier.size:
         high, low = np.divmod(frontier, 343**2)
-        codes = np.concatenate([scan._unmarked(visited, pair[low] + row3[high])
-                                for pair, row3 in tables])
-        frontier = np.unique(codes)
-        scan._mark(visited, frontier)
-        size += frontier.size
-    return size
+        reached = set().union(*((pair[low] + row3[high]).tolist() for pair, row3 in tables))
+        frontier = np.fromiter(reached - visited, dtype=np.int64)
+        visited |= reached
+    return len(visited)
 
 
 _LEAD = [r for lo, hi in scan._LEAD_ROWS for r in range(lo, hi)]

@@ -1,0 +1,69 @@
+"""Group orders from sympy's Schreier-Sims, an oracle that shares no code with
+scan or subgroups: each matrix becomes the permutation v -> v g of the 342
+nonzero row vectors of F7^3, or of the 57 points of the projective plane."""
+
+import itertools
+
+import pytest
+
+pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+
+from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel  # noqa: E402
+from sl3f7.matrix3 import GROUP_ORDER, Mat3  # noqa: E402
+from sl3f7.subgroups import PARABOLIC_GENERATORS, X, Y, Z  # noqa: E402
+
+M04 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
+M02 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
+VECTORS = [v for v in itertools.product(range(7), repeat=3) if any(v)]
+# each point of the plane named by its vector whose leading nonzero entry is 1
+POINTS = [v for v in VECTORS if next(x for x in v if x) == 1]
+
+
+def _times(v: tuple[int, ...], g: Mat3) -> tuple[int, ...]:
+    return tuple(sum(v[i] * g[3 * i + j] for i in range(3)) % 7 for j in range(3))
+
+
+def _normalized(v: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = pow(next(x for x in v if x), -1, 7)
+    return tuple(inverse * x % 7 for x in v)
+
+
+def on_vectors(*gens: Mat3) -> PermutationGroup:
+    index = {v: k for k, v in enumerate(VECTORS)}
+    return PermutationGroup([Permutation([index[_times(v, g)] for v in VECTORS]) for g in gens])
+
+
+def on_points(*gens: Mat3) -> PermutationGroup:
+    index = {v: k for k, v in enumerate(POINTS)}
+    return PermutationGroup([Permutation([index[_normalized(_times(v, g))] for v in POINTS])
+                             for g in gens])
+
+
+@pytest.fixture(scope="module")
+def sl3() -> PermutationGroup:
+    return on_vectors(X, Y, Z)
+
+
+class TestOnVectors:
+    def test_x_y_z_generate_sl3(self, sl3):
+        assert sl3.order() == GROUP_ORDER == 5_630_688
+
+    def test_sl3_is_perfect(self, sl3):
+        assert sl3.is_perfect
+
+    def test_parabolic_generators_give_h(self):
+        assert on_vectors(*PARABOLIC_GENERATORS).order() == 98_784
+
+    @pytest.mark.parametrize("m, order", [(M04, 57), (M02, 19)], ids=["M04", "M02"])
+    def test_representative_orders(self, m, order):
+        assert on_vectors(m).order() == order
+
+
+class TestOnPoints:
+    def test_psl3_order(self):
+        assert on_points(X, Y, Z).order() == GROUP_ORDER // 3 == 1_876_896
+
+    def test_a_point_stabiliser_has_orbits_1_and_56(self):
+        stabiliser = on_points(X, Y, Z).stabilizer(0)
+        assert sorted(map(len, stabiliser.orbits())) == [1, 56]
