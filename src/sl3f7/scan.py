@@ -107,16 +107,11 @@ def _cross(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return _mod7(b * z + 42 - c * y), _mod7(c * x + 42 - a * z), _mod7(a * y + 42 - b * x)
 
 
-def _decode_planes(codes: np.ndarray) -> np.ndarray:
-    """Base-7 digit planes of MatCodes by division, shape (9, len(codes)) uint8;
-    codes fit int32.  Row 1 is planes 0..2, row 3 planes 6..8."""
-    q = np.asarray(codes, dtype=np.int32)
-    out = np.empty((9, q.size), dtype=np.uint8)
-    for k in range(9):
-        rest = q // 7
-        out[k] = q - 7 * rest
-        q = rest
-    return out
+@functools.cache
+def _digit_planes(d: int) -> np.ndarray:
+    """Base-7 digits of 0 .. 7^d - 1, (d, 7^d) uint8, plane k the digit of 7^k:
+    the 343 row codes' entries for d = 3, intertwiner coefficients for any d."""
+    return _read_only(np.indices((7,) * d, dtype=np.uint8)[::-1].reshape(d, 7**d))
 
 
 @functools.cache
@@ -133,7 +128,7 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       solution_blocks (343, 3, 49): for row code c, the entries of its 49
         r1 as planes, ascending (zeros for c = 0).
     """
-    x, y, z = rows = _decode_planes(np.arange(343))[:3]
+    x, y, z = rows = _digit_planes(3)
     dot = _mod7(x[:, None] * x + y[:, None] * y + z[:, None] * z)  # [c, r1] = r1 . c
     _, r1 = np.nonzero(dot[1:] == 1)  # 49 per nonzero c, ascending r1 within each
     solutions = np.concatenate([np.zeros(49, dtype=np.int64), r1]).reshape(343, 49)
@@ -143,12 +138,6 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
     return _read_only(pair_planes), _read_only(cross[r3, r2]), _read_only(solution_blocks)
-
-
-@functools.cache
-def _coefficient_planes(d: int) -> np.ndarray:
-    """Digit planes of arange(7^d), (d, 7^d) uint8: intertwiner coefficients."""
-    return _read_only(_decode_planes(np.arange(7**d))[:d])
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -218,10 +207,10 @@ def _adjugate_planes(d: np.ndarray) -> np.ndarray:
 
 
 def _encode_planes(d: np.ndarray) -> np.ndarray:
-    codes = d[8].astype(np.int32)  # Horner's rule; 7^9 < 2^31
+    codes = d[8].astype(np.int32)  # Horner's rule; 7^9 < 2^31, so every code array is int32
     for k in range(7, -1, -1):
         codes = 7 * codes + d[k]
-    return codes.astype(np.int64)
+    return codes
 
 
 def _eq_identity(d: np.ndarray) -> np.ndarray:
@@ -255,12 +244,12 @@ def count_sl3() -> int:
 def _det_one_runs(rows: range = range(343)) -> list[int]:
     """det-1 counts of the runs of 7^6 codes sharing a third row (g, h, i), one
     per row code in rows.  det = g*m0 + h*m1 + i*m2 over the reduced minors
-    m = r1 x r2, so the 7^6 pairs (r1, r2) are binned once by the row code of
-    m, and a run counts the pairs of the bins with (g, h, i) . m = 1."""
-    d = np.indices((7,) * 6, dtype=np.uint8)[::-1].reshape(6, -1)  # planes 0..5 of 0..7^6-1
-    m0, m1, m2 = _cross(d[0:3], d[3:6])
-    hist = np.bincount(m0 + 7 * m1 + 49 * m2.astype(np.int16), minlength=343)
-    (g, h, i), (x, y, z) = _decode_planes(rows)[:3, :, None], _decode_planes(np.arange(343))[:3]
+    m = r1 x r2, so the 7^6 pairs (r1, r2) on the 343 x 343 row grid are binned
+    once by the row code of m; a run counts the bins' pairs with (g, h, i) . m = 1."""
+    x, y, z = r = _digit_planes(3)
+    m0, m1, m2 = _cross(r[:, :, None], r[:, None, :])  # r1 x r2 on the grid [r1, r2]
+    hist = np.bincount((m0 + 7 * m1 + 49 * m2.astype(np.int16)).ravel(), minlength=343)
+    g, h, i = r[:, rows, None]
     return ((_mod7(g * x + h * y + i * z) == 1) @ hist).tolist()  # each term is at most 36
 
 
@@ -366,7 +355,7 @@ def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
 
 
 def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
-    """Codes of the g among the det-1 planes d with g*a = b*g, ascending.
+    """Planes of the g among the det-1 planes d with g*a = b*g, in column order.
 
     Entry (0, 0) of g*a - b*g is tested on the whole chunk first (ga and bg
     each reach 108), which keeps about 1/7 of it; the two full products
@@ -375,18 +364,17 @@ def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
     bg = b[0] * d[0] + b[1] * d[3] + b[2] * d[6]
     d = np.compress(_mod7(ga + 112 - bg) == 0, d, axis=1)
     a, b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
-    return _encode_planes(np.compress((_mul_planes(d, a) == _mul_planes(b, d)).all(axis=0), d, axis=1))
+    return np.compress((_mul_planes(d, a) == _mul_planes(b, d)).all(axis=0), d, axis=1)
 
 
 def intertwiner_codes(a: Mat3, b: Mat3) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
     ascending, by group scan.  Exhaustive oracle for intertwiners.  A scalar
     commutes with a and b, so 2g and 4g intertwine when g does: the scan
-    walks _PSL_RANGES and adds each hit scaled by 2 and by 4."""
+    walks _PSL_RANGES, joins its hits' planes and encodes lam * g, lam = 1, 2, 4."""
     kernel = functools.partial(_commute_chunk, a=a, b=b)
-    hits = np.concatenate(list(_map_chunks(kernel, _PSL_RANGES)))
-    planes = _decode_planes(hits)
-    return np.sort(np.concatenate([hits] + [_encode_planes(_mod7(lam * planes)) for lam in (2, 4)]))
+    g = np.concatenate(list(_map_chunks(kernel, _PSL_RANGES)), axis=1)
+    return np.sort(np.concatenate([_encode_planes(_mod7(lam * g)) for lam in (1, 2, 4)]))
 
 
 def _intertwiner_basis(a: Mat3, b: Mat3) -> np.ndarray:
@@ -423,7 +411,7 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
     # the int16 basis promotes the uint8 digits, so sums up to 9 * 36 are exact
-    planes = _mod7(basis.T @ _coefficient_planes(d))
+    planes = _mod7(basis.T @ _digit_planes(d))
     return _encode_planes(planes[:, _det_plane(planes) == 1])
 
 
@@ -487,13 +475,12 @@ def orbit_oracle(m: Mat3) -> set[int]:
 
     Independent oracle for class_size and for the fact that the label sets
     are whole conjugacy classes.  g and a scalar times g conjugate alike, so
-    it walks _PSL_RANGES.  The chunks' conjugates are joined as int32 codes
-    (7^9 < 2^31; int64 took the peak from 18.7 to 28.6 MiB), sorted and cut to
-    the first of each run, as subgroups.generator_closure cuts each level.
+    it walks _PSL_RANGES.  The chunks' int32 conjugates (int64 took the peak
+    from 18.7 to 28.6 MiB) are joined, sorted and cut to the first of each
+    run, as subgroups.generator_closure cuts each level.
     """
     _require_sl3(m)
-    codes = np.concatenate(list(_map_chunks(lambda g: _conjugate_codes(g, m).astype(np.int32),
-                                            _PSL_RANGES)))
+    codes = np.concatenate(list(_map_chunks(functools.partial(_conjugate_codes, m=m), _PSL_RANGES)))
     codes.sort()
     first = np.ones(codes.size, dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
@@ -603,7 +590,7 @@ def normalizer_oracle(p_generator: Mat3) -> int:
     conjugate P alike, so it counts over _PSL_RANGES and multiplies by 3."""
     _require_order19(p_generator)
     member_codes = np.sort(np.array(
-        [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int64))
+        [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int32))
 
     def kernel(g: np.ndarray) -> int:
         return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))

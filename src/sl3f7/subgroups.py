@@ -26,7 +26,7 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import (CHUNK, _LEAD_ROWS, _decode_planes, _det_one_runs, _encode_planes, _mod7,
+from .scan import (CHUNK, _LEAD_ROWS, _det_one_runs, _digit_planes, _encode_planes, _mod7,
                    _mul_planes, _read_only)
 
 # Generators of the full group; X lies in H, Y and Z do not.
@@ -152,10 +152,10 @@ def _step_tables(s: Mat3) -> tuple[np.ndarray, np.ndarray]:
     So a child key is wide[offset + code mod 343^2] + small key.
     """
     index = _lead_index()
-    digits = _decode_planes(np.arange(343))
+    digits = np.pad(_digit_planes(3), ((0, 6), (0, 0)))  # the 343 rows r as first rows
     s = np.array(s, dtype=np.uint8)
     rows = np.stack([_encode_planes(_mul_planes(_mod7(lam * digits), s))
-                     for lam in (1, 2, 4)]).astype(np.int32)  # [e, r]: the row 2^e * r * s
+                     for lam in (1, 2, 4)])  # [e, r]: the row 2^e * r * s
     child = index[rows[:, index >= 0]]  # (3, 114): one lead row in each column, -1 twice
     e = np.argmax(child >= 0, axis=0)
     key = (child.max(axis=0) * 343**2 << 2)[:, None] | (np.arange(3) - e[:, None]) % 3

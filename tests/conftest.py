@@ -1,9 +1,17 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from sl3f7.matrix3 import CODE_SPACE, Mat3, decode, det
+
+
+def code_planes(codes) -> np.ndarray:
+    """Digit planes of MatCodes by numpy division, (9, len(codes)) uint8: plane k
+    holds the digit of 7^k, so row 1 is planes 0..2 and row 3 planes 6..8."""
+    q = np.asarray(codes, dtype=np.int64)
+    return np.array([q // 7**k % 7 for k in range(9)], dtype=np.uint8)
 
 
 def random_sl3(rng: random.Random) -> Mat3:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import least_sl3, random_sl3
+from conftest import code_planes, least_sl3, random_sl3
 from sl3f7 import cli, scan, subgroups, verify
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
@@ -80,16 +80,15 @@ class TestExactArithmetic:
         assert np.array_equal(scan._mod7(x), np.remainder(x, 7))
 
     def test_decode_and_encode_round_trip_and_match_scalar_codes(self):
+        # _encode_planes against matrix3's scalar decode and encode, and the
+        # tests' division decoder against decode
         rng = random.Random(0xC0DE)
-        codes = np.array([0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(3_000)],
-                         dtype=np.int64)
-        planes = scan._decode_planes(codes)
-        assert planes.dtype == np.uint8
-        assert [tuple(col) for col in planes.T.tolist()] == [decode(int(c)) for c in codes]
+        codes = [0, CODE_SPACE - 1] + [rng.randrange(CODE_SPACE) for _ in range(3_000)]
+        planes = _planes([decode(c) for c in codes])
+        assert np.array_equal(code_planes(codes), planes)
         back = scan._encode_planes(planes)
-        assert back.dtype == np.int64
-        assert np.array_equal(back, codes)
-        assert [encode(decode(int(c))) for c in codes] == codes.tolist()
+        assert back.dtype == np.int32
+        assert back.tolist() == [encode(decode(c)) for c in codes] == codes
 
 
 def _planes(mats: list[Mat3]) -> np.ndarray:
@@ -119,7 +118,7 @@ class TestUint8Kernels:
 
     def test_cross_on_every_digit_pair(self):
         # all 7^6 pairs (u, v), so every minor the + 42 must keep inside uint8
-        d = scan._decode_planes(np.arange(7**6))
+        d = code_planes(np.arange(7**6))
         got = scan._cross(d[:3], d[3:6])
         assert all(plane.dtype == np.uint8 for plane in got)
         wide = d.astype(np.int64).T
@@ -196,8 +195,8 @@ class TestUint8Kernels:
         mats = MIXED + [mat_pow(a, k) for k in range(1, 60)]
         expected = sorted({encode(g) for g in mats if mat_mul(g, a) == mat_mul(b, g)})
         codes = np.array(sorted({encode(g) for g in mats}))
-        got = scan._commute_chunk(scan._decode_planes(codes), a, b)
-        assert got.tolist() == expected
+        got = scan._commute_chunk(code_planes(codes), a, b)
+        assert scan._encode_planes(got).tolist() == expected
 
     def test_power_chunk(self):
         # 3 per g^k = I when 3 | k, else 1 per scalar g^k, on planes of any det
@@ -230,14 +229,16 @@ class TestCachedTables:
             with pytest.raises(ValueError):
                 table += 0
 
-    @pytest.mark.parametrize("d", [1, 3, 5])
+    # d = 0 is the empty nullspace of a non-conjugate pair, d = 3 the row
+    # codes of the stream and closure tables, d = 6 the largest nullspace
+    @pytest.mark.parametrize("d", [0, 1, 3, 5, 6])
     def test_coefficient_planes_are_read_only_digits(self, d):
-        planes = scan._coefficient_planes(d)
+        planes = scan._digit_planes(d)
         assert planes.dtype == np.uint8 and planes.shape == (d, 7**d)
-        assert [sum(int(x) * 7**k for k, x in enumerate(col)) for col in planes.T] == list(range(7**d))
+        assert planes.T.tolist() == [[c // 7**k % 7 for k in range(d)] for c in range(7**d)]
         with pytest.raises(ValueError):
-            planes[0, 0] = 1
-        assert scan._coefficient_planes(d) is planes
+            planes[...] = 1
+        assert scan._digit_planes(d) is planes
 
     @pytest.mark.parametrize("table", [scan._rootless_bins, lambda: scan._unity_bins(19)],
                              ids=["rootless", "unity-19"])
@@ -295,7 +296,7 @@ class TestSelection:
         picked = np.compress(np.zeros(d.shape[1], dtype=bool), d, axis=1)
         assert picked.shape == (9, 0)
         codes = scan._encode_planes(picked)
-        assert codes.dtype == np.int64 and codes.size == 0
+        assert codes.dtype == np.int32 and codes.size == 0
 
     @pytest.mark.parametrize("name", _SELECTION_CHUNKS)
     def test_eq_identity(self, name):
@@ -354,14 +355,14 @@ class TestSelection:
         d = _SELECTION_CHUNKS[name]
         ga = scan._mul_planes(d, np.array(a, dtype=np.uint8))
         bg = scan._mul_planes(_planes([b] * d.shape[1]), d)
-        expected = scan._encode_planes(d[:, np.all(ga == bg, axis=0)])
+        expected = d[:, np.all(ga == bg, axis=0)]
         got = scan._commute_chunk(d, a, b)
-        assert got.dtype == expected.dtype
+        assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
         if name == "identity" and b == scalar_mat(2):
-            assert got.size == 0
+            assert got.shape == (9, 0)
         if name == "m0" and a == b == M0:
-            assert got.size == d.shape[1]
+            assert got.shape == d.shape
 
 
 def _code_runs():
@@ -372,8 +373,8 @@ def _code_runs():
     (9, 7^6) uint8 buffer and yields it, so a consumer must not keep a run
     across iterations."""
     planes = np.empty((9, 7**6), dtype=np.uint8)
-    planes[:6] = scan._decode_planes(np.arange(7**6))[:6]
-    for row3 in scan._decode_planes(np.arange(343))[:3].T:
+    planes[:6] = code_planes(np.arange(7**6))[:6]
+    for row3 in code_planes(np.arange(343))[:3].T:
         planes[6:] = row3[:, None]
         yield planes
 
@@ -393,7 +394,7 @@ class TestCodeRuns:
     @pytest.mark.parametrize("k", RUNS)
     def test_equals_division_decode(self, runs, k):
         assert runs[k].dtype == np.uint8
-        assert np.array_equal(runs[k], scan._decode_planes(np.arange(k * 7**6, (k + 1) * 7**6)))
+        assert np.array_equal(runs[k], code_planes(np.arange(k * 7**6, (k + 1) * 7**6)))
 
     @pytest.mark.parametrize("k", RUNS)
     def test_det_kernel(self, runs, k):
@@ -934,6 +935,14 @@ class TestIntertwiner:
         assert scan.intertwiners(M0, mat_scale(2, M0)).size == 0
         assert scan.intertwiner_codes(M0, mat_scale(2, M0)).size == 0
 
+    def test_code_arrays_are_int32(self):
+        # _encode_planes returns int32 codes (7^9 < 2^31) and no caller widens
+        # them, whether the array is empty or not
+        for a, b in ((M0, M0), (M0, mat_scale(2, M0))):
+            assert scan.intertwiners(a, b).dtype == np.int32
+            assert scan.intertwiner_codes(a, b).dtype == np.int32
+        assert scan.label_member_codes(ClassLabel(0, 4)).dtype == np.int32
+
 
 # third-row block of the stream: 336 second rows times 49 first rows
 R3_BLOCK = 16_464
@@ -947,7 +956,8 @@ def _whole_group_orbit(m: Mat3) -> set[int]:
 
 
 def _whole_group_intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
-    return np.concatenate(list(scan._map_chunks(functools.partial(scan._commute_chunk, a=a, b=b))))
+    return np.concatenate(list(scan._map_chunks(
+        lambda d: scan._encode_planes(scan._commute_chunk(d, a, b)))))
 
 
 def _whole_group_normalizer(p: Mat3) -> int:
@@ -1009,7 +1019,7 @@ class TestCosetWalk:
 
     def test_exactly_one_of_g_2g_4g_has_its_row3_block_in_the_ranges(self):
         rng = np.random.default_rng(0xC05E7)
-        planes = scan._decode_planes(rng.integers(0, CODE_SPACE, 100_000))
+        planes = code_planes(rng.integers(0, CODE_SPACE, 100_000))
         g = np.compress(scan._det_plane(planes) == 1, planes, axis=1)[:, :10_000]
         assert g.shape[1] == 10_000
         hits = np.zeros(g.shape[1], dtype=int)
@@ -1032,7 +1042,9 @@ class TestCosetWalk:
             "labels": {label: _whole_group_label_codes(label) for label in _WALKED_LABELS},
         }
 
-    @pytest.mark.parametrize("chunk_size", [1 << 16, 1000, 200_003])
+    # 4 999 = 1 (mod 49), so successive chunk starts walk every offset inside a
+    # 49-rank pair block, and it is below 16 464, the smallest _PSL_RANGES range
+    @pytest.mark.parametrize("chunk_size", [1 << 16, 4999, 200_003])
     def test_each_scan_equals_its_whole_group_kernel(self, whole_group, chunk_size, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
         for name, m in _ORBIT_SUBJECTS.items():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import random_sl3
+from conftest import code_planes, random_sl3
 from sl3f7 import scan, subgroups
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotInSL3
 from sl3f7.matrix3 import (
@@ -60,7 +60,7 @@ def element_closure(gens) -> int:
     343^2 codes of rows 1 and 2 and one of the 343 third rows."""
     tables = []
     for s in gens:
-        rows = scan._encode_planes(scan._mul_planes(scan._decode_planes(np.arange(343)),
+        rows = scan._encode_planes(scan._mul_planes(code_planes(np.arange(343)),
                                                     np.array(s, dtype=np.uint8)))
         tables.append(((rows[None, :] + 343 * rows[:, None]).ravel(), 343**2 * rows))
     visited = {encode(IDENTITY)}
