@@ -13,8 +13,8 @@ no det filter precedes a kernel, and the group is never materialized.
 A scan walks _PSL_RANGES, one g of each coset of the centre {I, 2I, 4I}, and
 rebuilds the whole group's answer, as lam*g has the pair (lam*i, lam^2*j),
 (lam*g)^k = lam^k g^k and lam*g conjugates as g does; the closure of
-subgroups walks those cosets too, and only count_sl3 and
-verify._stream_is_det1 see every element.  A
+subgroups walks the cosets of the diagonal torus, which holds the centre,
+and only count_sl3 and verify._stream_is_det1 see every element.  A
 scan splits its ranges into chunks of at most CHUNK ranks, a fixed constant,
 evaluates a vectorized kernel on each chunk's digit planes in the calling
 thread, and merges partial results by addition or concatenation, so results
@@ -164,7 +164,7 @@ def _element_planes(lo: int, hi: int) -> np.ndarray:
 # 114 rows.  2 and 4 permute {1, 2, 4} and {3, 6, 5}, so exactly one of r, 2r and
 # 4r is among them for r != 0, and the g with one of them as third row hold one
 # element of each coset {g, 2g, 4g}.  Third-row code c > 0 owns the ranks
-# [(c - 1) * _R3_BLOCK, c * _R3_BLOCK), so those rows are six rank ranges.
+# [(c - 1) * _R3_BLOCK, c * _R3_BLOCK), so the rows are _PSL_RANGES' six rank ranges.
 _LEAD_ROWS = tuple(sorted((lead * p, (lead + 1) * p) for lead in (1, 3) for p in (1, 7, 49)))
 _R3_BLOCK = GROUP_ORDER // 342  # 336 second rows times 49 first rows
 _PSL_RANGES = tuple(((lo - 1) * _R3_BLOCK, (hi - 1) * _R3_BLOCK) for lo, hi in _LEAD_ROWS)

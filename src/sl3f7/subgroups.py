@@ -21,13 +21,11 @@ from .matrix3 import (
     IDENTITY,
     Mat3,
     det,
-    encode,
     format_matrix,
     mat,
     mat_mul,
 )
-from .scan import (CHUNK, _LEAD_ROWS, _det_one_runs, _digit_planes, _encode_planes, _mod7,
-                   _mul_planes, _read_only)
+from .scan import CHUNK, _det_one_runs, _digit_planes, _encode_planes, _mul_planes, _read_only
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -57,124 +55,142 @@ def parabolic_size() -> int:
 
 def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_ORDER) -> int:
     """Size of the subgroup generated, by breadth-first closure over the
-    cosets {g, 2g, 4g} of the centre Z = {I, 2I, 4I}.
+    cosets D*g of the diagonal torus D = {diag(a, b, (ab)^-1)} = C6 x C6.
 
     The frontier multiplies on the right by each generator alone: in a
     finite group g^-1 = g^(ord g - 1), so the monoid the generators span is
-    the subgroup.  A node is a coset, named by its member m whose third row
-    leads with 1 or 3 (scan._LEAD_ROWS): node = 343^2 * (the index of m's
-    third row among those 114 rows) + (the code of m mod 343^2).  A frontier
-    entry is the int32 key node << 2 | tag for the element 2^tag * m that
-    the BFS reached, and a node's state, 2 bits of a 3.35 MB array, is 0
-    while it is unseen and 1 + tag after.  Each generator has two step
-    tables (_step_tables), so a neighbour is one division, small lookups on
-    the third row and one gather from a table of 3 * 343^2 entries.
+    the subgroup.  A node is named by its member m whose rows 1 and 2 lead
+    with 1, points p1, p2 of P^2(F7) indexed 0..56 in code order, and whose
+    row 3 carries the product of the two leads, so det m = 1: its key is
+    (57 * p1 + p2) * 343 + code(row 3), below 1_114_407.  A frontier entry
+    is the int32 key << 6 | tag for the element diag(3^e1, 3^e2, .) * m the
+    BFS reached, tag 6 * e1 + e2, and a node's state, a uint8, is 0 while it
+    is unseen and 1 + tag after.  Right multiplication acts on each row
+    alone, so a neighbour is a few gathers from small tables (_step_tables).
 
-    The reached elements are a transversal of <gens> cap Z in <gens>, and an
-    edge that reaches a seen node, at an earlier level or at its own, with
-    another tag is a nontrivial Schreier generator t_n s t_ns^-1, a scalar
-    of <gens> (Schreier's lemma; Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, section 4.1).  Z has prime order 3, so
-    the size is 3 times the node count once an edge mismatches, and the node
-    count when none does; the edges are tested until one mismatches, and
-    the size known after each level is held to cap.
+    The reached elements are a transversal of <gens> cap D in <gens>, so the
+    size is the node count times |<gens> cap D|.  Each edge gives a Schreier
+    generator t_n s t_ns^-1 of <gens> cap D, its tag minus the one stored at
+    the node it reaches (Schreier's lemma; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1), and <gens> cap D is the
+    subgroup they generate (_span).  After each level the node count times
+    the span so far is a lower bound on the size, and it is held to cap.
 
     Each level runs in the calling thread, in two phases.  Every CHUNK-long
     slice of the frontier gathers its neighbours and keeps those whose node
-    is unseen, so no temporary outgrows |gens| * CHUNK keys.  The survivors
-    are then joined, sorted, cut to the first of each run of equal nodes and
-    marked, so every level is the same ascending set of keys for any CHUNK;
-    the old frontier is dropped before the join.  np.unique is not used
-    because on numpy 2.4 it is 50-80x slower than np.sort on code arrays
-    (7.7 s against 0.14 s on 9 M random int64 codes, 2-core x86-64), and
-    np.compress selects 3-5x faster than a boolean index on these masks.
-    """
+    is unseen (_children), so no temporary outgrows |gens| * CHUNK keys.
+    The old frontier is dropped and the survivors are joined, sorted, cut to
+    the first of each node and marked (_merge), so every level is the same
+    ascending set of keys for any CHUNK.  On numpy 2.4 np.unique is 50-80x
+    slower than np.sort on codes (7.7 against 0.14 s on 9 M int64 codes,
+    2-core x86-64), and np.compress 3-5x faster than a boolean index."""
     if not gens:
         raise ValueError("generator set must be nonempty")
     for g in gens:
         if det(g) != 1:
             raise NotInSL3(f"generator {format_matrix(g)} has det {det(g)}, expected 1")
     tables = [_step_tables(g) for g in gens]
-    states = np.zeros(-(-114 * 343**2 // 4), dtype=np.uint8)
-    row3, pair = divmod(encode(IDENTITY), 343**2)  # I's third row leads with 1: tag 0
-    frontier = np.array([(int(_lead_index()[row3]) * 343**2 + pair) << 2], dtype=np.int32)
-    _mark_nodes(states, frontier)
-    nodes, scalar = 1, False
+    states = np.zeros(57 * 57 * 343, dtype=np.uint8)
+    states[392] = 1  # I: the points (1, 0, 0) and (0, 1, 0), 0 and 1, row 3 code 49, tag 0
+    schreier = np.zeros(36, dtype=bool)  # the tags of the Schreier generators seen
+    frontier, nodes = np.array([392 << 6], dtype=np.int32), 1
     while frontier.size:
         pieces = []
         for lo in range(0, frontier.size, CHUNK):
-            # int32 division (int64's is ~5x slower); the wide table gathers ~2x
-            # faster by np.take on one intp index than by indexing with int32
-            high, low = np.divmod(frontier[lo:lo + CHUNK], 4 * 343**2)
-            row, pair = high * 3 + (low & 3), (low >> 2).astype(np.intp)
-            for (step, scale), wide in tables:
-                keys = np.take(wide, np.take(scale, row) + pair) + np.take(step, row)
-                state = _node_states(states, keys)
-                pieces.append(np.compress(state == 0, keys))
-                scalar = scalar or bool(np.any((state != 0) & (state != (keys & 3) + 1)))
-        del frontier, high, low, row, pair  # the old level goes before the join, the pieces after it
-        keys = np.concatenate(pieces)
-        del pieces
-        keys.sort()
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] >> 2 != keys[:-1] >> 2
-        frontier = np.compress(first, keys)
-        # a node reached in this level with two tags
-        scalar = scalar or bool(np.any(~first[1:] & (keys[1:] != keys[:-1])))
-        del keys, first  # freed now, not when the next level rebinds them
-        _mark_nodes(states, frontier)
+            pieces += _children(frontier[lo:lo + CHUNK], tables, states, schreier)
+        del frontier
+        frontier = _merge(pieces, states, schreier)
         nodes += int(frontier.size)
-        if nodes * (3 if scalar else 1) > cap:
+        if nodes * _span(schreier) > cap:
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-    return nodes * (3 if scalar else 1)
+    return nodes * _span(schreier)
 
 
 @functools.cache
-def _lead_index() -> np.ndarray:
-    """Row code -> its index among the 114 rows of scan._LEAD_ROWS, -1 off them."""
-    rows = np.concatenate([np.arange(lo, hi) for lo, hi in _LEAD_ROWS])
-    index = np.full(343, -1, dtype=np.int32)
-    index[rows] = np.arange(rows.size)
-    return _read_only(index)
+def _torus_tables() -> tuple[np.ndarray, ...]:
+    """Read-only int32 tables of generator_closure.  On the 343 row codes r,
+    with lead(r) = 3^log(r) their first nonzero entry (the zero row: 0, 0):
+      point (343,), the index of r / lead(r) among the 57 rows leading with 1,
+      and log (343,); rescale (6 * 512,), at 512 * k + r, the code of 3^k * r.
+    On the tags t = 6 * e1 + e2 of Z6 x Z6:
+      sums (36 * 64,), indexed 64 * t + u: t + u;
+      diffs (36 * 37,), indexed 37 * t + 1 + u: t - u, and 0 at 37 * t."""
+    rows = _digit_planes(3).astype(np.int32)
+    pow3 = np.array([1, 3, 2, 6, 4, 5], dtype=np.int32)
+    log = np.argmax(pow3[:, None] == np.choose(np.argmax(rows > 0, axis=0), rows), axis=0)
+    scaled = np.array([1, 7, 49]) @ (pow3[:, None, None] * rows % 7)  # [k, r]
+    normal = scaled[-log % 6, np.arange(343)]
+    rescale, sums, diffs = np.zeros((6, 512)), np.zeros((36, 64)), np.zeros((36, 37))
+    rescale[:, :343] = scaled
+    e1, e2 = np.divmod(np.arange(36), 6)
+    sums[:, :36] = (e1[:, None] + e1) % 6 * 6 + (e2[:, None] + e2) % 6
+    diffs[:, 1:] = (e1[:, None] - e1) % 6 * 6 + (e2[:, None] - e2) % 6
+    point = np.searchsorted(np.flatnonzero(log == 0)[1:], normal)  # the 57 points; 0 for r = 0
+    return tuple(_read_only(t.astype(np.int32).ravel()) for t in (point, log, rescale, sums, diffs))
 
 
 def _step_tables(s: Mat3) -> tuple[np.ndarray, np.ndarray]:
     """Right multiplication by s on the keys of generator_closure.
 
-    For the node member m with third row r, 2^e * m * s leads with 1 or 3
-    for one e in {0, 1, 2}, so the element 2^t * m steps to 2^(t - e) times
-    that member.  Returns two int32 tables:
-      small (2, 342), indexed by 3 * (index of r) + t: the child's third-row
-        part of the key, (index of 2^e * r * s) * 343^2 << 2 | (t - e) mod 3,
-        and e * 343^2, the offset of 2^e * s in the wide table;
-      wide (3, 343^2), indexed [e, code mod 343^2] of m: 4 times the rows 1
-        and 2 part of the code of 2^e * m * s.
-    So a child key is wide[offset + code mod 343^2] + small key.
+    Row i of m * s is p_i * s = 3^l_i * q_i for the points p1, p2 of the
+    node member m, so m * s = diag(3^l1, 3^l2, .) * m', where m' has the
+    points q1, q2 and row 3 (row 3 of m) * s * 3^(l1 + l2).  Returns two
+    int32 tables: pairs (57 * 57,), indexed 57 * p1 + p2, holds the child's
+    p1, p2 part of the key, the exponent of row 3's rescale and the tag step,
+    (57 * q1 + q2) * 343 << 9 | (l1 + l2) % 6 << 6 | 6 * l1 + l2; rows
+    (343,) holds the code of r * s for each row code r.
     """
-    index = _lead_index()
+    point, log = _torus_tables()[:2]
     digits = np.pad(_digit_planes(3), ((0, 6), (0, 0)))  # the 343 rows r as first rows
-    s = np.array(s, dtype=np.uint8)
-    rows = np.stack([_encode_planes(_mul_planes(_mod7(lam * digits), s))
-                     for lam in (1, 2, 4)])  # [e, r]: the row 2^e * r * s
-    child = index[rows[:, index >= 0]]  # (3, 114): one lead row in each column, -1 twice
-    e = np.argmax(child >= 0, axis=0)
-    key = (child.max(axis=0) * 343**2 << 2)[:, None] | (np.arange(3) - e[:, None]) % 3
-    small = np.stack([key.ravel(), np.repeat(e * 343**2, 3)])
-    rows <<= 2  # shifted before the broadcast, which is then the one pass over wide
-    wide = rows[:, None, :] + 343 * rows[:, :, None]  # [e, r2, r1]
-    return small.astype(np.int32), wide.reshape(3, -1)
+    rows = _encode_planes(_mul_planes(digits, np.array(s, dtype=np.uint8)))
+    image = rows[np.flatnonzero(log == 0)[1:]]  # p * s for the 57 points p, ascending
+    q, l = point[image], log[image]
+    pairs = (q[:, None] * 57 + q) * 343 << 9 | (l[:, None] + l) % 6 << 6 | 6 * l[:, None] + l
+    return pairs.ravel(), rows
 
 
-def _node_states(states: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The 2-bit states of the keys' nodes, 0 unseen and 1 + tag seen: bits
-    2 * (node % 4) of byte node // 4, with node = key >> 2."""
-    return np.take(states, keys >> 4) >> ((keys >> 1) & 6).astype(np.uint8) & 3
+def _children(entries: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
+              states: np.ndarray, schreier: np.ndarray) -> list[np.ndarray]:
+    """Per generator, the entries of the unseen nodes a slice reaches; marks
+    the tags of the Schreier generators of its edges to seen nodes."""
+    rescale, sums, diffs = _torus_tables()[2:]
+    pair, row = np.divmod(entries >> 6, 343)  # int32 division (int64's is ~5x slower)
+    out = []
+    for pairs, rows in tables:
+        step = np.take(pairs, pair)
+        keys = (step >> 9) + np.take(rescale, (step & 448) << 3 | np.take(rows, row))
+        tags = np.take(sums, (step & 63) << 6 | entries & 63)
+        state = np.take(states, keys)
+        schreier[np.take(diffs, tags * 37 + state)] = True
+        out.append(np.compress(state == 0, keys << 6 | tags))
+    return out
 
 
-def _mark_nodes(states: np.ndarray, keys: np.ndarray) -> None:
-    """Store 1 + tag as the state of each key's unseen node; bitwise_or.at is
-    exact where a byte repeats."""
-    np.bitwise_or.at(states, keys >> 4, (((keys & 3) + 1) << ((keys >> 1) & 6)).astype(np.uint8))
+def _merge(pieces: list[np.ndarray], states: np.ndarray, schreier: np.ndarray) -> np.ndarray:
+    """The next level: the survivors joined, sorted, cut to the first entry of
+    each node and marked; one node's consecutive tags differ by a Schreier
+    generator.  Empties pieces, so each survivor is freed after the join."""
+    keys = np.concatenate(pieces)
+    pieces.clear()
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] >> 6 != keys[:-1] >> 6
+    again = ~first[1:]
+    schreier[np.take(_torus_tables()[4], np.compress(again, keys[1:] & 63) * 37
+                     + np.compress(again, keys[:-1] & 63) + 1)] = True
+    frontier = np.compress(first, keys)
+    del keys, first  # freed now, not when the next level rebinds them
+    states[frontier >> 6] = (frontier & 63) + 1
+    return frontier
+
+
+def _span(tags: np.ndarray) -> int:
+    """Order of the subgroup of Z6 x Z6 that the marked tags generate."""
+    span = {(0, 0)}
+    for a, b in (divmod(t, 6) for t in np.flatnonzero(tags).tolist()):
+        if (a, b) not in span:
+            span = {((x + k * a) % 6, (y + k * b) % 6) for x, y in span for k in range(6)}
+    return len(span)
 
 
 # Transvections and torus elements generating H (certified by a closure run

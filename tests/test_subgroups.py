@@ -45,6 +45,8 @@ M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
 # SL2(F7) in the top-left block: every code lies in [7^8, 2 * 7^8)
 SL2_GENERATORS = (mat("1 1 0; 0 1 0; 0 0 1"), mat("1 0 0; 1 1 0; 0 0 1"))
+# the det-1 monomial matrices: D, of order 36, by the permutations, 216 in all
+MONOMIAL = (mat("3 0 0; 0 5 0; 0 0 1"), mat("1 0 0; 0 3 0; 0 0 5"), Y, mat("0 1 0; 1 0 0; 0 0 6"))
 
 
 def random_outside_h(rng: random.Random):
@@ -73,17 +75,36 @@ def element_closure(gens) -> int:
     return len(visited)
 
 
-_LEAD = [r for lo, hi in scan._LEAD_ROWS for r in range(lo, hi)]
+def row_code(row) -> int:
+    return row[0] + 7 * row[1] + 49 * row[2]
+
+
+# the 57 points of P^2(F7) as the row codes whose first nonzero entry is 1, ascending
+POINTS = [c for c in range(1, 343) if next(x for x in (c % 7, c // 7 % 7, c // 49) if x) == 1]
+LOG3 = {pow(3, e, 7): e for e in range(6)}
 
 
 def coset_key(g) -> int:
-    """generator_closure's key of g: the node of the member m of {g, 2g, 4g}
-    whose third row leads with 1 or 3, and the tag t with g = 2^t * m."""
-    for e, lam in enumerate((1, 2, 4)):
-        code = encode(tuple(lam * x % 7 for x in g))
-        if code // 343**2 in _LEAD:
-            return (_LEAD.index(code // 343**2) * 343**2 + code % 343**2) << 2 | -e % 3
-    raise AssertionError(f"{g} has a zero third row")
+    """generator_closure's entry key << 6 | tag for g: rows 1 and 2 over their
+    first nonzero entries a = 3^e1 and b = 3^e2 are the points p1 and p2,
+    row 3 is scaled by a * b, and the tag is 6 * e1 + e2."""
+    rows = [g[0:3], g[3:6], g[6:9]]
+    a, b = (next(x for x in row if x) for row in rows[:2])
+    p1, p2 = (POINTS.index(row_code([x * pow(lead, 5, 7) % 7 for x in row]))
+              for row, lead in zip(rows, (a, b)))
+    row3 = row_code([x * a * b % 7 for x in rows[2]])
+    return ((p1 * 57 + p2) * 343 + row3) << 6 | 6 * LOG3[a] + LOG3[b]
+
+
+def coset_member(entry: int):
+    """The element an entry of generator_closure stands for:
+    diag(3^e1, 3^e2, 3^-(e1 + e2)) times the rows p1, p2 and row 3 of its key."""
+    key, tag = divmod(entry, 64)
+    pair, row3 = divmod(key, 343)
+    e = divmod(tag, 6)
+    rows = [decode(POINTS[p])[:3] for p in divmod(pair, 57)] + [decode(row3)[:3]]
+    scales = [3**e[0], 3**e[1], pow(3, -(e[0] + e[1]) % 6, 7)]
+    return tuple(lam * x % 7 for lam, row in zip(scales, rows) for x in row)
 
 
 def set_closure(gens) -> int:
@@ -151,7 +172,8 @@ class TestParabolicSize:
 class TestClosure:
     # a closure test passes its exact size as the cap, so a closure that
     # loses visited marks raises ClosureCapExceeded on the size known after
-    # some level (the node count, times 3 once an edge has shown the centre)
+    # some level (the node count times the order of the subgroup of D that
+    # the edges have shown)
     # instead of running level after level up to the default cap of |G|
     def test_single_order19_generator(self):
         assert generator_closure((M2,), cap=19) == 19
@@ -183,17 +205,18 @@ class TestClosure:
             return _step_tables(s)
 
         monkeypatch.setattr(subgroups, "_step_tables", counted)
-        # the node states, three wide step tables, the largest level and its
-        # merge: 12.2 MiB; 18.3 as an element BFS with a visited bitset, 20.8
-        # while the old frontier lived through the merge, 30.0 with
-        # per-thread code ranges
+        # the 1.1 MB node states, the largest level and its merge: 3.2 MiB over
+        # the cosets of D; 12.2 over the cosets of the centre, with 2-bit node
+        # states and 1.4 MB step tables, 18.3 as an element BFS with a visited
+        # bitset, 20.8 while the old frontier lived through the merge, 30.0
+        # with per-thread code ranges
         tracemalloc.start()
         try:
             assert generator_closure((X, Y, Z)) == 5_630_688
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 19 * 2**20
+        assert peak < 6 * 2**20
         assert built == [X, Y, Z]
         built.clear()
         assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
@@ -223,7 +246,7 @@ class TestClosure:
             generator_closure((M2,), cap=5)
 
     def test_peak_allocation_is_below_a_code_space_array(self):
-        # a bool per code would alone take 38.5 MiB; the node states take 3.2 MiB
+        # a bool per code would alone take 38.5 MiB; the node states take 1.1 MB
         tracemalloc.start()
         try:
             assert generator_closure((M2,), cap=19) == 19
@@ -236,23 +259,22 @@ class TestClosure:
     # generate G, and the transposed H generators give a group of order 98784
     @pytest.mark.parametrize("gens", [(X, Y, Z), PARABOLIC_GENERATORS], ids=["XYZ", "H"])
     def test_row_table_steps_are_right_products(self, gens):
-        # the largest and the least key, every third row and tag of the small
-        # table, then random keys; a member's rows 1 and 2 need not make det 1
+        # the largest and the least entry, every entry of the 57 x 57 table,
+        # every row 3, then random entries; a member need not have det 1
         rng = random.Random(0x7AB1)
-        nodes = [(113, 2), (0, 0)] + [(h, t) for h in range(114) for t in range(3)]
-        nodes += [(rng.randrange(114), rng.randrange(3)) for _ in range(2_000)]
-        lows = [343**2 - 1, 0] + [rng.randrange(343**2) for _ in range(len(nodes) - 2)]
-        keys = np.array([(h * 343**2 + low) << 2 | t for (h, t), low in zip(nodes, lows)],
-                        dtype=np.int32)
+        pairs = [57**2 - 1, 0] + list(range(57**2)) + [rng.randrange(57**2) for _ in range(343)]
+        rows = [342, 0] + [rng.randrange(343) for _ in range(57**2)] + list(range(343))
+        tags = [35, 0] + [rng.randrange(36) for _ in range(57**2 + 343)]
+        entries = [(pair * 343 + row) << 6 | tag for pair, row, tag in zip(pairs, rows, tags)]
+        entries += [rng.randrange(57**2 * 343) << 6 | rng.randrange(36) for _ in range(2_000)]
         steps = [s for g in gens for s in (g, mat_inv(g))]
-        high, low = np.divmod(keys, 4 * 343**2)
-        row, pair = high * 3 + (low & 3), low >> 2
-        got = np.concatenate([wide.ravel()[small[1, row] + pair] + small[0, row]
-                              for small, wide in map(_step_tables, steps)])
-        assert got.dtype == np.int32
-        members = [tuple(2**t * x % 7 for x in decode(_LEAD[h] * 343**2 + low))
-                   for (h, t), low in zip(nodes, lows)]
-        assert got.tolist() == [coset_key(mat_mul(m, s)) for s in steps for m in members]
+        states = np.zeros(57**2 * 343, dtype=np.uint8)  # every node unseen: all entries kept
+        got = subgroups._children(np.array(entries, dtype=np.int32), list(map(_step_tables, steps)),
+                                  states, np.zeros(36, dtype=bool))
+        assert [piece.dtype for piece in got] == [np.int32] * len(steps)
+        members = list(map(coset_member, entries))
+        assert [piece.tolist() for piece in got] == [
+            [coset_key(mat_mul(m, s)) for m in members] for s in steps]
 
     @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
@@ -262,35 +284,35 @@ class TestClosure:
 
     def test_levels_are_the_same_ascending_frontier_for_any_chunk(self, monkeypatch):
         levels: dict[int, list[list[int]]] = {}
-        gathers: list[int] = []
+        slices: list[int] = []
 
-        def mark(states, keys):
-            levels[chunk].append(keys.tolist())
-            marked(states, keys)
+        def merge(pieces, states, schreier):
+            frontier = merged(pieces, states, schreier)
+            levels[chunk].append(frontier.tolist())
+            return frontier
 
-        def node_states(states, keys):
-            gathers.append(keys.size)
-            return read(states, keys)
+        def children(entries, tables, states, schreier):
+            slices.append(entries.size)
+            return expand(entries, tables, states, schreier)
 
-        marked, read = subgroups._mark_nodes, subgroups._node_states
-        monkeypatch.setattr(subgroups, "_mark_nodes", mark)
-        monkeypatch.setattr(subgroups, "_node_states", node_states)
-        # H's levels have at most 12 699 nodes, so only 1 000-key slices split one
+        merged, expand = subgroups._merge, subgroups._children
+        monkeypatch.setattr(subgroups, "_merge", merge)
+        monkeypatch.setattr(subgroups, "_children", children)
+        # H's levels have at most 1 081 nodes, so only 1 000-key slices split one
         for chunk in (scan.CHUNK, 1_000):
             monkeypatch.setattr(subgroups, "CHUNK", chunk)
             run = levels[chunk] = []
-            gathers.clear()
+            slices.clear()
             assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-            # one gather per generator and slice of at most chunk keys
-            assert max(gathers) <= chunk
-            assert len(gathers) == len(PARABOLIC_GENERATORS) * sum(
-                -(-len(level) // chunk) for level in run[:-1])
+            # one expansion per slice of at most chunk keys, the first level I alone
+            assert max(slices) <= chunk
+            assert len(slices) == 1 + sum(-(-len(level) // chunk) for level in run[:-1])
         assert levels[scan.CHUNK] == levels[1_000]
-        assert max(map(len, levels[1_000])) == 12_699
-        # ascending keys, one per node; H holds Z, so the nodes are |H| / 3
-        nodes = [[k >> 2 for k in level] for level in levels[1_000]]
+        assert max(map(len, levels[1_000])) == 1_081
+        # ascending keys, one per node; H holds D, so with I's node they are |H| / 36
+        nodes = [[k >> 6 for k in level] for level in levels[1_000]]
         assert all(level == sorted(set(level)) for level in nodes)
-        assert sum(map(len, nodes)) == 98_784 // 3
+        assert 1 + sum(map(len, nodes)) == 98_784 // 36 == 2_744
 
     def test_bad_generator_sets_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -300,8 +322,9 @@ class TestClosure:
 
 
 class TestCosetClosure:
-    """The coset BFS against the element BFS, for any CHUNK: a group with no
-    scalar but the identity has |<gens>| nodes, and one holding Z a third."""
+    """The coset BFS against the element BFS, for any CHUNK: a group meeting D
+    in the identity alone has |<gens>| nodes, one holding Z a third, and one
+    meeting D in a subgroup of order 2, 6, 9 or 36 that fraction."""
 
     @pytest.fixture(scope="class")
     def normalizer(self):
@@ -316,31 +339,40 @@ class TestCosetClosure:
     @pytest.mark.parametrize("chunk", [scan.CHUNK, 1_000])
     @pytest.mark.parametrize("name, size", [
         ("M2", 19), ("M0", 57), ("H", 98_784), ("SL2", 336), ("2I", 3), ("I", 1),
-        ("Pn", 57), ("NP", 171)])
+        ("Pn", 57), ("NP", 171), ("D6", 6), ("D9", 9), ("D2", 2), ("monomial", 216)])
     def test_matches_the_element_bfs(self, monkeypatch, normalizer, name, size, chunk):
+        # D6 is cyclic, so one Schreier generator spans it; D9 is C3 x C3, so no
+        # one Schreier generator does, nor does any for the monomial group's D
         gens = {"M2": (M2,), "M0": (M0,), "H": PARABOLIC_GENERATORS, "SL2": SL2_GENERATORS,
-                "2I": (mat("2 0 0; 0 2 0; 0 0 2"),), "I": (IDENTITY,), **normalizer}[name]
+                "2I": (mat("2 0 0; 0 2 0; 0 0 2"),), "I": (IDENTITY,),
+                "D6": (mat("3 0 0; 0 5 0; 0 0 1"),),
+                "D9": (mat("2 0 0; 0 4 0; 0 0 1"), mat("1 0 0; 0 2 0; 0 0 4")),
+                "D2": (mat("6 0 0; 0 6 0; 0 0 1"),), "monomial": MONOMIAL, **normalizer}[name]
         monkeypatch.setattr(subgroups, "CHUNK", chunk)
         assert generator_closure(gens, cap=size) == element_closure(gens) == size
 
     def test_the_cap_counts_z_from_the_level_that_shows_it(self, monkeypatch):
         # <M2, 2 M2> is <M2> x Z: level 1 reaches one node as M2 and as 2 M2,
-        # so its 2 nodes already stand for 6 elements and a cap of 5 stops
-        # there, not 4 levels later when 6 nodes pass it
+        # so with I's node its 2 nodes already stand for 6 elements and a cap
+        # of 5 stops there, not 4 levels later when 6 nodes pass it.  In the
+        # monomial group, level 1 reaches I's node by diag(3, 5, 1) and by
+        # diag(1, 3, 5), which span D: its 3 nodes stand for 108 elements
         levels = []
 
-        def mark(states, keys):
-            levels.append(keys.size)
-            marked(states, keys)
+        def merge(pieces, states, schreier):
+            frontier = merged(pieces, states, schreier)
+            levels.append(frontier.size)
+            return frontier
 
-        marked = subgroups._mark_nodes
-        monkeypatch.setattr(subgroups, "_mark_nodes", mark)
-        gens = (M2, tuple(2 * x % 7 for x in M2))
-        assert generator_closure(gens, cap=57) == element_closure(gens) == 57
-        levels.clear()
-        with pytest.raises(ClosureCapExceeded):
-            generator_closure(gens, cap=5)
-        assert levels == [1, 1]
+        merged = subgroups._merge
+        monkeypatch.setattr(subgroups, "_merge", merge)
+        for gens, size, cap in [((M2, tuple(2 * x % 7 for x in M2)), 57, 5),
+                                (MONOMIAL, 216, 107)]:
+            assert generator_closure(gens, cap=size) == element_closure(gens) == size
+            levels.clear()
+            with pytest.raises(ClosureCapExceeded):
+                generator_closure(gens, cap=cap)
+            assert levels == [1 if size == 57 else 2]
 
 
 class TestReduction:
