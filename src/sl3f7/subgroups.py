@@ -73,8 +73,9 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     generator t_n s t_ns^-1 of <gens> cap D, its tag minus the one stored at
     the node it reaches (Schreier's lemma; Holt, Eick & O'Brien, Handbook of
     Computational Group Theory, 2005, section 4.1), and <gens> cap D is the
-    subgroup they generate (_span).  After each level the node count times
-    the span so far is a lower bound on the size, and it is held to cap.
+    subgroup they generate (_span, once per level until it is all of D).
+    After each level the node count times the span so far is a lower bound
+    on the size, and it is held to cap.
 
     Each level runs in the calling thread, in two phases.  Every CHUNK-long
     slice of the frontier gathers its neighbours and keeps those whose node
@@ -93,7 +94,7 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     states = np.zeros(57 * 57 * 343, dtype=np.uint8)
     states[392] = 1  # I: the points (1, 0, 0) and (0, 1, 0), 0 and 1, row 3 code 49, tag 0
     schreier = np.zeros(36, dtype=bool)  # the tags of the Schreier generators seen
-    frontier, nodes = np.array([392 << 6], dtype=np.int32), 1
+    frontier, nodes, span = np.array([392 << 6], dtype=np.int32), 1, 1
     while frontier.size:
         pieces = []
         for lo in range(0, frontier.size, CHUNK):
@@ -101,9 +102,11 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
         del frontier
         frontier = _merge(pieces, states, schreier)
         nodes += int(frontier.size)
-        if nodes * _span(schreier) > cap:
+        if span < 36:  # a span of all 36 elements of D cannot grow
+            span = _span(schreier)
+        if nodes * span > cap:
             raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-    return nodes * _span(schreier)
+    return nodes * span
 
 
 @functools.cache

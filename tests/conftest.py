@@ -1,5 +1,7 @@
 import functools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,24 @@ def random_gl3(rng: random.Random) -> Mat3:
         m = decode(rng.randrange(CODE_SPACE))
         if det(m) != 0:
             return m
+
+
+SCHEMA_FILE = Path(__file__).parent / "sl3f7-v1.schema.json"
+
+
+@functools.cache
+def schema_validator():
+    """The draft 2020-12 validator of the sl3f7/v1 contract.  jsonschema is a
+    [test] dependency, imported here so that the tests that never validate
+    a document still run without it."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(json.loads(SCHEMA_FILE.read_text(encoding="utf-8")))
+
+
+def check_document(doc) -> None:
+    """Raise jsonschema.ValidationError unless doc is a sl3f7/v1 document."""
+    schema_validator().validate(doc)
 
 
 @pytest.fixture

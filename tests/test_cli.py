@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import check_document
 from sl3f7 import cli, scan
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
 from sl3f7.matrix3 import IDENTITY, format_matrix, mat_inv, mat_mul, mat_pow, mat_scale
-from sl3f7.schema import validate_document
 
 M0_TEXT = "0 1 3; 0 0 1; 1 0 0"
 M2_TEXT = "0 2 -1; 0 0 2; 2 0 0"
@@ -29,7 +29,7 @@ def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    validate_document(doc)
+    check_document(doc)
     return doc
 
 
@@ -159,6 +159,7 @@ class TestScanningCommands:
         _, out1, _ = run(capsys, "census", "--format", "json", "--threads", "1")
         _, out4, _ = run(capsys, "census", "--format", "json", "--threads", "4")
         assert out1 == out4
+        check_document(json.loads(out1))
 
 
 class TestSubgroupCommands:
@@ -234,7 +235,7 @@ class TestSimconj:
         code, out, _ = run(capsys, "simconj", str(f1), str(f2))
         assert code == 0
         doc = json.loads(out)
-        validate_document(doc)
+        check_document(doc)
         assert doc["equivalent"] is True
         assert doc["witness"] is not None
 
@@ -245,6 +246,7 @@ class TestSimconj:
         code, out, _ = run(capsys, "simconj", str(f1), str(f2))
         assert code == 0
         doc = json.loads(out)
+        check_document(doc)
         assert doc["equivalent"] is False
         assert doc["certificate"]
 
@@ -272,7 +274,7 @@ class TestSimconj:
         code, out, _ = run(capsys, "simconj", str(f1), str(f2))
         assert code == 0
         doc = json.loads(out)
-        validate_document(doc)
+        check_document(doc)
         assert doc["equivalent"] is False
         assert doc["certificate"] == "stripped scalar members differ (conjugation fixes scalars)"
 
@@ -323,7 +325,7 @@ class TestVerify:
 # the field tests above parse the output and would not see a reordered
 # envelope.  The files were written by the code as it was before
 # schema.document() built every envelope.  Each output must also pass
-# validate_document, so every kind the CLI emits meets schema.REQUIRED_FIELDS.
+# check_document, so every kind the CLI emits meets tests/sl3f7-v1.schema.json.
 # The simconj cases read tuple files written from _SIMCONJ_TUPLES.
 GOLDEN_JSON = Path(__file__).parent / "golden" / "json"
 _G = KNOWN_REPRESENTATIVES[ClassLabel(1, 0)]
@@ -360,7 +362,7 @@ def test_json_stdout_unchanged(capsys, tmp_path, name):
     code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in JSON_GOLDENS[name]))
     assert code == 0
     assert out == (GOLDEN_JSON / f"{name}.json").read_text(encoding="utf-8")
-    validate_document(json.loads(out))
+    check_document(json.loads(out))
 
 
 # The table and csv stdout of every subcommand but simconj (JSON only), byte
@@ -491,3 +493,5 @@ class TestMalformedInput:
                 if code:
                     assert out.getvalue() == "", argv
                     assert err.getvalue().startswith("error: "), argv
+                elif argv[0] == "simconj":  # the one subcommand here that prints JSON
+                    check_document(json.loads(out.getvalue()))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import code_planes, least_sl3, random_sl3
+from conftest import check_document, code_planes, least_sl3, random_sl3
 from sl3f7 import cli, scan, subgroups, verify
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
@@ -44,7 +44,6 @@ from sl3f7.matrix3 import (
     mat_scale,
     scalar_mat,
 )
-from sl3f7.schema import validate_document
 
 M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
@@ -232,7 +231,7 @@ class TestCachedTables:
     # d = 0 is the empty nullspace of a non-conjugate pair, d = 3 the row
     # codes of the stream and closure tables, d = 6 the largest nullspace
     @pytest.mark.parametrize("d", [0, 1, 3, 5, 6])
-    def test_coefficient_planes_are_read_only_digits(self, d):
+    def test_digit_planes_are_cached_read_only_digits(self, d):
         planes = scan._digit_planes(d)
         assert planes.dtype == np.uint8 and planes.shape == (d, 7**d)
         assert planes.T.tolist() == [[c // 7**k % 7 for k in range(d)] for c in range(7**d)]
@@ -567,7 +566,7 @@ class TestCensus:
 
     def test_serialization(self):
         doc = scan.census().to_json()
-        validate_document(doc)
+        check_document(doc)
         assert doc["by_trace"]["0"] == 296_352
 
 

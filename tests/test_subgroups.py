@@ -374,6 +374,30 @@ class TestCosetClosure:
                 generator_closure(gens, cap=cap)
             assert levels == [1 if size == 57 else 2]
 
+    @pytest.mark.parametrize("name, size, spans", [
+        ("XYZ", GROUP_ORDER, 15), ("H", 98_784, 1), ("M2", 19, None), ("D9", 9, None)])
+    def test_the_span_is_taken_once_a_level_until_it_is_all_of_d(
+            self, monkeypatch, name, size, spans):
+        # {X, Y, Z}'s tags span D at level 15 of 29 and H's at level 1; a
+        # group meeting D in less takes the span after each of its levels
+        gens = {"XYZ": (X, Y, Z), "H": PARABOLIC_GENERATORS, "M2": (M2,),
+                "D9": (mat("2 0 0; 0 4 0; 0 0 1"), mat("1 0 0; 0 2 0; 0 0 4"))}[name]
+        levels, taken = [], []  # one entry per _merge call; the spans _span returned
+
+        def span(tags):
+            taken.append(spanned(tags))
+            return taken[-1]
+
+        merged, spanned = subgroups._merge, subgroups._span
+        monkeypatch.setattr(subgroups, "_span", span)
+        monkeypatch.setattr(subgroups, "_merge", lambda *args: levels.append(1) or merged(*args))
+        assert generator_closure(gens) == size
+        assert all(s < 36 for s in taken[:-1])
+        if spans is None:
+            assert len(taken) == len(levels) and taken[-1] < 36
+        else:
+            assert len(taken) == spans and taken[-1] == 36 and len(levels) > spans
+
 
 class TestReduction:
     def test_y_to_y_is_empty_trace(self):
