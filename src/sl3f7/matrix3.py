@@ -185,31 +185,25 @@ def mat_inv(m: Mat3) -> Mat3:
     return tuple(s * v % P for v in adj)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
-
-
-# Orders of invertible 3x3 matrices over F7 all divide |SL3(F7)|: they are
-# lcm(semisimple, unipotent) parts dividing 342, 48 or 42 times at most 7.
-_ORDER_DIVISORS = tuple(_divisors(GROUP_ORDER))
-
-
 def mat_order(m: Mat3) -> int:
-    """Least n >= 1 with m^n = I, by ascent over group-order divisors.
-
-    Eigenvector-free det-1 matrices take the fast path {19, 57}; the
-    irreducible-characteristic-polynomial argument behind it needs det 1.
-    """
+    """Least n >= 1 with m^n = I: 19 or 57 when m is eigenvector-free with
+    det 1 (the irreducible-polynomial argument needs det 1), else the first n
+    of the walk m, m^2, ..., m^342.  No order in GL3(F7) passes 7^3 - 1 = 342:
+    semisimple eigenvalues lie in F343* (order | 342), F49* x F7* (| 48) or
+    F7* (| 6), and a unipotent part of order 7 needs a repeated eigenvalue,
+    which lies in F7 (| 42)."""
     d = det(m)
     if d == 0:
         raise SingularMatrix("singular matrices have no order")
-    candidates = (19, 57) if d == 1 and not has_fp_eigenvalue(m) else _ORDER_DIVISORS
-    for n in candidates:
-        if mat_pow(m, n) == IDENTITY:
-            return n
-    raise AssertionError("unreachable: order must divide the group order")
+    if d == 1 and not has_fp_eigenvalue(m):
+        for n in (19, 57):
+            if mat_pow(m, n) == IDENTITY:
+                return n
+    else:
+        for n, p in enumerate(mat_powers(m, 342), 1):
+            if p == IDENTITY:
+                return n
+    raise AssertionError("unreachable: every element of GL3(F7) has order at most 342")
 
 
 def encode(m: Mat3) -> int:

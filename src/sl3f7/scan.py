@@ -399,34 +399,20 @@ def intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     scalar, and 9 when a = b is scalar; otherwise d <= 6.  All 7^d members
     are expanded as digit planes and the det-1 ones kept.  For d = 9 every
     element intertwines, so equal scalars are a ValueError, not a pass over
-    the group: centralizer, class_size and least_intertwiner answer them.
+    the group: centralizer, class_size and simconj.find_conjugator answer them.
 
     The codes come out ascending with no sort: the reduced-echelon basis
     vector of free entry f is 1 at f, 0 at the other free entries and
     nonzero only at pivot entries below f, so counting the coefficients
     with the highest free entry as the top digit counts the codes upward.
     """
-    if _all_intertwine(a, b):
+    if a == b and is_scalar(a):  # d = 9
         raise ValueError("every element intertwines equal scalars; ask centralizer instead")
     basis = _intertwiner_basis(a, b)
     d = basis.shape[0]
     # the int16 basis promotes the uint8 digits, so sums up to 9 * 36 are exact
     planes = _mod7(basis.T @ _digit_planes(d))
     return _encode_planes(planes[:, _det_plane(planes) == 1])
-
-
-def _all_intertwine(a: Mat3, b: Mat3) -> bool:
-    """Every g has g*a = b*g (d = 9) exactly when a = b is scalar."""
-    return a == b and is_scalar(a)
-
-
-def least_intertwiner(a: Mat3, b: Mat3) -> int | None:
-    """The first code of intertwiners(a, b), None when there is none; for
-    equal scalars the first element of the stream, with no stream pass."""
-    if _all_intertwine(a, b):
-        return int(_encode_planes(_element_planes(0, 1))[0])
-    codes = intertwiners(a, b)
-    return int(codes[0]) if codes.size else None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .matrix3 import (
     mat_scale,
     parse_matrix,
 )
-from .scan import least_intertwiner
+from .scan import intertwiners
 
 
 class NotCommuting(ValueError):
@@ -118,16 +118,21 @@ def analyze_tuple(ms) -> CommutingTuple | AllEigen:
     return CommutingTuple(members=members, base=base, exponents=exponents, stripped=stripped)
 
 
+# the det-1 matrix of least MatCode, 120_344: every g conjugates lam*I to itself
+_LEAST_SL3: Mat3 = (0, 0, 6, 0, 1, 0, 1, 0, 0)
+
+
 def find_conjugator(a: Mat3, b: Mat3) -> Mat3 | None:
     """Least-MatCode g in SL3 with g a g^-1 = b, or None when a, b are not
-    conjugate: least_intertwiner(a, b), exactly verified before return."""
+    conjugate: _LEAST_SL3 when a = b is scalar, else the first code of
+    intertwiners(a, b), exactly verified before return."""
     if det(a) != 1 or det(b) != 1:
         raise NotInSL3("find_conjugator needs det-1 matrices")
-    least = least_intertwiner(a, b)
-    if least is None:
-        return None
-    g = decode(least)
-    assert mat_mul(g, a) == mat_mul(b, g)
+    if a == b and is_scalar(a):
+        return _LEAST_SL3
+    codes = intertwiners(a, b)
+    g = decode(int(codes[0])) if codes.size else None
+    assert g is None or mat_mul(g, a) == mat_mul(b, g)
     return g
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sl3f7 import scan
 from sl3f7.matrix3 import CODE_SPACE, Mat3, decode, det
 
 
@@ -53,6 +54,18 @@ def schema_validator():
 def check_document(doc) -> None:
     """Raise jsonschema.ValidationError unless doc is a sl3f7/v1 document."""
     schema_validator().validate(doc)
+
+
+@pytest.fixture
+def no_group_pass(monkeypatch) -> None:
+    """Make every walk of the det-1 element stream raise: _map_chunks, which
+    each group scan calls, and _stream_tables, which each stream plane is
+    read from, so a per-matrix answer that touches the stream fails."""
+    def walked(*args, **kwargs):
+        raise AssertionError("a per-matrix answer walked the element stream")
+
+    monkeypatch.setattr(scan, "_map_chunks", walked)
+    monkeypatch.setattr(scan, "_stream_tables", walked)
 
 
 @pytest.fixture

@@ -7,12 +7,23 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_gl3, random_sl3
-from sl3f7.field import CubicPoly, fp_inv
+from sl3f7.field import (
+    EXT_ZERO,
+    CubicPoly,
+    ExtScalar,
+    all_ext,
+    ext_add,
+    ext_mul,
+    ext_order,
+    ext_pow,
+    fp_inv,
+)
 from sl3f7.matrix3 import (
     CODE_SPACE,
     GROUP_ORDER,
     IDENTITY,
     CodeOutOfRange,
+    Mat3,
     MatrixFormatError,
     SingularMatrix,
     char_poly,
@@ -285,6 +296,23 @@ class TestProduct:
         assert list(mat_powers(m, 0)) == []
 
 
+def least_identity_power(m: Mat3) -> int | None:
+    """Oracle for mat_order: the least n <= 342 with mat_pow(m, n) = I."""
+    return next((n for n in range(1, 343) if mat_pow(m, n) == IDENTITY), None)
+
+
+def minimal_polynomial_companion(alpha: ExtScalar) -> Mat3:
+    """Companion of t^3 - e1 t^2 + e2 t - e3, the minimal polynomial over F7 of
+    an alpha in F343 outside F7, e_k the elementary symmetric functions of its
+    conjugates alpha, alpha^7 and alpha^49."""
+    a, b, c = alpha, ext_pow(alpha, 7), ext_pow(alpha, 49)
+    e1 = ext_add(ext_add(a, b), c)
+    e2 = ext_add(ext_add(ext_mul(a, b), ext_mul(a, c)), ext_mul(b, c))
+    e3 = ext_mul(ext_mul(a, b), c)
+    assert all(e.c1 == e.c2 == 0 for e in (e1, e2, e3))
+    return mat((0, 0, e3.c0, 1, 0, -e2.c0, 0, 1, e1.c0))
+
+
 class TestOrder:
     def test_m0_is_57_with_scalar_19th_power(self):
         assert mat_order(M0) == 57
@@ -321,6 +349,31 @@ class TestOrder:
     def test_order_divides_group_order_on_random_gl(self, rng):
         for _ in range(200):
             assert GROUP_ORDER % mat_order(random_gl3(rng)) == 0
+
+    def test_least_power_oracle_on_random_gl(self, rng):
+        for _ in range(2000):
+            m = random_gl3(rng)
+            assert mat_order(m) == least_identity_power(m)
+
+    def test_least_power_oracle_at_the_walks_bound(self):
+        # alpha generates F343*, so its minimal polynomial's companion has order
+        # 342 and det alpha^57, of order 6 in F7*
+        alpha = next(a for a in all_ext() if a != EXT_ZERO and ext_order(a) == 342)
+        singer = minimal_polynomial_companion(alpha)
+        assert det(singer) != 1
+        unipotent = mat("1 1 0; 0 1 0; 0 0 1")
+        cases = {
+            342: singer,
+            48: mat("0 -3 0; 1 1 0; 0 0 1"),  # t^2 - t + 3 is primitive over F7: F49* and 1
+            42: mat_scale(3, unipotent),  # 3 has order 6 in F7*
+            57: M0,
+            19: M2,
+            7: unipotent,
+            1: IDENTITY,
+        }
+        for order, m in cases.items():
+            assert least_identity_power(m) == order
+            assert mat_order(m) == order
 
 
 class TestCodes:

@@ -44,6 +44,7 @@ from sl3f7.matrix3 import (
     mat_scale,
     scalar_mat,
 )
+from sl3f7.simconj import find_conjugator
 
 M0 = KNOWN_REPRESENTATIVES[ClassLabel(0, 4)]
 M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
@@ -898,27 +899,33 @@ class TestIntertwiner:
         a, b = intertwiner_pair(kind, random.Random(pair_seed))
         codes = scan.intertwiner_codes(a, b)
         assert np.array_equal(scan.intertwiners(a, b), codes)
-        assert scan.least_intertwiner(a, b) == (int(codes[0]) if codes.size else None)
+        # find_conjugator reads the least code; it takes det-1 matrices only
+        if det(a) == det(b) == 1:
+            assert find_conjugator(a, b) == (decode(int(codes[0])) if codes.size else None)
+        else:
+            with pytest.raises(NotInSL3):
+                find_conjugator(a, b)
 
-    def test_equal_scalars_raise_without_a_group_pass(self, monkeypatch):
-        def no_pass(*args, **kwargs):
-            raise AssertionError("equal scalars walked the element stream")
-
-        monkeypatch.setattr(scan, "_map_chunks", no_pass)
+    def test_equal_scalars_raise_without_a_group_pass(self, no_group_pass):
         two = scalar_mat(2)
         with pytest.raises(ValueError, match="every element intertwines"):
             scan.intertwiners(two, two)
 
     @pytest.mark.parametrize("lam", [1, 2, 4])
-    def test_scalar_answers_need_no_group_pass(self, monkeypatch, lam):
-        def no_pass(*args, **kwargs):
-            raise AssertionError("a scalar subject walked the element stream")
-
-        monkeypatch.setattr(scan, "_map_chunks", no_pass)
+    def test_scalar_answers_need_no_group_pass(self, no_group_pass, lam):
         s = scalar_mat(lam)
-        assert scan.least_intertwiner(s, s) == encode(least_sl3())
+        assert find_conjugator(s, s) == least_sl3()
         assert scan.centralizer(s) == scan.CentralizerReport(s, GROUP_ORDER, False, None, None)
         assert scan.class_size(s) == 1
+        # nor do the eigenvector-free subjects M0 = M04 (order 57) and M2 = M02 (order 19)
+        for m in (M0, M2):
+            report = scan.centralizer(m)
+            assert report.size == 57 and report.is_cyclic
+            assert scan.class_size(m) == GROUP_ORDER // 57
+            assert encode(find_conjugator(m, m)) == report.elements[0]
+            p = m if mat_pow(m, 19) == IDENTITY else mat_pow(m, 3)  # order 19
+            assert scan.normalizer_of_cyclic(p) == 171
+            assert [row.k for row in scan.power_table(m, 57)] == list(range(1, 58))
 
     def test_different_scalars_give_nothing(self):
         assert scan.intertwiners(scalar_mat(2), scalar_mat(4)).size == 0

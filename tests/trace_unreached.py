@@ -1,4 +1,5 @@
-"""List the statements under src/sl3f7/ that the tests never run.
+"""List the statements under src/sl3f7/ that the tests never run, and fail
+when the list differs from the recorded one, tests/unreached.txt.
 
 Usage, from the repository root:
 
@@ -11,25 +12,34 @@ stdout) a Markdown list of every statement that no traced frame reached.
 Docstrings and def, class and import lines are left out.  A compound
 statement counts as run when a line of its own or a statement inside it ran.
 
+Each line of tests/unreached.txt names a file, the first line of one
+statement, stripped, and a reason, separated by " | "; lines starting with
+# are comments.  Line numbers are not recorded, so an edit elsewhere in a
+file leaves its entries valid.  Every traced statement that is not
+recorded, and every recorded one that the tests now reach, is listed in
+REPORT and on stderr.
+
 Code reached only in a subprocess, such as a test that starts the CLI in a
 new interpreter, is not traced and shows as unreached.  Tracing slows the
 run about threefold, so tests with a wall-clock budget may fail under it.
-The exit status is pytest's.  The file name does not match test_*.py, so
-pytest does not collect it.
+The exit status is pytest's when pytest fails, else 1 when the traced list
+and the recorded one differ, else 0.  The file name does not match
+test_*.py, so pytest does not collect it.
 """
-
 from __future__ import annotations
 
 import ast
 import os
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sl3f7"
+RECORDED = Path(__file__).resolve().with_name("unreached.txt")
 NOT_LISTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
@@ -90,7 +100,8 @@ def unreached(stmt: ast.stmt, ran: set[int], missed: list[int]) -> bool:
     return done
 
 
-def report(hits: dict[str, set[int]]) -> str:
+def unreached_statements(hits: dict[str, set[int]]) -> list[tuple[str, int, str]]:
+    """(file, line, first line stripped) of each statement that no traced frame ran."""
     rows = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
@@ -98,23 +109,51 @@ def report(hits: dict[str, set[int]]) -> str:
         missed: list[int] = []
         for stmt in ast.parse(source).body:
             unreached(stmt, hits.get(str(path), set()), missed)
-        rel = path.relative_to(ROOT)
-        rows += [f"- `{rel}:{n}` `{lines[n - 1].strip()}`\n" for n in sorted(missed)]
-    return (f"### Statements under `src/sl3f7/` that the tests never run: {len(rows)}\n\n"
-            + "".join(rows))
+        rel = str(path.relative_to(ROOT))
+        rows += [(rel, n, lines[n - 1].strip()) for n in sorted(missed)]
+    return rows
+
+
+def recorded_statements() -> list[tuple[str, str]]:
+    """(file, statement) of each entry of tests/unreached.txt; the reason is not compared."""
+    entries = []
+    for line in RECORDED.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            path, rest = line.split(" | ", 1)
+            statement, _reason = rest.rsplit(" | ", 1)
+            entries.append((path, statement))
+    return entries
+
+
+def report(found: list[tuple[str, int, str]]) -> str:
+    return (f"### Statements under `src/sl3f7/` that the tests never run: {len(found)}\n\n"
+            + "".join(f"- `{path}:{n}` `{stmt}`\n" for path, n, stmt in found))
+
+
+def differences(found: list[tuple[str, int, str]], recorded: list[tuple[str, str]]) -> str:
+    """Markdown lines for the statements on one list only; empty when the lists agree."""
+    traced = Counter((path, stmt) for path, _, stmt in found)
+    new, gone = traced - Counter(recorded), Counter(recorded) - traced
+    if not (new or gone):
+        return ""
+    return (f"\nThis list differs from `{RECORDED.relative_to(ROOT)}`:\n\n"
+            + "".join(f"- not recorded: `{path}` `{stmt}`\n" for path, stmt in sorted(new.elements()))
+            + "".join(f"- recorded, now run: `{path}` `{stmt}`\n" for path, stmt in sorted(gone.elements())))
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         sys.exit(__doc__)
     status, hits = run_traced(argv[1:] or ["-q"])
-    text = report(hits)
+    found = unreached_statements(hits)
+    diff = differences(found, recorded_statements())
     if argv[0] == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(report(found) + diff)
     else:
         with open(argv[0], "a", encoding="utf-8") as out:
-            out.write(text)
-    return status
+            out.write(report(found) + diff)
+    sys.stderr.write(diff)
+    return status or int(bool(diff))
 
 
 if __name__ == "__main__":
