@@ -13,17 +13,7 @@ import functools
 from typing import NamedTuple
 
 from .field import CubicPoly, cubic_has_fp_root, cubic_roots_ext, ext_order
-from .matrix3 import (
-    CODE_SPACE,
-    Mat3,
-    char_poly,
-    decode,
-    det,
-    has_fp_eigenvalue,
-    mat,
-    mat_pow,
-    mat_scale,
-)
+from .matrix3 import Mat3, char_poly, has_fp_eigenvalue, mat, mat_pow, mat_scale
 
 
 class NotInSL3(ValueError):
@@ -121,34 +111,18 @@ def order_of_label(label: ClassLabel) -> int:
     return orders.pop()
 
 
-@functools.cache
-def _scan_representatives() -> dict[ClassLabel, Mat3]:
-    """First SL3 matrix of each eigenfree label in ascending MatCode order.
-
-    Codes below 7^6 decode to matrices with an all-zero bottom row
-    (det 0), so the scan starts at 7^6.
-    """
-    wanted = set(eigenfree_labels())
-    found: dict[ClassLabel, Mat3] = {}
-    code = 7**6
-    while wanted and code < CODE_SPACE:
-        m = decode(code)
-        if det(m) == 1:
-            poly, _ = char_poly(m)
-            label = ClassLabel(poly.i, poly.j)
-            if label in wanted:
-                found[label] = m
-                wanted.discard(label)
-        code += 1
-    if wanted:
-        raise AssertionError(f"no representative found for {sorted(wanted)}")
-    return found
-
-
 def representative(label: ClassLabel) -> Mat3:
-    """The minimal-MatCode SL3 matrix with this label (deterministic)."""
-    label = _require_eigenfree(label)
-    return _scan_representatives()[label]
+    """The least-MatCode SL3 matrix with this label: (i-1, i-j, -1; 1 1 0; 1 0 0).
+
+    A MatCode orders the rows as (r3, r2, r1), and r3 != 0, so the least
+    det-1 matrix has r3 = e1, code 1.  r2 x e1 = (0, r2[2], -r2[1]) must be
+    nonzero, so the least r2 would be e2; but then e2 is a left eigenvector
+    with eigenvalue 1, so no such matrix is eigenvector-free.  The next r2
+    is (1, 1, 0), and with it det = -r1[2], the trace is r1[0] + 1 and the
+    minor sum is r1[0] - r1[1] + 1: r1 is unique for each label, so least.
+    """
+    i, j = _require_eigenfree(label)
+    return ((i - 1) % 7, (i - j) % 7, 6, 1, 1, 0, 1, 0, 0)
 
 
 def power_class_map(label: ClassLabel, k: int) -> ClassLabel:
@@ -165,7 +139,7 @@ def power_class_map(label: ClassLabel, k: int) -> ClassLabel:
 
 
 # Fixed, zero-rich class representatives kept as named fixtures (the
-# canonical minimal-code representatives are found by scan instead).
+# canonical least-code representatives are representative()'s formula).
 KNOWN_REPRESENTATIVES: dict[ClassLabel, Mat3] = {
     ClassLabel(0, 4): mat("0 1 3; 0 0 1; 1 0 0"),
     ClassLabel(0, 2): mat_scale(2, mat("0 1 3; 0 0 1; 1 0 0")),

@@ -144,7 +144,7 @@ def cmd_normalizer(args: argparse.Namespace) -> dict:
 
 
 def cmd_parabolic(args: argparse.Namespace) -> dict:
-    size = subgroups.parabolic_size()
+    size = subgroups.PARABOLIC_ORDER
     return document("parabolic", size=size, index=GROUP_ORDER // size)
 
 

@@ -32,6 +32,9 @@ X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
 Y: Mat3 = mat("0 1 0; 0 0 1; 1 0 0")
 Z: Mat3 = mat("0 1 0; 1 0 0; -1 -1 -1")
 
+# |H| = (q^2 - 1)(q^2 - q)q^2: B in GL2(F7), a = det(B)^-1, the two * free
+PARABOLIC_ORDER = (7**2 - 1) * (7**2 - 7) * 7**2
+
 
 class ClosureCapExceeded(RuntimeError):
     """BFS closure grew past its cap (impossible for det-1 generators)."""

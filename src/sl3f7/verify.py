@@ -328,7 +328,7 @@ def check_simconj(full: bool) -> tuple[bool, str]:
 
 def check_subgroups(full: bool) -> tuple[bool, str]:
     direct = subgroups.parabolic_size()
-    formula = (7**2 - 1) * (7**2 - 7) * 7**2
+    formula = subgroups.PARABOLIC_ORDER
     ok = direct == 98_784 == formula and GROUP_ORDER == direct * 57
 
     closure_note = "closure skipped (quick)"
@@ -391,8 +391,9 @@ def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
     """Run the selected suite, printing one pass/fail line per check.
 
     The stdout report is deterministic (byte-identical on every run);
-    wall-clock timings go to stderr.  A filter that no check name
-    contains is a ValueError, not an empty pass.
+    wall-clock timings go to stderr.  A check that raises is a FAIL line
+    naming the exception, and the checks after it still run.  A filter
+    that no check name contains is a ValueError, not an empty pass.
     """
     if suite not in ("quick", "full"):
         raise ValueError(f"suite must be quick or full, got {suite!r}")
@@ -403,7 +404,10 @@ def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
     failures = []
     for check in checks:
         t0 = time.perf_counter()
-        ok, detail = check.fn(full)
+        try:
+            ok, detail = check.fn(full)
+        except Exception as exc:  # a wrong count can break a check's own arithmetic
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         dt = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
         print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}")

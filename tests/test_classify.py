@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_sl3
+from sl3f7 import scan
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
     ClassLabel,
@@ -19,8 +20,11 @@ from sl3f7.classify import (
 )
 from sl3f7.field import CubicPoly, cubic_roots_ext, ext_scale
 from sl3f7.matrix3 import (
+    CODE_SPACE,
     char_poly,
+    decode,
     det,
+    encode,
     has_fp_eigenvalue,
     mat_inv,
     mat_mul,
@@ -41,6 +45,39 @@ ALL_18 = [
 
 def rootless_by_seven_point_test(i: int, j: int) -> bool:
     return all((t**3 - i * t * t + j * t - 1) % 7 != 0 for t in range(7))
+
+
+def least_codes_by_walk() -> dict[ClassLabel, tuple]:
+    """First det-1 matrix of each eigenvector-free label in ascending MatCode
+    order, by a pure-Python walk.  Codes below 7^6 have an all-zero third
+    row (det 0), so the walk starts at 7^6."""
+    wanted = set(eigenfree_labels())
+    found = {}
+    for code in range(7**6, CODE_SPACE):
+        m = decode(code)
+        if det(m) == 1:
+            poly, _ = char_poly(m)
+            label = ClassLabel(poly.i, poly.j)
+            if label in wanted:
+                found[label] = m
+                wanted.discard(label)
+                if not wanted:
+                    return found
+    raise AssertionError(f"no code of {sorted(wanted)}")
+
+
+def first_codes_of_the_stream() -> dict[ClassLabel, int]:
+    """First code of each characteristic pair on the element stream's first
+    CHUNK ranks, which hold every det-1 matrix with third row e1."""
+    def kernel(d):
+        tr, jc = scan._char_planes(d)
+        return tr, jc, scan._encode_planes(d)
+
+    (tr, jc, codes), = scan._map_chunks(kernel, ((0, scan.CHUNK),))
+    first = {}
+    for i, j, code in zip(tr.tolist(), jc.tolist(), codes.tolist()):
+        first.setdefault(ClassLabel(i, j), code)
+    return first
 
 
 class TestEigenfreeLabels:
@@ -183,6 +220,29 @@ class TestRepresentative:
     def test_roundtrip_all_labels(self):
         for label in eigenfree_labels():
             assert class_label(representative(label)) == label
+
+    def test_formula_is_the_least_code_of_each_label(self):
+        walked = least_codes_by_walk()
+        assert len(walked) == 18
+        for label in eigenfree_labels():
+            assert representative(label) == walked[label]
+
+    def test_formula_is_the_first_code_of_each_bin_of_the_stream(self):
+        first = first_codes_of_the_stream()
+        for label in eigenfree_labels():
+            assert first[label] == encode(representative(label))
+
+    def test_second_row_e2_always_has_an_eigenvalue(self):
+        # the proof's first step: with rows 2 and 3 equal to e2 and e1, every
+        # det-1 matrix has e2 as a left eigenvector with eigenvalue 1
+        rows = [(a, b, c, 0, 1, 0, 1, 0, 0) for a in range(7) for b in range(7) for c in range(7)]
+        det_one = [m for m in rows if det(m) == 1]
+        assert len(det_one) == 49
+        assert all(has_fp_eigenvalue(m) for m in det_one)
+
+    def test_no_eigenvector_free_label_has_equal_entries(self):
+        # equivalently, i = j makes t = 1 a root of t^3 - i t^2 + i t - 1
+        assert all(label.i != label.j for label in eigenfree_labels())
 
     def test_minimality_is_deterministic_and_not_m0(self):
         # the canonical rep may differ from the named fixture

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import check_document
-from sl3f7 import cli, scan
+from sl3f7 import cli, scan, subgroups
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel
 from sl3f7.matrix3 import IDENTITY, format_matrix, mat_inv, mat_mul, mat_pow, mat_scale
 
@@ -286,6 +288,29 @@ class TestSimconj:
         assert code == 3
 
 
+def _census_without_trace_3(monkeypatch):
+    census = scan.census
+
+    def dropped(**kwargs):
+        s = census(**kwargs)
+        return dataclasses.replace(s, by_trace={t: n for t, n in s.by_trace.items() if t != 3})
+
+    monkeypatch.setattr(scan, "census", dropped)
+
+
+# A wrong count can make a check raise in its own arithmetic: a census with
+# no trace 3 fails check 2's lookup, and one order-19 element too many makes
+# sylow19_count raise.  Each mutant: (patch, check number, its FAIL line).
+_RAISING_COUNTS = {
+    "census-without-trace-3": (
+        _census_without_trace_3, 2, "[ 2/16] eigenfree-census           FAIL  KeyError: 3"),
+    "order19-count-592705": (
+        lambda mp: mp.setattr(scan, "count_order19_elements", lambda: 592_705), 10,
+        "[10/16] sylow-19                   FAIL  "
+        "NonIntegerCount: 592705 order-19 elements not divisible by 18"),
+}
+
+
 class TestVerify:
     def test_only_filter_runs_fast_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "psl")
@@ -310,6 +335,20 @@ class TestVerify:
 
         with pytest.raises(ValueError, match="suite must be quick or full, got 'medium'"):
             verify_mod.run_suite("medium")
+
+    @pytest.mark.parametrize("mutant", _RAISING_COUNTS)
+    def test_a_check_that_raises_is_a_fail_line_and_the_suite_goes_on(
+            self, capsys, monkeypatch, mutant):
+        patch, number, fail_line = _RAISING_COUNTS[mutant]
+        patch(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", "quick")
+        assert code == 1
+        expected = (GOLDEN_TEXT / "verify-quick.txt").read_text(encoding="utf-8").splitlines()
+        expected[number - 1] = fail_line
+        name = fail_line[8:].split()[0]
+        assert out.splitlines() == expected + [f"FAILED: {name}"]
+        assert "Traceback" not in err
+        assert len(re.findall(r"^ +[\w-]+: [\d.]+s$", err, re.M)) == 16
 
     def test_failing_suite_would_exit_1(self, capsys, monkeypatch):
         from sl3f7 import verify as verify_mod
@@ -422,6 +461,22 @@ def test_sylow_answers_without_a_group_scan(capsys, monkeypatch, argv, golden):
         raise AssertionError("group scan")
 
     monkeypatch.setattr(scan, "_map_chunks", boom)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (TEXT_GOLDENS["parabolic"], GOLDEN_TEXT / "parabolic.txt"),
+    (JSON_GOLDENS["parabolic"], GOLDEN_JSON / "parabolic.json"),
+], ids=["text", "json"])
+def test_parabolic_answers_by_its_formula(capsys, monkeypatch, argv, golden):
+    # |H| = (q^2 - 1)(q^2 - q)q^2; the count stays in verify's check 15
+    def boom(*args, **kwargs):
+        raise AssertionError("group scan")
+
+    monkeypatch.setattr(scan, "_map_chunks", boom)
+    monkeypatch.setattr(subgroups, "parabolic_size", boom)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")

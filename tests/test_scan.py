@@ -931,7 +931,7 @@ class TestIntertwiner:
         assert scan.intertwiners(scalar_mat(2), scalar_mat(4)).size == 0
         assert scan.intertwiner_codes(scalar_mat(2), scalar_mat(4)).size == 0
 
-    def test_least_intertwiner_is_oracle_minimum(self):
+    def test_first_intertwiner_is_the_oracles_least_code(self):
         least = int(scan.intertwiners(M0, M0)[0])
         g: Mat3 = decode(least)
         assert mat_mul(g, M0) == mat_mul(M0, g)
