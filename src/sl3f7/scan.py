@@ -19,6 +19,11 @@ scan splits its ranges into chunks of at most CHUNK ranks, a fixed constant,
 evaluates a vectorized kernel on each chunk's digit planes in the calling
 thread, and merges partial results by addition or concatenation, so results
 are independent of the chunking; the tests vary CHUNK to show it.
+The conjugation scans walk the row pairs instead (_map_pairs): the 49
+elements of pair (r2, r3) are E g0, g0 its first and E = I + e1 (0, a, b), as
+r1_0 + a*r2 + b*r3 are the 49 solutions of r1 . (r2 x r3) = 1.  So
+(E g0) m (E g0)^-1 = E X E^-1, X = g0 m g0^-1: one conjugation per pair, and
+the 49 E X E^-1 by row and column operations (_shear_conjugate_codes).
 A scan takes no setting: on a 2-core host a second thread made every
 stream scan but orbit_oracle slower (the GIL passes back and forth around
 short numpy calls), and the closure BFS of subgroups took 0.39 s on two
@@ -30,8 +35,9 @@ and a sum of three at most 108.  A subtraction wraps mod 256, not mod 7,
 so a kernel that subtracts first adds a multiple of 7 at least as large as
 the subtrahend.  There are three offsets: _cross's + 42 in the minors of the
 stream tables, dets, adjugates and the det runs of count_sl3, which also
-give |H| (subgroups.parabolic_size), _char_planes' + 126 and _commute_chunk's
-+ 112.  A value that needs more room is widened.
+give |H| (subgroups.parabolic_size), _char_planes' + 126 and the + 42 of
+_shear_conjugate_codes' column operations.  A value that needs more room is
+widened.
 Kernels reduce mod 7 with _mod7, not %, which numpy does not vectorize.
 The product and scalar kernels broadcast over all their entries at once,
 as (3, 3, n) arrays: 8 ufunc calls per product, not 72, so the passes
@@ -179,6 +185,42 @@ def _map_chunks(kernel: Callable[[np.ndarray], _T],
             yield kernel(_element_planes(lo, min(lo + CHUNK, stop)))
 
 
+def _map_pairs(kernel: Callable[[np.ndarray, np.ndarray], _T], m: Mat3,
+               ranges: tuple[tuple[int, int], ...]) -> Iterator[_T]:
+    """Apply kernel to (g0, g0 m g0^-1) for the first elements g0 of the row
+    pairs of the rank ranges (bounds multiples of 49), in pieces of at most
+    CHUNK // 49 pairs, so CHUNK elements, yielding results in rank order."""
+    pair_planes, pair_cross, solution_blocks = _stream_tables()
+    right = np.array(m, dtype=np.uint8)
+    step = CHUNK // 49
+    for start, stop in ranges:
+        for first in range(start // 49, stop // 49, step):
+            last = min(first + step, stop // 49)
+            g0 = np.empty((9, last - first), dtype=np.uint8)
+            g0[:3] = solution_blocks[pair_cross[first:last], :, 0].T
+            g0[3:] = pair_planes[:, first:last]
+            yield kernel(g0, _mul_planes(_mul_planes(g0, right), _adjugate_planes(g0)))
+
+
+def _shear_conjugate_codes(x: np.ndarray) -> np.ndarray:
+    """Codes of E x E^-1 for the 49 shears E = I + e1 (0, a, b), (7, 7, P) int32
+    indexed [a, b, p], from the planes x (9, P) of any matrices.  E x adds
+    a*row 2 + b*row 3 to row 1 (at most 6 + 36 + 36 = 78); times E^-1 then takes
+    a*column 1 from column 2 and b*column 1 from column 3, y + 42 - a*y1 in 6..48,
+    or 6..120 on row 1's unreduced sums.  Rows 2 and 3 add as (7, 1, P) and
+    (1, 7, P) terms first; P inner ran 3x faster than (P, 7, 7)."""
+    a = np.arange(7, dtype=np.uint8)[:, None, None]
+    b = a.reshape(1, 7, 1)
+    y0 = _mod7(x[0] + a * x[3] + b * x[6])
+    rows = [(y0, x[1] + a * x[4] + b * x[7], x[2] + a * x[5] + b * x[8]), x[3:6], x[6:9]]
+    e = [y for u, v, w in rows for y in (u, _mod7(v + 42 - a * u), _mod7(w + 42 - b * u))]
+    weighed = {k: np.multiply(e[k], 7**k, dtype=np.int32) for k in range(2, 9)}
+    codes = (weighed[3] + weighed[4] + weighed[6] + weighed[7]) + (weighed[5] + weighed[8])
+    codes += weighed[2]
+    codes += e[0] + 7 * e[1]  # at most 48
+    return codes
+
+
 def _det_plane(d: np.ndarray) -> np.ndarray:
     """det mod 7 as r1 . (r2 x r3), the minors reduced, so no value passes 108."""
     m0, m1, m2 = _cross(d[3:6], d[6:9])
@@ -197,13 +239,10 @@ def _mul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _adjugate_planes(d: np.ndarray) -> np.ndarray:
-    """Adjugate, columns r2 x r3, r3 x r1 and r1 x r2: the inverse when det = 1."""
-    r1, r2, r3 = d[0:3], d[3:6], d[6:9]
-    out = np.empty_like(d)
-    out[0], out[3], out[6] = _cross(r2, r3)
-    out[1], out[4], out[7] = _cross(r3, r1)
-    out[2], out[5], out[8] = _cross(r1, r2)
-    return out
+    """Adjugate, columns r2 x r3, r3 x r1 and r1 x r2: the inverse when det = 1.
+    The three cross products run as one, on (3, 3, n) stacks of their operands."""
+    rows = d.reshape(3, 3, -1).transpose(1, 0, 2)  # [component, row, n]
+    return np.stack(_cross(rows[:, [1, 2, 0]], rows[:, [2, 0, 1]])).reshape(9, -1)
 
 
 def _encode_planes(d: np.ndarray) -> np.ndarray:
@@ -219,12 +258,6 @@ def _eq_identity(d: np.ndarray) -> np.ndarray:
 
 def _eq_scalar(d: np.ndarray) -> np.ndarray:
     return (d == np.array(IDENTITY, dtype=np.uint8)[:, None] * d[0]).all(axis=0)
-
-
-def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
-    """Codes of g m g^-1 for the det-1 planes g."""
-    return _encode_planes(_mul_planes(_mul_planes(g, np.array(m, dtype=np.uint8)),
-                                      _adjugate_planes(g)))
 
 
 def _require_sl3(m: Mat3) -> None:
@@ -354,26 +387,24 @@ def _label_chunk(d: np.ndarray, label: ClassLabel) -> np.ndarray:
 # centralizers, conjugacy classes, conjugator search
 
 
-def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
-    """Planes of the g among the det-1 planes d with g*a = b*g, in column order.
-
-    Entry (0, 0) of g*a - b*g is tested on the whole chunk first (ga and bg
-    each reach 108), which keeps about 1/7 of it; the two full products
-    then run on those survivors alone, and the g where they agree are kept."""
-    ga = d[0] * a[0] + d[1] * a[3] + d[2] * a[6]
-    bg = b[0] * d[0] + b[1] * d[3] + b[2] * d[6]
-    d = np.compress(_mod7(ga + 112 - bg) == 0, d, axis=1)
-    a, b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
-    return np.compress((_mul_planes(d, a) == _mul_planes(b, d)).all(axis=0), d, axis=1)
-
-
 def intertwiner_codes(a: Mat3, b: Mat3) -> np.ndarray:
     """Codes of all g in SL3 with g*a*g^-1 = b (equivalently g*a = b*g),
-    ascending, by group scan.  Exhaustive oracle for intertwiners.  A scalar
-    commutes with a and b, so 2g and 4g intertwine when g does: the scan
-    walks _PSL_RANGES, joins its hits' planes and encodes lam * g, lam = 1, 2, 4."""
-    kernel = functools.partial(_commute_chunk, a=a, b=b)
-    g = np.concatenate(list(_map_chunks(kernel, _PSL_RANGES)), axis=1)
+    ascending, by group scan.  Exhaustive oracle for intertwiners.  E_st g0
+    intertwines when X = g0 a g0^-1 is E_st^-1 b E_st = E_(-s)(-t) b E_(-s)(-t)^-1,
+    one of 49 targets, all equal to b on column 1 below row 1; the hit's first
+    row is r1_0 + s*r2 + t*r3 (at most 78).  Hits on _PSL_RANGES give lam * g too."""
+    neg = -np.arange(7)
+    targets = _shear_conjugate_codes(np.array(b, dtype=np.uint8)[:, None])[neg][:, neg].ravel()
+
+    def kernel(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
+        p = np.flatnonzero((x[3] == b[3]) & (x[6] == b[6]))
+        st, q = np.nonzero(targets[:, None] == _encode_planes(np.take(x, p, axis=1)))  # st = 7s + t
+        s, t = np.divmod(st.astype(np.uint8), 7)
+        g = np.take(g0, p[q], axis=1)
+        g[:3] = _mod7(g[:3] + s * g[3:6] + t * g[6:9])
+        return g
+
+    g = np.concatenate(list(_map_pairs(kernel, a, _PSL_RANGES)), axis=1)
     return np.sort(np.concatenate([_encode_planes(_mod7(lam * g)) for lam in (1, 2, 4)]))
 
 
@@ -461,12 +492,14 @@ def orbit_oracle(m: Mat3) -> set[int]:
 
     Independent oracle for class_size and for the fact that the label sets
     are whole conjugacy classes.  g and a scalar times g conjugate alike, so
-    it walks _PSL_RANGES.  The chunks' int32 conjugates (int64 took the peak
-    from 18.7 to 28.6 MiB) are joined, sorted and cut to the first of each
-    run, as subgroups.generator_closure cuts each level.
+    it walks the pairs of _PSL_RANGES.  The pieces' int32 conjugates (int64
+    took the peak from 18.7 to 28.6 MiB) are joined, and their list freed
+    before the sort (kept, it took the peak to 25.9 MiB), sorted and cut to
+    the first of each run, as subgroups.generator_closure cuts each level.
     """
     _require_sl3(m)
-    codes = np.concatenate(list(_map_chunks(functools.partial(_conjugate_codes, m=m), _PSL_RANGES)))
+    codes = np.concatenate(list(_map_pairs(lambda g0, x: _shear_conjugate_codes(x).ravel(), m,
+                                           _PSL_RANGES)))
     codes.sort()
     first = np.ones(codes.size, dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
@@ -572,16 +605,16 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
 
 def normalizer_oracle(p_generator: Mat3) -> int:
     """|N(<P>)| by group scan, counting the g with g P g^-1 among the 19
-    powers of P.  Exhaustive oracle for normalizer_of_cyclic.  g, 2g and 4g
-    conjugate P alike, so it counts over _PSL_RANGES and multiplies by 3."""
+    powers of P.  Exhaustive oracle for normalizer_of_cyclic.  It counts the
+    (pair, E) with E X E^-1 in <P>, X = g0 P g0^-1, on the pair walk of
+    _PSL_RANGES, and multiplies by 3, as g, 2g and 4g conjugate P alike."""
     _require_order19(p_generator)
-    member_codes = np.sort(np.array(
-        [encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int32))
+    member_codes = np.array([encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int32)
 
-    def kernel(g: np.ndarray) -> int:
-        return int(np.count_nonzero(np.isin(_conjugate_codes(g, p_generator), member_codes)))
+    def kernel(g0: np.ndarray, x: np.ndarray) -> int:
+        return int(np.count_nonzero(np.isin(_shear_conjugate_codes(x), member_codes)))
 
-    return 3 * sum(_map_chunks(kernel, _PSL_RANGES))
+    return 3 * sum(_map_pairs(kernel, p_generator, _PSL_RANGES))
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:

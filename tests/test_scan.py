@@ -95,6 +95,27 @@ def _planes(mats: list[Mat3]) -> np.ndarray:
     return np.array(mats, dtype=np.uint8).T.copy()
 
 
+# The per-element conjugation kernels of the whole-group oracles below: two
+# plane products and an adjugate per element, with no pair structure.
+def _conjugate_codes(g: np.ndarray, m: Mat3) -> np.ndarray:
+    """Codes of g m g^-1 for the det-1 planes g."""
+    return scan._encode_planes(scan._mul_planes(scan._mul_planes(g, np.array(m, dtype=np.uint8)),
+                                                scan._adjugate_planes(g)))
+
+
+def _commute_chunk(d: np.ndarray, a: Mat3, b: Mat3) -> np.ndarray:
+    """Planes of the g among the det-1 planes d with g*a = b*g, in column order.
+
+    Entry (0, 0) of g*a - b*g is tested on the whole chunk first (ga and bg
+    each reach 108), which keeps about 1/7 of it; the two full products
+    then run on those survivors alone, and the g where they agree are kept."""
+    ga = d[0] * a[0] + d[1] * a[3] + d[2] * a[6]
+    bg = b[0] * d[0] + b[1] * d[3] + b[2] * d[6]
+    d = np.compress(scan._mod7(ga + 112 - bg) == 0, d, axis=1)
+    a, b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
+    return np.compress((scan._mul_planes(d, a) == scan._mul_planes(b, d)).all(axis=0), d, axis=1)
+
+
 def _columns(planes: np.ndarray) -> list[Mat3]:
     return [tuple(col) for col in planes.T.tolist()]
 
@@ -142,7 +163,7 @@ class TestUint8Kernels:
         assert got.dtype == np.uint8
         assert [tuple(col) for col in got.T.tolist()] == [mat_mul(x, y) for x, y in zip(MIXED, other)]
 
-    # the products _commute_chunk (constant left), _conjugate_codes and
+    # the products this file's _commute_chunk (constant left), scan._map_pairs and
     # subgroups._step_tables (constant right) take, with the operand a constant
     # 9-tuple viewed as (3, 3, 1)
     @pytest.mark.parametrize("c", [M0, EXTREME[-1], EXTREME[0b100010001], EXTREME[0]])
@@ -195,7 +216,7 @@ class TestUint8Kernels:
         mats = MIXED + [mat_pow(a, k) for k in range(1, 60)]
         expected = sorted({encode(g) for g in mats if mat_mul(g, a) == mat_mul(b, g)})
         codes = np.array(sorted({encode(g) for g in mats}))
-        got = scan._commute_chunk(code_planes(codes), a, b)
+        got = _commute_chunk(code_planes(codes), a, b)
         assert scan._encode_planes(got).tolist() == expected
 
     def test_power_chunk(self):
@@ -356,7 +377,7 @@ class TestSelection:
         ga = scan._mul_planes(d, np.array(a, dtype=np.uint8))
         bg = scan._mul_planes(_planes([b] * d.shape[1]), d)
         expected = d[:, np.all(ga == bg, axis=0)]
-        got = scan._commute_chunk(d, a, b)
+        got = _commute_chunk(d, a, b)
         assert got.dtype == np.uint8
         assert np.array_equal(got, expected)
         if name == "identity" and b == scalar_mat(2):
@@ -450,7 +471,7 @@ class TestElementStream:
         assert scan._power_counts((1, 3, 9, 19, 27)) == {
             1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
         if chunk_size == 200_003:
-            # the broadcast product of _conjugate_codes at a chunk that is not a power of two
+            # pieces of CHUNK // 49 = 4 081 pairs, not a power of two
             assert len(scan.orbit_oracle(M0)) == scan.class_size(M0) == 98_784
 
 
@@ -625,6 +646,14 @@ class TestOrbitOracle:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    def test_every_label_is_one_class(self):
+        # verify's check 7 compares the orbit and the label set for [0,4] and
+        # [0,2] only; here every one of the 18 labels is a whole class
+        for label in eigenfree_labels():
+            orbit = scan.orbit_oracle(representative(label))
+            assert len(orbit) == 98_784, label
+            assert orbit == set(scan.label_member_codes(label).tolist()), label
 
 
 class TestLabelMembers:
@@ -956,19 +985,19 @@ R3_BLOCK = 16_464
 
 def _whole_group_orbit(m: Mat3) -> set[int]:
     orbit: set[int] = set()
-    for codes in scan._map_chunks(lambda g: scan._conjugate_codes(g, m)):
+    for codes in scan._map_chunks(lambda g: _conjugate_codes(g, m)):
         orbit.update(codes.tolist())
     return orbit
 
 
 def _whole_group_intertwiners(a: Mat3, b: Mat3) -> np.ndarray:
     return np.concatenate(list(scan._map_chunks(
-        lambda d: scan._encode_planes(scan._commute_chunk(d, a, b)))))
+        lambda d: scan._encode_planes(_commute_chunk(d, a, b)))))
 
 
 def _whole_group_normalizer(p: Mat3) -> int:
     members = [encode(mat_pow(p, k)) for k in range(19)]
-    return sum(int(np.count_nonzero(np.isin(scan._conjugate_codes(g, p), members)))
+    return sum(int(np.count_nonzero(np.isin(_conjugate_codes(g, p), members)))
                for g in scan._map_chunks(lambda g: g))
 
 
@@ -999,6 +1028,62 @@ def _whole_group_label_codes(label: ClassLabel) -> np.ndarray:
         return scan._encode_planes(np.compress((tr == label.i) & (jc == label.j), d, axis=1))
 
     return np.concatenate(list(scan._map_chunks(kernel)))
+
+
+class TestPairWalk:
+    """The 49 elements of a stream pair (r2, r3) are E g0 for the shears
+    E = I + e1 (0, a, b), g0 its first element, so the conjugation scans
+    conjugate once per pair and shear the result 49 ways."""
+
+    def test_shears_of_each_pair_base_are_its_49_stream_elements(self, monkeypatch):
+        # every pair of the whole stream; at CHUNK = 49 * 2 000 the pieces of
+        # the pair walk and the chunks of the element walk cover the same ranks
+        monkeypatch.setattr(scan, "CHUNK", 49 * 2_000)
+        a = np.arange(7, dtype=np.uint8)[:, None, None]
+        b = np.arange(7, dtype=np.uint8)[:, None]
+
+        def shears(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
+            r1 = scan._mod7(g0[:3, None, None] + a * g0[3:6, None, None] + b * g0[6:9, None, None])
+            rows23 = np.broadcast_to(g0[3:, None], (6, 49, g0.shape[1]))
+            codes = scan._encode_planes(np.concatenate([r1.reshape(3, 49, -1), rows23]))
+            return np.sort(codes, axis=0).T.ravel()  # each pair's 49 codes, ascending
+
+        whole = ((0, GROUP_ORDER),)
+        pieces = zip(scan._map_pairs(shears, IDENTITY, whole), scan._map_chunks(scan._encode_planes, whole),
+                     strict=True)
+        ranks = 0
+        for got, expected in pieces:
+            assert np.array_equal(got, expected)
+            ranks += got.size
+        assert ranks == GROUP_ORDER
+
+    @pytest.mark.parametrize("chunk_size", [1000, 1 << 16])
+    def test_pieces_are_the_first_elements_of_the_pairs_in_order(self, chunk_size, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        bases = list(scan._map_pairs(lambda g0, x: g0, IDENTITY, scan._PSL_RANGES))
+        assert max(g0.shape[1] for g0 in bases) == chunk_size // 49
+        expected = [scan._encode_planes(scan._element_planes(lo, hi))[::49] for lo, hi in scan._PSL_RANGES]
+        assert np.array_equal(np.concatenate([scan._encode_planes(g0) for g0 in bases]),
+                              np.concatenate(expected))
+
+    def test_base_conjugates_are_matrix_products(self):
+        m = M2
+        pieces = list(scan._map_pairs(lambda g0, x: (g0, x), m, ((0, 49 * 3_000),)))
+        assert sum(g0.shape[1] for g0, _ in pieces) == 3_000
+        for g0, x in pieces:
+            assert _columns(x) == [mat_mul(mat_mul(g, m), mat_inv(g)) for g in _columns(g0)]
+
+    def test_shear_conjugate_codes_are_matrix_products(self):
+        # matrices of any det, the all-0/6 ones first, where the row sums and
+        # column operations meet their uint8 bounds
+        xs = EXTREME + MIXED[len(EXTREME):len(EXTREME) + 400]
+        got = scan._shear_conjugate_codes(_planes(xs))
+        assert got.dtype == np.int32 and got.shape == (7, 7, len(xs))
+        for a in range(7):
+            for b in range(7):
+                e = (1, a, b, 0, 1, 0, 0, 0, 1)
+                e_inv = mat_inv(e)
+                assert got[a, b].tolist() == [encode(mat_mul(mat_mul(e, x), e_inv)) for x in xs], (a, b)
 
 
 _ORBIT_SUBJECTS = {"eigenfree": M0, "diag-1-2-4": mat("1 0 0; 0 2 0; 0 0 4"),
@@ -1072,7 +1157,8 @@ class TestCosetWalk:
             assert codes.dtype == expected.dtype and np.array_equal(codes, expected), label
 
     # only a det or stream oracle walks the whole group: every class function,
-    # power count and conjugation scan walks one element per coset of the centre
+    # power count and conjugation scan walks one element per coset of the
+    # centre, the conjugation scans through the pair walk and no other walk
     @pytest.mark.parametrize("entry,coset", [
         (lambda: scan.order_absence_check(3), True),
         (lambda: scan.order_absence_check(9), True),
@@ -1080,22 +1166,31 @@ class TestCosetWalk:
         (lambda: scan._power_counts((3,)), True),
         (lambda: scan.count_order19_elements(), True),
         (lambda: verify.check_order_absence(True), True),
-        (lambda: scan.orbit_oracle(M0), True),
-        (lambda: scan.intertwiner_codes(M0, M0), True),
-        (lambda: scan.normalizer_oracle(M2), True),
+        (lambda: scan.orbit_oracle(M0), "pairs"),
+        (lambda: scan.intertwiner_codes(M0, M0), "pairs"),
+        (lambda: scan.normalizer_oracle(M2), "pairs"),
         (lambda: scan.census(), True),
         (lambda: scan.label_member_codes(ClassLabel(0, 4)), True),
         (lambda: verify._stream_is_det1(), False),
     ], ids=["absence-3", "absence-9", "absence-27", "power-3", "order-19", "check-12",
             "orbit", "intertwiner", "normalizer", "census", "label-members", "stream-check"])
     def test_walk_chosen(self, entry, coset, monkeypatch):
-        walked = []
-        map_chunks = scan._map_chunks
+        walked = {"chunks": [], "pairs": []}
+        map_chunks, map_pairs = scan._map_chunks, scan._map_pairs
 
         def first_chunk(kernel, ranges=((0, GROUP_ORDER),)):
-            walked.append(ranges)
+            walked["chunks"].append(ranges)
             return map_chunks(kernel, ((ranges[0][0], ranges[0][0] + 1000),))
 
+        def first_pairs(kernel, m, ranges):
+            walked["pairs"].append(ranges)
+            return map_pairs(kernel, m, ((ranges[0][0], ranges[0][0] + 49 * 20),))
+
         monkeypatch.setattr(scan, "_map_chunks", first_chunk)
+        monkeypatch.setattr(scan, "_map_pairs", first_pairs)
         entry()
-        assert walked == [scan._PSL_RANGES if coset else ((0, GROUP_ORDER),)]
+        if coset == "pairs":
+            assert walked == {"chunks": [], "pairs": [scan._PSL_RANGES]}
+        else:
+            assert walked == {"chunks": [scan._PSL_RANGES if coset else ((0, GROUP_ORDER),)],
+                              "pairs": []}
