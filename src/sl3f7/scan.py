@@ -3,8 +3,10 @@
 Centralizers, class sizes, conjugators and normalizers are answered by
 linear algebra, not by scanning: the g with g*a = b*g form the nullspace
 of a 9x9 system over F7, and intertwiners() keeps the det-1 members of
-that space.  The group scans below are the exhaustive oracles for those
-answers and for the counts of the paper.
+that space.  The census and the element-order counts are read from the
+49-bin histogram of characteristic pairs, built from the row pairs with no
+element (_group_histogram), and by Cayley-Hamilton (_unity_counts).  The
+group scans below are the exhaustive oracles for all of these answers.
 
 Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
 element rank k is generated on demand from two small lookup tables (row
@@ -46,7 +48,9 @@ np.compress or np.take, not a boolean index, which numpy 2.4.6 runs 3-5x
 slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
 
 What depends on an element's characteristic pair (i, j) alone is done
-once per bin 7 * i + j (_rootless_bins, _unity_bins, _scaled_bins).  Only
+once per bin 7 * i + j (_rootless_bins, _unity_bins, _scaled_bins).  The
+element walk _map_chunks serves only oracles: the census and power walks,
+the label scan and verify's stream check.  Only
 count_sl3, the oracle that the stream is exactly the det-1 set, counts all
 7^9 codes, as 343 runs of 7^6 codes sharing a third row, summed from one
 histogram of the minors of rows 1 and 2.
@@ -176,10 +180,16 @@ _R3_BLOCK = GROUP_ORDER // 342  # 336 second rows times 49 first rows
 _PSL_RANGES = tuple(((lo - 1) * _R3_BLOCK, (hi - 1) * _R3_BLOCK) for lo, hi in _LEAD_ROWS)
 
 
+# walks made by _map_chunks and _map_pairs, and the ranks they covered (a pair
+# stands for its 49); verify.run_suite reports each check's share on stderr
+WALKS = np.zeros(2, dtype=np.int64)
+
+
 def _map_chunks(kernel: Callable[[np.ndarray], _T],
                 ranges: tuple[tuple[int, int], ...] = ((0, GROUP_ORDER),)) -> Iterator[_T]:
     """Apply kernel to the element planes of each rank range [lo, hi) in
     ranges, in pieces at most CHUNK long, yielding results in rank order."""
+    WALKS[:] += 1, sum(hi - lo for lo, hi in ranges)
     for start, stop in ranges:
         for lo in range(start, stop, CHUNK):
             yield kernel(_element_planes(lo, min(lo + CHUNK, stop)))
@@ -190,6 +200,7 @@ def _map_pairs(kernel: Callable[[np.ndarray, np.ndarray], _T], m: Mat3,
     """Apply kernel to (g0, g0 m g0^-1) for the first elements g0 of the row
     pairs of the rank ranges (bounds multiples of 49), in pieces of at most
     CHUNK // 49 pairs, so CHUNK elements, yielding results in rank order."""
+    WALKS[:] += 1, sum(hi - lo for lo, hi in ranges)
     pair_planes, pair_cross, solution_blocks = _stream_tables()
     right = np.array(m, dtype=np.uint8)
     step = CHUNK // 49
@@ -333,6 +344,45 @@ def _rootless_bins() -> np.ndarray:
                                 for i in range(7) for j in range(7)]))
 
 
+@functools.cache
+def _pair_keys() -> np.ndarray:
+    """Key 49 * (p + 7 q + 49 u + 343 v) + 7 * i0 + j0 of each row pair of
+    _PSL_RANGES, int32: its E_ab g0 have the pair (i0 + a p + b q, j0 + a u + b v),
+    as E_ab adds a r2 + b r3 to row 1, so p, q = r2[0], r3[0] and, in the minors
+    of rows (1, 3) and (1, 2), u, v = -c[1], -c[2], c = r2 x r3."""
+    pair_planes, pair_cross, solution_blocks = _stream_tables()
+    pairs = np.concatenate([np.arange(lo // 49, hi // 49) for lo, hi in _PSL_RANGES])
+    g0 = np.concatenate([solution_blocks[pair_cross[pairs], :, 0].T, pair_planes[:, pairs]])
+    i0, j0 = _char_planes(g0)
+    _, c1, c2 = _digit_planes(3)[:, pair_cross[pairs]]
+    p, q, u, v = np.stack([g0[3], g0[6], _mod7(7 - c1), _mod7(7 - c2)]).astype(np.int32)
+    return _read_only(49 * (p + 7 * q + 49 * u + 343 * v) + 7 * i0 + j0)
+
+
+@functools.cache
+def _linear_images() -> np.ndarray:
+    """(2401, 49) uint8, [p + 7 q + 49 u + 343 v, 7 x + y]: how many (a, b) the
+    map (a, b) -> (a p + b q, a u + b v) sends to (x, y)."""
+    p, q, u, v = _digit_planes(4)[:, :, None]
+    a, b = np.divmod(np.arange(49, dtype=np.uint8), 7)
+    images = 7 * _mod7(p * a + q * b) + _mod7(u * a + v * b) + 49 * np.arange(2401)[:, None]
+    counts = np.bincount(images.ravel(), minlength=2401 * 49).astype(np.uint8)
+    return _read_only(counts.reshape(2401, 49))
+
+
+def _group_histogram() -> np.ndarray:
+    """Elements of G in the 49 bins, with no element built: the pairs' counts by
+    [shift s, image d], from one bincount of _pair_keys and one product with
+    _linear_images, go to bin s + d, then fold by lam (_scaled_bins).  float32
+    is exact, as no sum passes |G| / 3 < 2^24, and 14x faster than int64."""
+    keyed = np.bincount(_pair_keys(), minlength=2401 * 49).reshape(2401, 49)
+    spread = keyed.T.astype(np.float32) @ _linear_images()
+    i, j = np.divmod(np.arange(49), 7)
+    image = 7 * ((i - i[:, None]) % 7) + (j - j[:, None]) % 7  # [s, b]: the d with s + d = b
+    counts = np.take_along_axis(spread, image, axis=1).sum(axis=0).astype(np.int64)
+    return counts[_scaled_bins()].sum(axis=0)
+
+
 def _census_chunk(d: np.ndarray) -> np.ndarray:
     """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
     tr, jc = _char_planes(d)
@@ -340,28 +390,25 @@ def _census_chunk(d: np.ndarray) -> np.ndarray:
 
 
 def census(*, threads: int | None = None) -> ScanSummary:
-    """Full-group census: eigenfree counts by trace and label.
-
-    Runs in the calling thread, like every scan.  threads is accepted and
-    ignored, since perfbench's sweep calls census(threads=1); an explicit
-    value below 1 is a ValueError.  Bin b sums the bins lam * b of the
-    _PSL_RANGES walk, lam = 1, 2, 4, as lam * g keeps g's root test.
-    Deterministic for any chunk size (partial results merge by addition).
-    """
+    """Full-group census: eigenfree counts by trace and label, the rootless
+    bins of _group_histogram; _census_walk is its oracle.  threads is accepted
+    and ignored, since perfbench's sweep calls census(threads=1); an explicit
+    value below 1 is a ValueError."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    counts = sum(_map_chunks(_census_chunk, _PSL_RANGES))[_scaled_bins()].sum(axis=0)
-    by_label = {
-        ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v
-    }
-    by_trace: dict[int, int] = {}
-    for label, n in by_label.items():
-        by_trace[label.i] = by_trace.get(label.i, 0) + n
-    return ScanSummary(
-        eigenfree_total=int(counts.sum()),
-        by_trace=by_trace,
-        by_label=by_label,
-    )
+    return _summary(_group_histogram() * _rootless_bins())
+
+
+def _census_walk() -> ScanSummary:
+    """The census by element walk, its exhaustive oracle: bin b sums the bins
+    lam * b of the _PSL_RANGES walk, lam = 1, 2, 4, as lam * g keeps g's roots."""
+    return _summary(sum(_map_chunks(_census_chunk, _PSL_RANGES))[_scaled_bins()].sum(axis=0))
+
+
+def _summary(counts: np.ndarray) -> ScanSummary:
+    by_trace = {i: int(n) for i, n in enumerate(counts.reshape(7, 7).sum(axis=1)) if n}
+    by_label = {ClassLabel(k // 7, k % 7): int(n) for k, n in enumerate(counts) if n}
+    return ScanSummary(int(counts.sum()), by_trace, by_label)
 
 
 def label_member_codes(label: ClassLabel) -> np.ndarray:
@@ -540,13 +587,43 @@ def _power_chunk(g: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.cache
-def _unity_bins(n: int) -> np.ndarray:
-    """For the 49 bins 7 * i + j, whether t^3 - i t^2 + j t - 1 divides
-    (t^n - 1)^3, i.e. (C^n - I)^3 = 0 for its companion C.  A g with g^n = I
-    has only n-th roots of unity as eigenvalues, so no g outside them does."""
+def _unity_bins(n: int, power: int = 3) -> np.ndarray:
+    """For the 49 bins 7 * i + j, whether (C^n - I)^power = 0 for the companion C
+    of t^3 - i t^2 + j t - 1.  At power 3 the cubic divides (t^n - 1)^3: a g with
+    g^n = I has only n-th roots of unity as eigenvalues, so no g outside does.
+    At power 1, C^n = I, as for the cyclic g of the bin: they are similar to C."""
     powers = [mat_pow((0, 0, 1, 1, 0, -j % 7, 0, 1, i), n) for i in range(7) for j in range(7)]
     gaps = [tuple((x - y) % 7 for x, y in zip(p, IDENTITY)) for p in powers]  # C^n - I
-    return _read_only(np.array([mat_pow(d, 3) == (0,) * 9 for d in gaps]))
+    return _read_only(np.array([mat_pow(d, power) == (0,) * 9 for d in gaps]))
+
+
+def _noncyclic(n: int) -> tuple[np.ndarray, int]:
+    """Bin counts of the 16 590 det-1 g that are not cyclic, aI + N with
+    rank N <= 1, and how many have g^n = I.  N = 0 gives the scalars, a^3 = 1.
+    Else N = u v^T and N^2 = tN, t = v . u; det = a^2 (a + t) = 1 fixes t, and
+    342 * (49 - [t = 0]) / 6 such N have it.  g has the polynomial (x - a)^2
+    (x - a - t), so the bin (3a + t, 3a^2 + 2at), and g^n = a^n I + c N, with
+    c = ((a + t)^n - a^n) / t, or n a^(n - 1) when t = 0."""
+    bins, unity = np.zeros(49, dtype=np.int64), 0
+    for a in range(1, 7):
+        t = (pow(a, -2, 7) - a) % 7
+        c = (pow(a + t, n, 7) - pow(a, n, 7)) * pow(t, -1, 7) if t else n * pow(a, n - 1, 7)
+        b = 7 * ((3 * a + t) % 7) + (3 * a * a + 2 * a * t) % 7
+        for size, fixed in ((342 * (49 - (t == 0)) // 6, c % 7 == 0), (int(t == 0), True)):
+            bins[b] += size
+            unity += size * (pow(a, n, 7) == 1 and fixed)
+    return bins, unity
+
+
+def _unity_counts(exponents: tuple[int, ...]) -> dict[int, int]:
+    """k -> number of g in SL3 with g^k = I, with no walk: the cyclic g of the
+    bins _unity_bins(k, 1) and the _noncyclic g^k = I.  Oracle: _power_counts."""
+    histogram = _group_histogram()
+    counts = {}
+    for k in exponents:
+        noncyclic, unity = _noncyclic(k)
+        counts[k] = int((histogram - noncyclic)[_unity_bins(k, 1)].sum()) + unity
+    return counts
 
 
 def _power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
@@ -565,7 +642,7 @@ def _power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
 
 def count_order19_elements() -> int:
     """Number of elements of order exactly 19 (g^19 = I and g != I)."""
-    return _power_counts((19,))[19] - 1
+    return _unity_counts((19,))[19] - 1
 
 
 def sylow19_count(elements: int) -> int:
@@ -618,7 +695,7 @@ def normalizer_oracle(p_generator: Mat3) -> int:
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:
-    """Read from _power_counts: no g has g^n = I with g^(n/3) != I."""
+    """Read from _unity_counts or _power_counts: no g has g^n = I with g^(n/3) != I."""
     return counts[n] == counts[n // 3]
 
 
@@ -626,7 +703,7 @@ def order_absence_check(n: int) -> bool:
     """True iff no element g has g^n = I with g^(n/3) != I, for n in {3, 9, 27}."""
     if n not in (3, 9, 27):
         raise UnsupportedOrder(f"order-absence scan supports 3, 9, 27; got {n}")
-    return _order_absent(_power_counts((n // 3, n)), n)
+    return _order_absent(_unity_counts((n // 3, n)), n)
 
 
 # ---------------------------------------------------------------------------

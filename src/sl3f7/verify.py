@@ -111,6 +111,7 @@ def check_census(full: bool) -> tuple[bool, str]:
     expected_traces = {0: 296_352, 1: 296_352, 2: 296_352, 3: 197_568,
                        4: 296_352, 5: 197_568, 6: 197_568}
     ok = s.eigenfree_total == 1_778_112 and s.by_trace == expected_traces
+    ok = ok and s == scan._census_walk()
     return ok, (f"eigenfree_total={s.eigenfree_total}, "
                 f"by_trace={[s.by_trace[t] for t in range(7)]}")
 
@@ -237,6 +238,7 @@ def check_sylow(full: bool) -> tuple[bool, str]:
         and elements == 592_704
         and elements == 18 * n19
         and elements == 6 * 98_784
+        and elements == scan._power_counts((19,))[19] - 1
     )
     return ok, f"n19={n19}, order-19 elements={elements}"
 
@@ -253,7 +255,8 @@ def check_order_absence(full: bool) -> tuple[bool, str]:
     absent9 = scan._order_absent(counts, 9)
     absent27 = scan._order_absent(counts, 27)
     present3 = not scan._order_absent(counts, 3)
-    ok = absent9 and absent27 and present3
+    answers = [scan.order_absence_check(n) for n in (9, 27, 3)]  # from the pair histogram
+    ok = absent9 and absent27 and present3 and answers == [absent9, absent27, not present3]
     return ok, f"order 9 absent={absent9}, order 27 absent={absent27}, order 3 present={present3}"
 
 
@@ -390,10 +393,11 @@ CHECKS: tuple[Check, ...] = (
 def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
     """Run the selected suite, printing one pass/fail line per check.
 
-    The stdout report is deterministic (byte-identical on every run);
-    wall-clock timings go to stderr.  A check that raises is a FAIL line
-    naming the exception, and the checks after it still run.  A filter
-    that no check name contains is a ValueError, not an empty pass.
+    The stdout report is deterministic (byte-identical on every run); each
+    check's wall-clock time and group walks (scan.WALKS) go to stderr.  A
+    check that raises is a FAIL line naming the exception, and the checks
+    after it still run.  A filter that no check name contains is a
+    ValueError, not an empty pass.
     """
     if suite not in ("quick", "full"):
         raise ValueError(f"suite must be quick or full, got {suite!r}")
@@ -403,6 +407,7 @@ def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
     full = suite == "full"
     failures = []
     for check in checks:
+        walked = scan.WALKS.copy()
         t0 = time.perf_counter()
         try:
             ok, detail = check.fn(full)
@@ -411,7 +416,9 @@ def run_suite(suite: str = "quick", *, only: str | None = None) -> bool:
         dt = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
         print(f"[{check.number:2d}/16] {check.name:<26s} {status}  {detail}")
-        print(f"        {check.name}: {dt:.1f}s", file=sys.stderr)
+        walks, ranks = scan.WALKS - walked
+        print(f"        {check.name}: {dt:.1f}s, walks {walks} over {ranks / GROUP_ORDER:.2f} |G|",
+              file=sys.stderr)
         if not ok:
             failures.append(check.name)
     if failures:

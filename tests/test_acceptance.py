@@ -33,5 +33,7 @@ def test_budgets_read_a_monotonic_clock(monkeypatch, capsys):
         ok, detail = check(full)
         assert ok and "within" in detail and "OVER" not in detail, detail
     assert verify.run_suite("quick", only="group-order")
-    seconds = re.fullmatch(r"\s+group-order: ([0-9.]+)s\n", capsys.readouterr().err)
+    # check 1 walks the whole stream once
+    seconds = re.fullmatch(r"\s+group-order: ([0-9.]+)s, walks 1 over 1\.00 \|G\|\n",
+                           capsys.readouterr().err)
     assert seconds and float(seconds.group(1)) < 60

@@ -348,7 +348,7 @@ class TestVerify:
         name = fail_line[8:].split()[0]
         assert out.splitlines() == expected + [f"FAILED: {name}"]
         assert "Traceback" not in err
-        assert len(re.findall(r"^ +[\w-]+: [\d.]+s$", err, re.M)) == 16
+        assert len(re.findall(r"^ +[\w-]+: [\d.]+s, walks \d+ over [\d.]+ \|G\|$", err, re.M)) == 16
 
     def test_failing_suite_would_exit_1(self, capsys, monkeypatch):
         from sl3f7 import verify as verify_mod

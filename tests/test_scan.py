@@ -271,6 +271,14 @@ class TestCachedTables:
         assert table() is bins
 
 
+    @pytest.mark.parametrize("table", [scan._pair_keys, scan._linear_images], ids=["keys", "images"])
+    def test_histogram_tables_are_cached_read_only(self, table):
+        keys = table()
+        with pytest.raises(ValueError):
+            keys.flat[0] = 0
+        assert table() is keys
+
+
 def _divides_cube_of_unity_poly(i: int, j: int, n: int) -> bool:
     """Whether t^3 - i t^2 + j t - 1 divides (t^n - 1)^3 over F7, by long
     division; coefficient lists run from the constant term up."""
@@ -291,6 +299,21 @@ class TestBinTables:
         expected = [_divides_cube_of_unity_poly(*divmod(k, 7), n) for k in range(49)]
         assert scan._unity_bins(n).tolist() == expected
         assert expected[7 * 3 + 3]  # the identity's (t - 1)^3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 19, 27, 57, 513])
+    def test_cyclic_unity_bins_by_long_division(self, n):
+        # t^n mod t^3 - i t^2 + j t - 1, reduced from the top; 1 exactly on the
+        # bins whose cyclic elements have g^n = I
+        expected = []
+        for k in range(49):
+            i, j = divmod(k, 7)
+            rem = [0] * n + [1]  # t^n, constant term first
+            for top in range(n, 2, -1):
+                c, rem[top] = rem[top], 0
+                for e, coeff in zip((top - 1, top - 2, top - 3), (i, -j, 1)):
+                    rem[e] = (rem[e] + c * coeff) % 7
+            expected.append(rem[:3] == [1, 0, 0] if n >= 3 else rem == [1] + [0] * n)
+        assert scan._unity_bins(n, 1).tolist() == expected
 
     def test_rootless_bins_are_the_eigenfree_labels(self):
         assert scan._rootless_bins().tolist() == [
@@ -711,13 +734,14 @@ class TestPowerKernel:
             assert list(counts) == list(exponents)
             assert list(counts.values()) == unfiltered[exponents]
 
-    # each entry point runs one pass and, per chunk, only the products its
-    # answer reads; a return to the full chain costs 7
+    # the oracle pass of each absence check, of the order-19 count and of
+    # check 12 runs once and, per chunk, only the products its answer reads;
+    # a return to the full chain costs 7
     @pytest.mark.parametrize("entry,products", [
-        (lambda: scan.order_absence_check(3), 2),
-        (lambda: scan.order_absence_check(9), 4),
-        (lambda: scan.order_absence_check(27), 6),
-        (lambda: scan.count_order19_elements(), 6),
+        (lambda: scan._power_counts((1, 3)), 2),
+        (lambda: scan._power_counts((3, 9)), 4),
+        (lambda: scan._power_counts((9, 27)), 6),
+        (lambda: scan._power_counts((19,)), 6),
         (lambda: verify.check_order_absence(True), 6),
     ], ids=["absence-3", "absence-9", "absence-27", "order-19", "check-12"])
     def test_products_per_chunk(self, entry, products, monkeypatch):
@@ -823,6 +847,85 @@ class TestOrderAbsence:
     def test_unsupported_order(self):
         with pytest.raises(scan.UnsupportedOrder):
             scan.order_absence_check(5)
+
+
+@functools.cache
+def _noncyclic_planes() -> np.ndarray:
+    """Digit planes of the det-1 aI + N with rank N <= 1, built from (a, u, v):
+    N = u v^T with u's leading nonzero entry 1, v != 0 and v . u = a^-2 - a, so
+    det = a^2 (a + v . u) = 1, each N once; and the scalars aI with a^3 = 1."""
+    vectors = np.array([v for v in np.ndindex(7, 7, 7) if any(v)])
+    leading = vectors[[next(x for x in v if x) == 1 for v in vectors]]  # 57 lines of F7^3
+    rank_one = (leading[:, None, :, None] * vectors[None, :, None, :]).reshape(-1, 9)
+    trace = (leading @ vectors.T).ravel() % 7
+    blocks = []
+    for a in range(1, 7):
+        t = (pow(a, -2, 7) - a) % 7
+        if t == 0:
+            blocks.append(np.array([scalar_mat(a)]))
+        blocks.append((rank_one[trace == t] + a * np.array(IDENTITY)) % 7)
+    return np.concatenate(blocks).T.astype(np.uint8)
+
+
+def _noncyclic_mask(d: np.ndarray) -> np.ndarray:
+    """Whether g^2 is in span(I, g), i.e. g is not cyclic, for the planes d."""
+    square = scan._mul_planes(d, d)
+    identity = np.array(IDENTITY, dtype=np.uint8)[:, None]
+    return np.any([(square == scan._mod7(alpha * identity + beta * d)).all(axis=0)
+                   for alpha in range(7) for beta in range(7)], axis=0)
+
+
+def _plane_power(d: np.ndarray, n: int) -> np.ndarray:
+    result = np.broadcast_to(np.array(IDENTITY, dtype=np.uint8)[:, None], d.shape)
+    for bit in bin(n)[2:]:
+        result = scan._mul_planes(result, result)
+        if bit == "1":
+            result = scan._mul_planes(result, d)
+    return result
+
+
+class TestNoncyclic:
+    """The det-1 elements that are not cyclic are aI + N with rank N <= 1
+    (rational canonical form); scan._noncyclic states their bins and powers
+    in closed form, checked here against the set built as matrices."""
+
+    def test_set_is_16590_distinct_noncyclic_det_one_elements(self):
+        d = _noncyclic_planes()
+        assert d.shape == (9, 16_590)
+        assert np.unique(scan._encode_planes(d)).size == 16_590
+        assert np.all(scan._det_plane(d) == 1)
+        assert np.all(_noncyclic_mask(d))
+
+    def test_one_seeded_chunk_holds_exactly_its_members_of_the_set(self):
+        lo = random.Random(0x0C1C).randrange(GROUP_ORDER - scan.CHUNK)
+        d = scan._element_planes(lo, lo + scan.CHUNK)
+        codes = scan._encode_planes(d)
+        found = np.compress(_noncyclic_mask(d), codes)
+        members = np.sort(scan._encode_planes(_noncyclic_planes()))
+        assert found.size > 100
+        assert np.array_equal(found, members[(members >= codes[0]) & (members <= codes[-1])])
+
+    @pytest.mark.skipif(
+        not os.environ.get("SL3F7_SLOW"),
+        reason="walks all of G (about 2 s); set SL3F7_SLOW=1 to test every element",
+    )
+    def test_every_element_of_the_group(self):
+        found = np.concatenate(list(scan._map_chunks(
+            lambda d: np.compress(_noncyclic_mask(d), scan._encode_planes(d)))))
+        assert np.array_equal(found, np.sort(scan._encode_planes(_noncyclic_planes())))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 9, 14, 19, 27, 42, 49, 57, 336])
+    def test_closed_form_bins_and_powers(self, n):
+        d = _noncyclic_planes()
+        tr, jc = scan._char_planes(d)
+        bins, unity = scan._noncyclic(n)
+        assert bins.tolist() == np.bincount(7 * tr + jc, minlength=49).tolist()
+        assert unity == np.count_nonzero(scan._eq_identity(_plane_power(d, n)))
+
+    def test_unity_counts_of_known_classes(self):
+        # g^2 = I: I and the |G| / |GL2(F7)| conjugates of diag(-1, -1, 1);
+        # g^7 = I: the q^6 unipotent elements (Steinberg)
+        assert scan._unity_counts((2, 7)) == {2: 1 + GROUP_ORDER // 2016, 7: 7**6}
 
 
 class TestPowerTable:
@@ -1017,9 +1120,12 @@ def _whole_group_power_counts(exponents: tuple[int, ...]) -> dict[int, int]:
     return dict(zip(exponents, sum(scan._map_chunks(kernel)).tolist()))
 
 
-def _whole_group_census() -> dict[ClassLabel, int]:
-    counts = sum(scan._map_chunks(scan._census_chunk))
-    return {ClassLabel(k // 7, k % 7): int(v) for k, v in enumerate(counts) if v}
+def _whole_group_histogram() -> np.ndarray:
+    def kernel(d: np.ndarray) -> np.ndarray:
+        tr, jc = scan._char_planes(d)
+        return np.bincount(7 * tr + jc, minlength=49)
+
+    return sum(scan._map_chunks(kernel))
 
 
 def _whole_group_label_codes(label: ClassLabel) -> np.ndarray:
@@ -1056,6 +1162,33 @@ class TestPairWalk:
             assert np.array_equal(got, expected)
             ranks += got.size
         assert ranks == GROUP_ORDER
+
+    def test_characteristic_pairs_of_each_pair_are_affine_in_a_b(self, monkeypatch):
+        # every pair of the whole stream: E_ab g0 has the pair
+        # (i0 + a r2[0] + b r3[0], j0 - a c[1] - b c[2]), c = r2 x r3, which
+        # scan._pair_keys keys the pairs by
+        monkeypatch.setattr(scan, "CHUNK", 49 * 4_000)
+        a = np.arange(7)[:, None, None]
+        b = np.arange(7)[:, None]
+
+        def affine(g0: np.ndarray, x: np.ndarray) -> int:
+            r1 = scan._mod7(g0[:3, None, None] + a.astype(np.uint8) * g0[3:6, None, None]
+                            + b.astype(np.uint8) * g0[6:9, None, None])
+            rows23 = np.broadcast_to(g0[3:, None, None], (6, 7, 7, g0.shape[1]))
+            i, j = scan._char_planes(np.concatenate([r1, rows23]))
+            i0, j0 = scan._char_planes(g0)
+            _, c1, c2 = scan._cross(g0[3:6], g0[6:9])
+            assert np.array_equal(i, (i0 + a * g0[3] + b * g0[6]) % 7)
+            assert np.array_equal(j, (j0 - a * c1 - b * c2) % 7)
+            return g0.shape[1]
+
+        assert sum(scan._map_pairs(affine, IDENTITY, ((0, GROUP_ORDER),))) == GROUP_ORDER // 49
+
+    def test_walks_are_counted_in_ranks(self):
+        before = scan.WALKS.copy()
+        list(scan._map_pairs(lambda g0, x: None, IDENTITY, scan._PSL_RANGES))
+        list(scan._map_chunks(lambda d: None, ((0, 1000),)))
+        assert (scan.WALKS - before).tolist() == [2, GROUP_ORDER // 3 + 1000]
 
     @pytest.mark.parametrize("chunk_size", [1000, 1 << 16])
     def test_pieces_are_the_first_elements_of_the_pairs_in_order(self, chunk_size, monkeypatch):
@@ -1123,13 +1256,16 @@ class TestCosetWalk:
     @pytest.fixture(scope="class")
     def whole_group(self):
         pairs = {kind: intertwiner_pair(kind, random.Random(0xC05)) for kind in _INTERTWINER_KINDS}
+        histogram = _whole_group_histogram()  # all 49 bins
         return {
             "orbits": {name: _whole_group_orbit(m) for name, m in _ORBIT_SUBJECTS.items()},
             "pairs": pairs,
             "intertwiners": {kind: _whole_group_intertwiners(*pair) for kind, pair in pairs.items()},
             "normalizer": _whole_group_normalizer(M2),
             "powers": _whole_group_power_counts((1, 3, 9, 19, 27)),
-            "census": _whole_group_census(),
+            "histogram": histogram,
+            "census": {ClassLabel(*divmod(k, 7)): int(n) for k, n in enumerate(histogram)
+                       if n and scan._rootless_bins()[k]},
             "labels": {label: _whole_group_label_codes(label) for label in _WALKED_LABELS},
         }
 
@@ -1147,34 +1283,44 @@ class TestCosetWalk:
             assert (codes.size == 0) == (kind == "non-conjugate"), kind
         assert scan.normalizer_oracle(M2) == whole_group["normalizer"] == 171
         for exponents in _CENTRAL_EXPONENTS + _MIXED_EXPONENTS:
-            assert scan._power_counts(exponents) == {k: whole_group["powers"][k] for k in exponents}
-        census = scan.census()
-        assert census.by_label == whole_group["census"]
-        assert census.eigenfree_total == sum(whole_group["census"].values())
+            expected = {k: whole_group["powers"][k] for k in exponents}
+            assert scan._power_counts(exponents) == expected == scan._unity_counts(exponents)
+        assert scan._group_histogram().tolist() == whole_group["histogram"].tolist()
+        for census in (scan.census(), scan._census_walk()):
+            assert census.by_label == whole_group["census"]
+            assert census.eigenfree_total == sum(whole_group["census"].values())
         for label in _WALKED_LABELS:
             codes = scan.label_member_codes(label)
             expected = whole_group["labels"][label]
             assert codes.dtype == expected.dtype and np.array_equal(codes, expected), label
 
-    # only a det or stream oracle walks the whole group: every class function,
-    # power count and conjugation scan walks one element per coset of the
-    # centre, the conjugation scans through the pair walk and no other walk
-    @pytest.mark.parametrize("entry,coset", [
-        (lambda: scan.order_absence_check(3), True),
-        (lambda: scan.order_absence_check(9), True),
-        (lambda: scan.order_absence_check(27), True),
-        (lambda: scan._power_counts((3,)), True),
-        (lambda: scan.count_order19_elements(), True),
-        (lambda: verify.check_order_absence(True), True),
+    # only a det or stream oracle walks the whole group: every class-function,
+    # power-count and conjugation oracle walks one element per coset of the
+    # centre, the conjugation scans through the pair walk and no other walk;
+    # the census, the order-19 count and the absence checks walk nothing
+    @pytest.mark.parametrize("entry,walk", [
+        (lambda: scan.order_absence_check(3), None),
+        (lambda: scan.order_absence_check(9), None),
+        (lambda: scan.order_absence_check(27), None),
+        (lambda: scan._power_counts((3,)), "coset"),
+        (lambda: scan._power_counts((19,)), "coset"),
+        (lambda: scan._power_counts((1, 3, 9, 27)), "coset"),
+        (lambda: scan.count_order19_elements(), None),
+        (lambda: verify.check_census(True), "coset"),
+        (lambda: verify.check_label_catalog(True), None),
+        (lambda: verify.check_sylow(True), "coset"),
+        (lambda: verify.check_order_absence(True), "coset"),
         (lambda: scan.orbit_oracle(M0), "pairs"),
         (lambda: scan.intertwiner_codes(M0, M0), "pairs"),
         (lambda: scan.normalizer_oracle(M2), "pairs"),
-        (lambda: scan.census(), True),
-        (lambda: scan.label_member_codes(ClassLabel(0, 4)), True),
-        (lambda: verify._stream_is_det1(), False),
-    ], ids=["absence-3", "absence-9", "absence-27", "power-3", "order-19", "check-12",
-            "orbit", "intertwiner", "normalizer", "census", "label-members", "stream-check"])
-    def test_walk_chosen(self, entry, coset, monkeypatch):
+        (lambda: scan.census(), None),
+        (lambda: scan._census_walk(), "coset"),
+        (lambda: scan.label_member_codes(ClassLabel(0, 4)), "coset"),
+        (lambda: verify._stream_is_det1(), "whole"),
+    ], ids=["absence-3", "absence-9", "absence-27", "power-3", "power-19", "power-1-3-9-27",
+            "order-19", "check-2", "check-3", "check-10", "check-12", "orbit", "intertwiner",
+            "normalizer", "census", "census-walk", "label-members", "stream-check"])
+    def test_walk_chosen(self, entry, walk, monkeypatch):
         walked = {"chunks": [], "pairs": []}
         map_chunks, map_pairs = scan._map_chunks, scan._map_pairs
 
@@ -1189,8 +1335,9 @@ class TestCosetWalk:
         monkeypatch.setattr(scan, "_map_chunks", first_chunk)
         monkeypatch.setattr(scan, "_map_pairs", first_pairs)
         entry()
-        if coset == "pairs":
-            assert walked == {"chunks": [], "pairs": [scan._PSL_RANGES]}
-        else:
-            assert walked == {"chunks": [scan._PSL_RANGES if coset else ((0, GROUP_ORDER),)],
-                              "pairs": []}
+        expected = {"chunks": [], "pairs": []}
+        if walk == "pairs":
+            expected["pairs"] = [scan._PSL_RANGES]
+        elif walk:
+            expected["chunks"] = [scan._PSL_RANGES if walk == "coset" else ((0, GROUP_ORDER),)]
+        assert walked == expected

@@ -1,15 +1,18 @@
 """Group orders from sympy's Schreier-Sims, an oracle that shares no code with
 scan or subgroups: each matrix becomes the permutation v -> v g of the 342
-nonzero row vectors of F7^3, or of the 57 points of the projective plane."""
+nonzero row vectors of F7^3, or of the 57 points of the projective plane.
+And the label layer's bin tests from sympy's polynomials over GF(7)."""
 
 import itertools
 
 import pytest
 
 pytest.importorskip("sympy")
+from sympy import Poly, symbols  # noqa: E402
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
 
-from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel  # noqa: E402
+from sl3f7 import scan  # noqa: E402
+from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, eigenfree_labels  # noqa: E402
 from sl3f7.matrix3 import GROUP_ORDER, Mat3  # noqa: E402
 from sl3f7.subgroups import PARABOLIC_GENERATORS, X, Y, Z  # noqa: E402
 
@@ -67,3 +70,23 @@ class TestOnPoints:
     def test_a_point_stabiliser_has_orbits_1_and_56(self):
         stabiliser = on_points(X, Y, Z).stabilizer(0)
         assert sorted(map(len, stabiliser.orbits())) == [1, 56]
+
+
+T = symbols("t")
+# the characteristic polynomial t^3 - i t^2 + j t - 1 of bin 7 * i + j
+CUBICS = [Poly(T**3 - i * T**2 + j * T - 1, T, modulus=7) for i in range(7) for j in range(7)]
+
+
+class TestBinPolynomials:
+    @pytest.mark.parametrize("n", [1, 3, 9, 19, 27])
+    def test_unity_bins_are_where_t_to_the_n_is_one(self, n):
+        # scan counts g^n = I over the cyclic elements of exactly these bins
+        one = Poly(1, T, modulus=7)
+        expected = [Poly(T**n, T, modulus=7).rem(f) == one for f in CUBICS]
+        assert scan._unity_bins(n, 1).tolist() == expected
+
+    def test_labels_are_the_irreducible_cubics(self):
+        irreducible = [k for k, f in enumerate(CUBICS) if f.is_irreducible]
+        assert [divmod(k, 7) for k in irreducible] == [tuple(l) for l in eigenfree_labels()]
+        assert irreducible == scan._rootless_bins().nonzero()[0].tolist()
+        assert len(irreducible) == 18
