@@ -25,7 +25,10 @@ The conjugation scans walk the row pairs instead (_map_pairs): the 49
 elements of pair (r2, r3) are E g0, g0 its first and E = I + e1 (0, a, b), as
 r1_0 + a*r2 + b*r3 are the 49 solutions of r1 . (r2 x r3) = 1.  So
 (E g0) m (E g0)^-1 = E X E^-1, X = g0 m g0^-1: one conjugation per pair, and
-the 49 E X E^-1 by row and column operations (_shear_conjugate_codes).
+the 49 E X E^-1 by row and column operations (_shear_conjugate_codes).  The
+shears are a group U = F7^2, so these are the orbit U.X, and two U-orbits are
+equal or disjoint: orbit_oracle keys each pair by its least conjugate and
+expands each distinct key once, a sort of 38 304 keys, not of 1.88 M codes.
 A scan takes no setting: on a 2-core host a second thread made every
 stream scan but orbit_oracle slower (the GIL passes back and forth around
 short numpy calls), and the closure BFS of subgroups took 0.39 s on two
@@ -145,9 +148,10 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cx, cy, cz = _cross(rows[:, None, :], rows[:, :, None])  # r2 x r3 on the grid [r3, r2]
     cross = cx + 7 * cy + 49 * cz.astype(np.int16)  # row codes reach 342
     r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
-    pair_planes = np.concatenate([rows[:, r2], rows[:, r3]])
+    pair_planes = np.concatenate([np.take(rows, r2, axis=1), np.take(rows, r3, axis=1)])
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
-    return _read_only(pair_planes), _read_only(cross[r3, r2]), _read_only(solution_blocks)
+    # the boolean cut keeps nonzero's row-major order, 0.14 against 0.8 ms for cross[r3, r2]
+    return _read_only(pair_planes), _read_only(cross[cross != 0]), _read_only(solution_blocks)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -370,17 +374,20 @@ def _linear_images() -> np.ndarray:
     return _read_only(counts.reshape(2401, 49))
 
 
+@functools.cache
 def _group_histogram() -> np.ndarray:
     """Elements of G in the 49 bins, with no element built: the pairs' counts by
     [shift s, image d], from one bincount of _pair_keys and one product with
     _linear_images, go to bin s + d, then fold by lam (_scaled_bins).  float32
-    is exact, as no sum passes |G| / 3 < 2^24, and 14x faster than int64."""
+    is exact, as no sum passes |G| / 3 < 2^24.  The product is an einsum of two
+    float32 operands, 1.2 ms (int64 13 ms, mixed 7 ms), not @, whose threaded
+    BLAS took 4-92 ms a call while a core was busy."""
     keyed = np.bincount(_pair_keys(), minlength=2401 * 49).reshape(2401, 49)
-    spread = keyed.T.astype(np.float32) @ _linear_images()
+    spread = np.einsum("ls,ld->sd", keyed.astype(np.float32), _linear_images().astype(np.float32))
     i, j = np.divmod(np.arange(49), 7)
     image = 7 * ((i - i[:, None]) % 7) + (j - j[:, None]) % 7  # [s, b]: the d with s + d = b
     counts = np.take_along_axis(spread, image, axis=1).sum(axis=0).astype(np.int64)
-    return counts[_scaled_bins()].sum(axis=0)
+    return _read_only(counts[_scaled_bins()].sum(axis=0))
 
 
 def _census_chunk(d: np.ndarray) -> np.ndarray:
@@ -539,18 +546,22 @@ def orbit_oracle(m: Mat3) -> set[int]:
 
     Independent oracle for class_size and for the fact that the label sets
     are whole conjugacy classes.  g and a scalar times g conjugate alike, so
-    it walks the pairs of _PSL_RANGES.  The pieces' int32 conjugates (int64
-    took the peak from 18.7 to 28.6 MiB) are joined, and their list freed
-    before the sort (kept, it took the peak to 25.9 MiB), sorted and cut to
-    the first of each run, as subgroups.generator_closure cuts each level.
+    it walks the pairs of _PSL_RANGES.  Each pair's 49 conjugates, its U-orbit
+    (above), are all computed and keyed by their least code.  The keys are
+    sorted and cut to the first of each run, as subgroups.generator_closure
+    cuts each level (np.unique hashes in numpy 2.4.6: 8.7 ms on a first call
+    against 0.2 ms), and each key, a member of its U-orbit, is expanded to
+    that orbit: 2 016 keys for an eigenfree class (peak 10.0 against 18.7 MiB
+    when all 1.88 M codes were sorted).
     """
     _require_sl3(m)
-    codes = np.concatenate(list(_map_pairs(lambda g0, x: _shear_conjugate_codes(x).ravel(), m,
-                                           _PSL_RANGES)))
-    codes.sort()
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    return set(np.compress(first, codes).tolist())
+    keys = np.concatenate(list(_map_pairs(lambda g0, x: _shear_conjugate_codes(x).min(axis=(0, 1)),
+                                          m, _PSL_RANGES)))
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    planes = _mod7(np.compress(first, keys) // 7 ** np.arange(9, dtype=np.int32)[:, None])
+    return set(_shear_conjugate_codes(planes.astype(np.uint8)).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,8 @@ class TestCachedTables:
         assert table() is bins
 
 
-    @pytest.mark.parametrize("table", [scan._pair_keys, scan._linear_images], ids=["keys", "images"])
+    @pytest.mark.parametrize("table", [scan._pair_keys, scan._linear_images, scan._group_histogram],
+                             ids=["keys", "images", "histogram"])
     def test_histogram_tables_are_cached_read_only(self, table):
         keys = table()
         with pytest.raises(ValueError):
@@ -650,7 +651,45 @@ class TestClassSize:
         assert scan.class_size(IDENTITY) == 1
 
 
+# The rational canonical forms of SL3(F7): the companion of each cubic
+# t^3 - i t^2 + j t - 1, then the derogatory aI, a(I + E13) and diag(a, a, a^-2).
+RATIONAL_FORMS = (
+    [(0, 0, 1, 1, 0, -j % 7, 0, 1, i) for i in range(7) for j in range(7)]
+    + [scalar_mat(a) for a in (1, 2, 4)]
+    + [(a, 0, a, 0, a, 0, 0, 0, a) for a in (1, 2, 4)]
+    + [(a, 0, 0, 0, a, 0, 0, 0, pow(a, -2, 7)) for a in (3, 5, 6)]
+)
+
+
 class TestOrbitOracle:
+    def test_rational_forms_are_every_class_of_gl3_in_sl3(self):
+        # each GL3 class in SL3 is one SL3 class, but for the three of a times a
+        # regular unipotent (companion of (t - a)^3, a^3 = 1): each is three SL3
+        # classes of 38 304, so the 58 forms' classes miss two of each three
+        assert len(set(RATIONAL_FORMS)) == 58
+        assert all(det(m) == 1 for m in RATIONAL_FORMS)
+        assert sum(scan.class_size(m) for m in RATIONAL_FORMS) == GROUP_ORDER - 3 * 2 * 38_304
+
+    def test_orbit_of_every_rational_form_is_its_class(self):
+        # shear orbits (scan.orbit_oracle) of 49 and smaller ones: the classes of
+        # aI, a(I + E13) and a times a regular unipotent, of sizes 1, 2 736 and
+        # 38 304, are not made of whole orbits of 49
+        for m in RATIONAL_FORMS:
+            orbit = scan.orbit_oracle(m)
+            assert len(orbit) == scan.class_size(m), m
+            assert encode(m) in orbit, m
+            tr, jc = scan._char_planes(code_planes(np.fromiter(orbit, np.int64, len(orbit))))
+            i, j = char_poly(m)[0]
+            assert np.all(tr == i) and np.all(jc == j), m
+
+    @pytest.mark.skipif(
+        not os.environ.get("SL3F7_SLOW"),
+        reason="58 whole-group conjugations (about 30 s); set SL3F7_SLOW=1 to run them",
+    )
+    def test_every_rational_form_equals_the_whole_group_kernel(self):
+        for m in RATIONAL_FORMS:
+            assert scan.orbit_oracle(m) == _whole_group_orbit(m), m
+
     def test_identity_orbit(self):
         assert scan.orbit_oracle(IDENTITY) == {encode(IDENTITY)}
 
@@ -660,15 +699,15 @@ class TestOrbitOracle:
         assert {type(c) for c in orbit} == {int}
 
     def test_peak_allocation_is_below_a_code_space_array(self):
-        # a bool per code would alone take 38.5 MiB; the int32 conjugates and
-        # their sort peak at 18.7 MiB, int64 codes at 28.6 MiB
+        # a bool per code would alone take 38.5 MiB; sorting all 1.88 M int32
+        # conjugates peaked at 18.7 MiB, the U-orbit keys peak at 10.0 MiB
         tracemalloc.start()
         try:
             assert len(scan.orbit_oracle(M0)) == 98_784
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 14 * 2**20
 
     def test_every_label_is_one_class(self):
         # verify's check 7 compares the orbit and the label set for [0,4] and
