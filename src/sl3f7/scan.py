@@ -16,12 +16,14 @@ A scan walks _PSL_RANGES, one g of each coset of the centre {I, 2I, 4I}, and
 rebuilds the whole group's answer, as lam*g has the pair (lam*i, lam^2*j),
 (lam*g)^k = lam^k g^k and lam*g conjugates as g does; the closure of
 subgroups walks the cosets of the diagonal torus, which holds the centre,
-and only count_sl3 and verify._stream_is_det1 see every element.  A
-scan splits its ranges into chunks of at most CHUNK ranks, a fixed constant,
-evaluates a vectorized kernel on each chunk's digit planes in the calling
-thread, and merges partial results by addition or concatenation, so results
-are independent of the chunking; the tests vary CHUNK to show it.
-The conjugation scans walk the row pairs instead (_map_pairs): the 49
+and only count_sl3 and verify._stream_is_det1 see every element.  Every
+walked range is whole row pairs of 49 ranks, and one loop, _pieces, the only
+reader of CHUNK, a fixed constant, cuts the ranges into pieces of at most
+CHUNK // 49 pairs.  A scan evaluates a vectorized kernel on each piece in the
+calling thread, on its elements' digit planes (_map_chunks) or its pairs'
+first elements (_map_pairs), and merges partial results by addition or
+concatenation, so results are independent of the piece size; the tests vary
+CHUNK to show it.  The conjugation scans walk the row pairs: the 49
 elements of pair (r2, r3) are E g0, g0 its first and E = I + e1 (0, a, b), as
 r1_0 + a*r2 + b*r3 are the 49 solutions of r1 . (r2 x r3) = 1.  So
 (E g0) m (E g0)^-1 = E X E^-1, X = g0 m g0^-1: one conjugation per pair, and
@@ -86,9 +88,10 @@ from .matrix3 import (
 )
 from .schema import document
 
-# element ranks per chunk of a group scan: at 2^16 a chunk's 576 KB planes stay
-# in glibc's heap, 0-2 minor faults per power pass; glibc gave 2^18's 2.4 MB
-# back to the kernel after every chunk, 27 000-50 000 faults per pass
+# element ranks per piece of a group scan, read by _pieces alone: at 2^16 a
+# piece's 576 KB planes stay in glibc's heap, 0-2 minor faults per power pass;
+# glibc gave 2^18's 2.4 MB back to the kernel after every piece, 27 000-50 000
+# faults per pass
 CHUNK = 1 << 16
 
 _T = TypeVar("_T")
@@ -159,19 +162,24 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _element_planes(lo: int, hi: int) -> np.ndarray:
-    """Digit planes of the det-1 elements of ranks [lo, hi) in MatCode order.
-
-    Rank k is solution k mod 49 of pair k // 49; the pairs covering the
-    ranks are expanded 49-fold and the window [lo, hi) is cut from them.
-    """
+def _element_planes(first: int, last: int) -> np.ndarray:
+    """Digit planes of the det-1 elements of the row pairs [first, last), in
+    MatCode order: rank k is solution k mod 49 of pair k // 49."""
     pair_planes, pair_cross, solution_blocks = _stream_tables()
-    first, last = lo // 49, -(-hi // 49)
-    window = slice(lo - 49 * first, hi - 49 * first)
-    out = np.empty((9, hi - lo), dtype=np.uint8)
-    out[3:] = np.repeat(pair_planes[:, first:last], 49, axis=1)[:, window]
-    out[:3] = solution_blocks[pair_cross[first:last]].transpose(1, 0, 2).reshape(3, -1)[:, window]
+    out = np.empty((9, 49 * (last - first)), dtype=np.uint8)
+    out[3:] = np.repeat(pair_planes[:, first:last], 49, axis=1)
+    out[:3] = solution_blocks[pair_cross[first:last]].transpose(1, 0, 2).reshape(3, -1)
     return out
+
+
+def _pair_heads(pairs: slice | np.ndarray) -> np.ndarray:
+    """Digit planes of g0, the first element, of each row pair in pairs."""
+    pair_planes, pair_cross, solution_blocks = _stream_tables()
+    cross = pair_cross[pairs]
+    g0 = np.empty((9, cross.size), dtype=np.uint8)
+    g0[:3] = solution_blocks[cross, :, 0].T
+    g0[3:] = pair_planes[:, pairs]
+    return g0
 
 
 # The row codes whose leading nonzero digit is 1 or 3, [lead * 7^k, (lead + 1) * 7^k):
@@ -184,37 +192,38 @@ _R3_BLOCK = GROUP_ORDER // 342  # 336 second rows times 49 first rows
 _PSL_RANGES = tuple(((lo - 1) * _R3_BLOCK, (hi - 1) * _R3_BLOCK) for lo, hi in _LEAD_ROWS)
 
 
-# walks made by _map_chunks and _map_pairs, and the ranks they covered (a pair
-# stands for its 49); verify.run_suite reports each check's share on stderr
+# walks made by _pieces, and the ranks they covered (a pair stands for its 49);
+# verify.run_suite reports each check's share on stderr
 WALKS = np.zeros(2, dtype=np.int64)
+
+
+def _pieces(ranges: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+    """The row pairs [first, last) of the rank ranges (bounds multiples of 49),
+    ascending, in pieces of at most CHUNK // 49 pairs, so CHUNK elements; the
+    walk and its ranks are counted in WALKS."""
+    WALKS[:] += 1, sum(hi - lo for lo, hi in ranges)
+    step = CHUNK // 49
+    for lo, hi in ranges:
+        for first in range(lo // 49, hi // 49, step):
+            yield first, min(first + step, hi // 49)
 
 
 def _map_chunks(kernel: Callable[[np.ndarray], _T],
                 ranges: tuple[tuple[int, int], ...] = ((0, GROUP_ORDER),)) -> Iterator[_T]:
-    """Apply kernel to the element planes of each rank range [lo, hi) in
-    ranges, in pieces at most CHUNK long, yielding results in rank order."""
-    WALKS[:] += 1, sum(hi - lo for lo, hi in ranges)
-    for start, stop in ranges:
-        for lo in range(start, stop, CHUNK):
-            yield kernel(_element_planes(lo, min(lo + CHUNK, stop)))
+    """Apply kernel to the element planes of each piece of the rank ranges
+    (_pieces), yielding results in rank order."""
+    for first, last in _pieces(ranges):
+        yield kernel(_element_planes(first, last))
 
 
 def _map_pairs(kernel: Callable[[np.ndarray, np.ndarray], _T], m: Mat3,
                ranges: tuple[tuple[int, int], ...]) -> Iterator[_T]:
     """Apply kernel to (g0, g0 m g0^-1) for the first elements g0 of the row
-    pairs of the rank ranges (bounds multiples of 49), in pieces of at most
-    CHUNK // 49 pairs, so CHUNK elements, yielding results in rank order."""
-    WALKS[:] += 1, sum(hi - lo for lo, hi in ranges)
-    pair_planes, pair_cross, solution_blocks = _stream_tables()
+    pairs of each piece of the rank ranges (_pieces), yielding results in rank order."""
     right = np.array(m, dtype=np.uint8)
-    step = CHUNK // 49
-    for start, stop in ranges:
-        for first in range(start // 49, stop // 49, step):
-            last = min(first + step, stop // 49)
-            g0 = np.empty((9, last - first), dtype=np.uint8)
-            g0[:3] = solution_blocks[pair_cross[first:last], :, 0].T
-            g0[3:] = pair_planes[:, first:last]
-            yield kernel(g0, _mul_planes(_mul_planes(g0, right), _adjugate_planes(g0)))
+    for first, last in _pieces(ranges):
+        g0 = _pair_heads(slice(first, last))
+        yield kernel(g0, _mul_planes(_mul_planes(g0, right), _adjugate_planes(g0)))
 
 
 def _shear_conjugate_codes(x: np.ndarray) -> np.ndarray:
@@ -349,41 +358,29 @@ def _rootless_bins() -> np.ndarray:
 
 
 @functools.cache
-def _pair_keys() -> np.ndarray:
-    """Key 49 * (p + 7 q + 49 u + 343 v) + 7 * i0 + j0 of each row pair of
-    _PSL_RANGES, int32: its E_ab g0 have the pair (i0 + a p + b q, j0 + a u + b v),
-    as E_ab adds a r2 + b r3 to row 1, so p, q = r2[0], r3[0] and, in the minors
-    of rows (1, 3) and (1, 2), u, v = -c[1], -c[2], c = r2 x r3."""
-    pair_planes, pair_cross, solution_blocks = _stream_tables()
-    pairs = np.concatenate([np.arange(lo // 49, hi // 49) for lo, hi in _PSL_RANGES])
-    g0 = np.concatenate([solution_blocks[pair_cross[pairs], :, 0].T, pair_planes[:, pairs]])
+def _group_histogram() -> np.ndarray:
+    """Elements of G in the 49 bins, with no element built.  The E_ab g0 of a
+    row pair of _PSL_RANGES have the pair (i0 + a p + b q, j0 + a u + b v), as
+    E_ab adds a r2 + b r3 to row 1, so p, q = r2[0], r3[0] and, in the minors of
+    rows (1, 3) and (1, 2), u, v = -c[1], -c[2], c = r2 x r3.  One bincount of
+    the pairs' keys, linear part l = p + 7 q + 49 u + 343 v and shift s = 7 i0 + j0,
+    times the (2401, 49) counts [l, 7 x + y] of the (a, b) that l sends to (x, y)
+    gives the elements by [shift s, image d], which go to bin s + d, then fold
+    by lam (_scaled_bins).  float32 is exact, as no sum passes |G| / 3 < 2^24.
+    The product is an einsum of two float32 operands, 1.2 ms (int64 13 ms,
+    mixed 7 ms), not @, whose threaded BLAS took 4-92 ms a call while a core
+    was busy."""
+    g0 = _pair_heads(np.concatenate([np.arange(lo // 49, hi // 49) for lo, hi in _PSL_RANGES]))
     i0, j0 = _char_planes(g0)
-    _, c1, c2 = _digit_planes(3)[:, pair_cross[pairs]]
-    p, q, u, v = np.stack([g0[3], g0[6], _mod7(7 - c1), _mod7(7 - c2)]).astype(np.int32)
-    return _read_only(49 * (p + 7 * q + 49 * u + 343 * v) + 7 * i0 + j0)
-
-
-@functools.cache
-def _linear_images() -> np.ndarray:
-    """(2401, 49) uint8, [p + 7 q + 49 u + 343 v, 7 x + y]: how many (a, b) the
-    map (a, b) -> (a p + b q, a u + b v) sends to (x, y)."""
+    _, u, v = _cross(g0[6:9], g0[3:6])  # r3 x r2 = -c
+    p, q, u, v = np.stack([g0[3], g0[6], u, v]).astype(np.int32)
+    keyed = np.bincount(49 * (p + 7 * q + 49 * u + 343 * v) + 7 * i0 + j0, minlength=2401 * 49)
     p, q, u, v = _digit_planes(4)[:, :, None]
     a, b = np.divmod(np.arange(49, dtype=np.uint8), 7)
     images = 7 * _mod7(p * a + q * b) + _mod7(u * a + v * b) + 49 * np.arange(2401)[:, None]
-    counts = np.bincount(images.ravel(), minlength=2401 * 49).astype(np.uint8)
-    return _read_only(counts.reshape(2401, 49))
-
-
-@functools.cache
-def _group_histogram() -> np.ndarray:
-    """Elements of G in the 49 bins, with no element built: the pairs' counts by
-    [shift s, image d], from one bincount of _pair_keys and one product with
-    _linear_images, go to bin s + d, then fold by lam (_scaled_bins).  float32
-    is exact, as no sum passes |G| / 3 < 2^24.  The product is an einsum of two
-    float32 operands, 1.2 ms (int64 13 ms, mixed 7 ms), not @, whose threaded
-    BLAS took 4-92 ms a call while a core was busy."""
-    keyed = np.bincount(_pair_keys(), minlength=2401 * 49).reshape(2401, 49)
-    spread = np.einsum("ls,ld->sd", keyed.astype(np.float32), _linear_images().astype(np.float32))
+    linear = np.bincount(images.ravel(), minlength=2401 * 49)
+    spread = np.einsum("ls,ld->sd", keyed.reshape(2401, 49).astype(np.float32),
+                       linear.reshape(2401, 49).astype(np.float32))
     i, j = np.divmod(np.arange(49), 7)
     image = 7 * ((i - i[:, None]) % 7) + (j - j[:, None]) % 7  # [s, b]: the d with s + d = b
     counts = np.take_along_axis(spread, image, axis=1).sum(axis=0).astype(np.int64)

@@ -25,7 +25,7 @@ from .matrix3 import (
     mat,
     mat_mul,
 )
-from .scan import CHUNK, _det_one_runs, _digit_planes, _encode_planes, _mul_planes, _read_only
+from .scan import _det_one_runs, _digit_planes, _encode_planes, _mul_planes, _read_only
 
 # Generators of the full group; X lies in H, Y and Z do not.
 X: Mat3 = mat("1 0 1; 0 -1 -1; 0 1 0")
@@ -80,14 +80,15 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     After each level the node count times the span so far is a lower bound
     on the size, and it is held to cap.
 
-    Each level runs in the calling thread, in two phases.  Every CHUNK-long
-    slice of the frontier gathers its neighbours and keeps those whose node
-    is unseen (_children), so no temporary outgrows |gens| * CHUNK keys.
-    The old frontier is dropped and the survivors are joined, sorted, cut to
-    the first of each node and marked (_merge), so every level is the same
-    ascending set of keys for any CHUNK.  On numpy 2.4 np.unique is 50-80x
-    slower than np.sort on codes (7.7 against 0.14 s on 9 M int64 codes,
-    2-core x86-64), and np.compress 3-5x faster than a boolean index."""
+    Each level runs whole in the calling thread, in two phases.  The whole
+    frontier gathers its neighbours and keeps those whose node is unseen
+    (_children): a level holds at most |G| / |D| = 156 408 nodes, so no
+    temporary outgrows |gens| times that many keys.  The old frontier is
+    dropped and the survivors are joined, sorted, cut to the first of each
+    node and marked (_merge), so every level is an ascending set of keys.  On
+    numpy 2.4 np.unique is 50-80x slower than np.sort on codes (7.7 against
+    0.14 s on 9 M int64 codes, 2-core x86-64), and np.compress 3-5x faster
+    than a boolean index."""
     if not gens:
         raise ValueError("generator set must be nonempty")
     for g in gens:
@@ -99,9 +100,7 @@ def generator_closure(gens: tuple[Mat3, ...] | list[Mat3], *, cap: int = GROUP_O
     schreier = np.zeros(36, dtype=bool)  # the tags of the Schreier generators seen
     frontier, nodes, span = np.array([392 << 6], dtype=np.int32), 1, 1
     while frontier.size:
-        pieces = []
-        for lo in range(0, frontier.size, CHUNK):
-            pieces += _children(frontier[lo:lo + CHUNK], tables, states, schreier)
+        pieces = _children(frontier, tables, states, schreier)
         del frontier
         frontier = _merge(pieces, states, schreier)
         nodes += int(frontier.size)
@@ -157,8 +156,9 @@ def _step_tables(s: Mat3) -> tuple[np.ndarray, np.ndarray]:
 
 def _children(entries: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
               states: np.ndarray, schreier: np.ndarray) -> list[np.ndarray]:
-    """Per generator, the entries of the unseen nodes a slice reaches; marks
-    the tags of the Schreier generators of its edges to seen nodes."""
+    """Per generator, the entries of the unseen nodes a whole level, at most
+    156 408 entries, reaches; marks the tags of the Schreier generators of
+    its edges to seen nodes."""
     rescale, sums, diffs = _torus_tables()[2:]
     pair, row = np.divmod(entries >> 6, 343)  # int32 division (int64's is ~5x slower)
     out = []

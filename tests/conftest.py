@@ -25,6 +25,11 @@ def random_sl3(rng: random.Random) -> Mat3:
             return m
 
 
+def element_at(rank: int) -> Mat3:
+    """The det-1 element of the given rank in the stream's ascending MatCode order."""
+    return tuple(scan._element_planes(rank // 49, rank // 49 + 1)[:, rank % 49].tolist())
+
+
 @functools.cache
 def least_sl3() -> Mat3:
     """The det-1 matrix of least MatCode, by a pure-Python scan from code 0."""
@@ -58,13 +63,13 @@ def check_document(doc) -> None:
 
 @pytest.fixture
 def no_group_pass(monkeypatch) -> None:
-    """Make every walk of the det-1 element stream raise: _map_chunks, which
-    each group scan calls, and _stream_tables, which each stream plane is
+    """Make every walk of the det-1 element stream raise: _pieces, which
+    each group scan iterates, and _stream_tables, which each stream plane is
     read from, so a per-matrix answer that touches the stream fails."""
     def walked(*args, **kwargs):
         raise AssertionError("a per-matrix answer walked the element stream")
 
-    monkeypatch.setattr(scan, "_map_chunks", walked)
+    monkeypatch.setattr(scan, "_pieces", walked)
     monkeypatch.setattr(scan, "_stream_tables", walked)
 
 

@@ -5,7 +5,7 @@ and has_fp_eigenvalue; every group scan classifies with the uint8
 scan._char_planes and the 49 bins of scan._rootless_bins.  On each element
 of the stream the characteristic pair must be the same, det must be 1, and
 the element must have an eigenvalue in F7 exactly when its bin is not
-rootless.  Tier-1 walks one seeded 65 536-rank chunk; SL3F7_SLOW walks the
+rootless.  Tier-1 walks one seeded 65 513-rank piece; SL3F7_SLOW walks the
 whole group (about 25 s).
 """
 
@@ -18,8 +18,8 @@ import pytest
 from sl3f7 import scan
 from sl3f7.matrix3 import GROUP_ORDER, char_poly, encode, has_fp_eigenvalue
 
-RANKS = 1 << 16
-LO = random.Random(0xC1A55).randrange(GROUP_ORDER - RANKS)
+RANKS = 49 * (scan.CHUNK // 49)  # one piece of the walk: 1 337 row pairs
+LO = 49 * random.Random(0xC1A55).randrange((GROUP_ORDER - RANKS) // 49)
 
 
 def _classify_chunk(d: np.ndarray) -> tuple[list[int], np.ndarray]:

@@ -68,12 +68,12 @@ def least_codes_by_walk() -> dict[ClassLabel, tuple]:
 
 def first_codes_of_the_stream() -> dict[ClassLabel, int]:
     """First code of each characteristic pair on the element stream's first
-    CHUNK ranks, which hold every det-1 matrix with third row e1."""
+    row-3 block, every det-1 matrix with third row e1."""
     def kernel(d):
         tr, jc = scan._char_planes(d)
         return tr, jc, scan._encode_planes(d)
 
-    (tr, jc, codes), = scan._map_chunks(kernel, ((0, scan.CHUNK),))
+    (tr, jc, codes), = scan._map_chunks(kernel, ((0, scan._R3_BLOCK),))
     first = {}
     for i, j, code in zip(tr.tolist(), jc.tolist(), codes.tolist()):
         first.setdefault(ClassLabel(i, j), code)

@@ -3,9 +3,10 @@
 Each A in SL3(F7) with a nonzero (2,1) or (3,1) entry must reduce to Y and
 to Z by multiplications in H (subgroups.maximality_witness), so that H and A
 generate the group.  The walk reads the element stream with _map_chunks and
-stops at the first chunk that holds a failure, naming its first code.
-Tier-1 walks one seeded 8 192-rank slice (about 0.5 s); SL3F7_SLOW walks the
-whole group, |G| - |H| = 5 531 904 reductions (about 6.5 min).
+stops at the first piece that holds a failure, naming its first code.
+Tier-1 walks one seeded slice of 168 row pairs, 8 232 ranks (about 0.5 s);
+SL3F7_SLOW walks the whole group, |G| - |H| = 5 531 904 reductions (about
+6.5 min).
 """
 
 import os
@@ -19,9 +20,10 @@ from sl3f7.matrix3 import GROUP_ORDER, encode
 from sl3f7.subgroups import PARABOLIC_ORDER, in_parabolic, maximality_witness
 
 # The stream holds one block of scan._R3_BLOCK ranks per third row, in code
-# order.  The slice straddles the start of a seeded block whose third row has
-# (3,1) entry 0, so it meets elements outside H by either entry and inside H.
-RANKS = 1 << 13
+# order.  The slice, whole row pairs of 49 ranks, straddles the start of a
+# seeded block whose third row has (3,1) entry 0, so it meets elements outside
+# H by either entry and inside H.
+RANKS = 49 * 168
 LO = (7 * random.Random(0x3A81).randrange(1, 49) - 1) * scan._R3_BLOCK - RANKS // 2
 
 

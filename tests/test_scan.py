@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import check_document, code_planes, least_sl3, random_sl3
+from conftest import check_document, code_planes, element_at, least_sl3, random_sl3
 from sl3f7 import cli, scan, subgroups, verify
 from sl3f7.classify import (
     KNOWN_REPRESENTATIVES,
@@ -271,8 +271,7 @@ class TestCachedTables:
         assert table() is bins
 
 
-    @pytest.mark.parametrize("table", [scan._pair_keys, scan._linear_images, scan._group_histogram],
-                             ids=["keys", "images", "histogram"])
+    @pytest.mark.parametrize("table", [scan._group_histogram], ids=["histogram"])
     def test_histogram_tables_are_cached_read_only(self, table):
         keys = table()
         with pytest.raises(ValueError):
@@ -322,11 +321,11 @@ class TestBinTables:
 
 
 # the chunks the selection tests run on: seeded windows of the element
-# stream, the powers of M0 among random elements, and chunks of one repeated
-# matrix, where a mask is all true or all false (the identity has every root
-# test true and M0 none)
+# stream, 102 whole row pairs from the pair of rank lo, the powers of M0 among
+# random elements, and chunks of one repeated matrix, where a mask is all true
+# or all false (the identity has every root test true and M0 none)
 _SELECTION_CHUNKS = {
-    **{f"stream-{lo}": scan._element_planes(lo, lo + 5_000)
+    **{f"stream-{lo}": scan._element_planes(lo // 49, lo // 49 + 102)
        for lo in random.Random(0x5E1).sample(range(GROUP_ORDER - 5_000), 3)},
     "powers": _planes([mat_pow(M0, k) for k in range(57)] + SL3_MIXED[:500]),
     "identity": _planes([IDENTITY] * 300),
@@ -502,9 +501,9 @@ class TestElementStream:
 _FAULTS_OF_SECOND_PASS = """
 import resource
 from sl3f7 import scan
-scan.order_absence_check(27)
+scan._power_counts((1, 3, 9, 19, 27))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-scan.order_absence_check(27)
+scan._power_counts((1, 3, 9, 19, 27))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -512,10 +511,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="minor-fault counts of glibc's allocator on Linux")
 class TestPageFaults:
-    # A chunk's temporaries must fit glibc's heap, so that a warm power pass
+    # A piece's temporaries must fit glibc's heap, so that a warm power pass
     # reuses its pages instead of returning them to the kernel after every
-    # chunk and faulting them back in: at CHUNK = 2^18 the second pass took
-    # 30 000-37 000 minor faults, at 2^16 with broadcast products 0-2.
+    # piece and faulting them back in.  The pass of the whole chain builds the
+    # most: 40.6 % of each piece (lcm 513) and seven powers of it.  Its second
+    # pass took 0 minor faults at CHUNK = 2^16 and 2^17 and 11 900-15 000 at
+    # 2^18; (19,) and (1, 3, 9, 27) took 0 and 97 at 2^18.
     def test_second_power_pass_reuses_its_pages(self):
         # a fresh interpreter, with no allocator setting from the environment
         env = {k: v for k, v in os.environ.items()
@@ -529,7 +530,7 @@ class TestPageFaults:
 
 class TestThreadClamping:
     def test_nonpositive_threads_are_a_value_error(self, monkeypatch):
-        def no_chunk(lo, hi):
+        def no_chunk(first, last):
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr(scan, "_element_planes", no_chunk)
@@ -747,9 +748,8 @@ class TestPowerKernel:
         # 3 000 random elements plus the identity, the only g with g^1 = I;
         # every exponent tuple the library asks for, each a cut of the chain
         rng = random.Random(0x2719)
-        columns = [scan._element_planes(r, r + 1) for r in rng.sample(range(GROUP_ORDER), 3_000)]
-        planes = np.concatenate(columns + [np.array(IDENTITY, dtype=np.uint8)[:, None]], axis=1)
-        elements = [decode(int(c)) for c in scan._encode_planes(planes)]
+        elements = [element_at(r) for r in rng.sample(range(GROUP_ORDER), 3_000)] + [IDENTITY]
+        planes = _planes(elements)
         # every element of each coset {g, 2g, 4g} with a power equal to I
         expected = {k: sum(mat_pow(mat_scale(lam, g), k) == IDENTITY
                            for g in elements for lam in (1, 2, 4))
@@ -789,7 +789,7 @@ class TestPowerKernel:
 
         def one_chunk(kernel, ranges=None):
             calls["passes"] += 1
-            yield kernel(scan._element_planes(0, 1_000))
+            yield kernel(scan._element_planes(0, 20))
 
         def counted(x, y):
             calls["products"] += 1
@@ -936,8 +936,8 @@ class TestNoncyclic:
         assert np.all(_noncyclic_mask(d))
 
     def test_one_seeded_chunk_holds_exactly_its_members_of_the_set(self):
-        lo = random.Random(0x0C1C).randrange(GROUP_ORDER - scan.CHUNK)
-        d = scan._element_planes(lo, lo + scan.CHUNK)
+        first = random.Random(0x0C1C).randrange((GROUP_ORDER - scan.CHUNK) // 49)
+        d = scan._element_planes(first, first + scan.CHUNK // 49)
         codes = scan._encode_planes(d)
         found = np.compress(_noncyclic_mask(d), codes)
         members = np.sort(scan._encode_planes(_noncyclic_planes()))
@@ -1180,10 +1180,9 @@ class TestPairWalk:
     E = I + e1 (0, a, b), g0 its first element, so the conjugation scans
     conjugate once per pair and shear the result 49 ways."""
 
-    def test_shears_of_each_pair_base_are_its_49_stream_elements(self, monkeypatch):
-        # every pair of the whole stream; at CHUNK = 49 * 2 000 the pieces of
-        # the pair walk and the chunks of the element walk cover the same ranks
-        monkeypatch.setattr(scan, "CHUNK", 49 * 2_000)
+    def test_shears_of_each_pair_base_are_its_49_stream_elements(self):
+        # every pair of the whole stream; the pair walk and the element walk
+        # cut the same pieces (scan._pieces)
         a = np.arange(7, dtype=np.uint8)[:, None, None]
         b = np.arange(7, dtype=np.uint8)[:, None]
 
@@ -1205,7 +1204,7 @@ class TestPairWalk:
     def test_characteristic_pairs_of_each_pair_are_affine_in_a_b(self, monkeypatch):
         # every pair of the whole stream: E_ab g0 has the pair
         # (i0 + a r2[0] + b r3[0], j0 - a c[1] - b c[2]), c = r2 x r3, which
-        # scan._pair_keys keys the pairs by
+        # scan._group_histogram keys the pairs by
         monkeypatch.setattr(scan, "CHUNK", 49 * 4_000)
         a = np.arange(7)[:, None, None]
         b = np.arange(7)[:, None]
@@ -1226,15 +1225,34 @@ class TestPairWalk:
     def test_walks_are_counted_in_ranks(self):
         before = scan.WALKS.copy()
         list(scan._map_pairs(lambda g0, x: None, IDENTITY, scan._PSL_RANGES))
-        list(scan._map_chunks(lambda d: None, ((0, 1000),)))
-        assert (scan.WALKS - before).tolist() == [2, GROUP_ORDER // 3 + 1000]
+        list(scan._map_chunks(lambda d: None, ((0, 49 * 20),)))
+        assert (scan.WALKS - before).tolist() == [2, GROUP_ORDER // 3 + 980]
+
+    @pytest.mark.parametrize("chunk_size", [49, 4999, 1 << 16, 200_003])
+    @pytest.mark.parametrize("ranges", [scan._PSL_RANGES, ((0, GROUP_ORDER),)], ids=["psl", "whole"])
+    def test_pieces_are_whole_pairs_covering_the_ranges(self, ranges, chunk_size, monkeypatch):
+        monkeypatch.setattr(scan, "CHUNK", chunk_size)
+        before = scan.WALKS.copy()
+        pieces = list(scan._pieces(ranges))
+        assert (scan.WALKS - before).tolist() == [1, sum(hi - lo for lo, hi in ranges)]
+        assert all(0 < last - first <= chunk_size // 49 for first, last in pieces)
+        # joined end to end, the pieces are the ranges, in rank order (no two
+        # ranges are adjacent, so a piece that crossed a range bound would show)
+        joined: list[list[int]] = []
+        for first, last in pieces:
+            if joined and joined[-1][1] == 49 * first:
+                joined[-1][1] = 49 * last
+            else:
+                joined.append([49 * first, 49 * last])
+        assert joined == [list(r) for r in ranges]
 
     @pytest.mark.parametrize("chunk_size", [1000, 1 << 16])
     def test_pieces_are_the_first_elements_of_the_pairs_in_order(self, chunk_size, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
         bases = list(scan._map_pairs(lambda g0, x: g0, IDENTITY, scan._PSL_RANGES))
         assert max(g0.shape[1] for g0 in bases) == chunk_size // 49
-        expected = [scan._encode_planes(scan._element_planes(lo, hi))[::49] for lo, hi in scan._PSL_RANGES]
+        expected = [scan._encode_planes(scan._element_planes(lo // 49, hi // 49))[::49]
+                    for lo, hi in scan._PSL_RANGES]
         assert np.array_equal(np.concatenate([scan._encode_planes(g0) for g0 in bases]),
                               np.concatenate(expected))
 
@@ -1308,8 +1326,8 @@ class TestCosetWalk:
             "labels": {label: _whole_group_label_codes(label) for label in _WALKED_LABELS},
         }
 
-    # 4 999 = 1 (mod 49), so successive chunk starts walk every offset inside a
-    # 49-rank pair block, and it is below 16 464, the smallest _PSL_RANGES range
+    # CHUNK = 4 999 ranks makes pieces of 102 whole pairs, which do not divide
+    # 336, the pairs of a row-3 block and of the smallest _PSL_RANGES range
     @pytest.mark.parametrize("chunk_size", [1 << 16, 4999, 200_003])
     def test_each_scan_equals_its_whole_group_kernel(self, whole_group, chunk_size, monkeypatch):
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
@@ -1365,7 +1383,7 @@ class TestCosetWalk:
 
         def first_chunk(kernel, ranges=((0, GROUP_ORDER),)):
             walked["chunks"].append(ranges)
-            return map_chunks(kernel, ((ranges[0][0], ranges[0][0] + 1000),))
+            return map_chunks(kernel, ((ranges[0][0], ranges[0][0] + 49 * 20),))
 
         def first_pairs(kernel, m, ranges):
             walked["pairs"].append(ranges)

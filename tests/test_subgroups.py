@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import code_planes, random_sl3
+from conftest import code_planes, element_at, random_sl3
 from sl3f7 import scan, subgroups
 from sl3f7.classify import KNOWN_REPRESENTATIVES, ClassLabel, NotInSL3
 from sl3f7.matrix3 import (
@@ -194,7 +194,7 @@ class TestClosure:
     @settings(max_examples=60, deadline=None)
     @given(rank=st.integers(0, GROUP_ORDER - 1))
     def test_cyclic_closure_is_the_element_order(self, rank):
-        g = decode(int(scan._encode_planes(scan._element_planes(rank, rank + 1))[0]))
+        g = element_at(rank)
         assert generator_closure((g,), cap=mat_order(g)) == mat_order(g)
 
     def test_one_step_table_per_generator(self, monkeypatch):
@@ -231,7 +231,7 @@ class TestClosure:
     @given(rank=st.integers(0, GROUP_ORDER - 1), k=st.sampled_from([7, 11]),
            pick=st.integers(0, 2**20), with_c=st.booleans())
     def test_matches_a_set_bfs_on_normalizers_of_order19_subgroups(self, rank, k, pick, with_c):
-        h = decode(int(scan._encode_planes(scan._element_planes(rank, rank + 1))[0]))
+        h = element_at(rank)
         p = mat_mul(mat_mul(h, M2), mat_inv(h))
         ns = scan.intertwiners(p, mat_pow(p, k))
         gens = (p, decode(int(ns[pick % ns.size])))
@@ -298,15 +298,15 @@ class TestClosure:
         merged, expand = subgroups._merge, subgroups._children
         monkeypatch.setattr(subgroups, "_merge", merge)
         monkeypatch.setattr(subgroups, "_children", children)
-        # H's levels have at most 1 081 nodes, so only 1 000-key slices split one
+        # the closure reads no walk constant: it expands each level whole, at
+        # any scan.CHUNK, though H's largest level, 1 081 nodes, exceeds 1 000
         for chunk in (scan.CHUNK, 1_000):
-            monkeypatch.setattr(subgroups, "CHUNK", chunk)
+            monkeypatch.setattr(scan, "CHUNK", chunk)
             run = levels[chunk] = []
             slices.clear()
             assert generator_closure(PARABOLIC_GENERATORS, cap=98_784) == 98_784
-            # one expansion per slice of at most chunk keys, the first level I alone
-            assert max(slices) <= chunk
-            assert len(slices) == 1 + sum(-(-len(level) // chunk) for level in run[:-1])
+            # one expansion per level, of its whole frontier, the first level I alone
+            assert slices == [1] + [len(level) for level in run[:-1]]
         assert levels[scan.CHUNK] == levels[1_000]
         assert max(map(len, levels[1_000])) == 1_081
         # ascending keys, one per node; H holds D, so with I's node they are |H| / 36
@@ -322,15 +322,16 @@ class TestClosure:
 
 
 class TestCosetClosure:
-    """The coset BFS against the element BFS, for any CHUNK: a group meeting D
-    in the identity alone has |<gens>| nodes, one holding Z a third, and one
-    meeting D in a subgroup of order 2, 6, 9 or 36 that fraction."""
+    """The coset BFS against the element BFS, at any scan.CHUNK, which the
+    closure does not read: a group meeting D in the identity alone has
+    |<gens>| nodes, one holding Z a third, and one meeting D in a subgroup of
+    order 2, 6, 9 or 36 that fraction."""
 
     @pytest.fixture(scope="class")
     def normalizer(self):
         # <P, n> with n P n^-1 = P^7 is non-abelian of order 57 and holds no
         # scalar; adding an order-57 c of C(P) gives N(<P>), of order 171
-        h = decode(int(scan._encode_planes(scan._element_planes(4_321_987, 4_321_988))[0]))
+        h = element_at(4_321_987)
         p = mat_mul(mat_mul(h, M2), mat_inv(h))
         n = decode(int(scan.intertwiners(p, mat_pow(p, 7))[0]))
         c = next(c for c in map(decode, scan.intertwiners(p, p).tolist()) if mat_order(c) == 57)
@@ -348,7 +349,7 @@ class TestCosetClosure:
                 "D6": (mat("3 0 0; 0 5 0; 0 0 1"),),
                 "D9": (mat("2 0 0; 0 4 0; 0 0 1"), mat("1 0 0; 0 2 0; 0 0 4")),
                 "D2": (mat("6 0 0; 0 6 0; 0 0 1"),), "monomial": MONOMIAL, **normalizer}[name]
-        monkeypatch.setattr(subgroups, "CHUNK", chunk)
+        monkeypatch.setattr(scan, "CHUNK", chunk)
         assert generator_closure(gens, cap=size) == element_closure(gens) == size
 
     def test_the_cap_counts_z_from_the_level_that_shows_it(self, monkeypatch):
