@@ -4,8 +4,8 @@ Centralizers, class sizes, conjugators and normalizers are answered by
 linear algebra, not by scanning: the g with g*a = b*g form the nullspace
 of a 9x9 system over F7, and intertwiners() keeps the det-1 members of
 that space.  The census and the element-order counts are read from the
-49-bin histogram of characteristic pairs, built from the row pairs with no
-element (_group_histogram), and by Cayley-Hamilton (_unity_counts).  The
+49-bin histogram of characteristic pairs, counted by orbit-stabilizer with
+no walk (_group_histogram), and by Cayley-Hamilton (_unity_counts).  The
 group scans below are the exhaustive oracles for all of these answers.
 
 Group scans walk the 5_630_688 det-1 elements in ascending MatCode order:
@@ -64,6 +64,7 @@ histogram of the minors of rows 1 and 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
@@ -172,16 +173,6 @@ def _element_planes(first: int, last: int) -> np.ndarray:
     return out
 
 
-def _pair_heads(pairs: slice | np.ndarray) -> np.ndarray:
-    """Digit planes of g0, the first element, of each row pair in pairs."""
-    pair_planes, pair_cross, solution_blocks = _stream_tables()
-    cross = pair_cross[pairs]
-    g0 = np.empty((9, cross.size), dtype=np.uint8)
-    g0[:3] = solution_blocks[cross, :, 0].T
-    g0[3:] = pair_planes[:, pairs]
-    return g0
-
-
 # The row codes whose leading nonzero digit is 1 or 3, [lead * 7^k, (lead + 1) * 7^k):
 # 114 rows.  2 and 4 permute {1, 2, 4} and {3, 6, 5}, so exactly one of r, 2r and
 # 4r is among them for r != 0, and the g with one of them as third row hold one
@@ -221,8 +212,11 @@ def _map_pairs(kernel: Callable[[np.ndarray, np.ndarray], _T], m: Mat3,
     """Apply kernel to (g0, g0 m g0^-1) for the first elements g0 of the row
     pairs of each piece of the rank ranges (_pieces), yielding results in rank order."""
     right = np.array(m, dtype=np.uint8)
+    pair_planes, pair_cross, solution_blocks = _stream_tables()
     for first, last in _pieces(ranges):
-        g0 = _pair_heads(slice(first, last))
+        g0 = np.empty((9, last - first), dtype=np.uint8)
+        g0[:3] = solution_blocks[pair_cross[first:last], :, 0].T
+        g0[3:] = pair_planes[:, first:last]
         yield kernel(g0, _mul_planes(_mul_planes(g0, right), _adjugate_planes(g0)))
 
 
@@ -359,32 +353,27 @@ def _rootless_bins() -> np.ndarray:
 
 @functools.cache
 def _group_histogram() -> np.ndarray:
-    """Elements of G in the 49 bins, with no element built.  The E_ab g0 of a
-    row pair of _PSL_RANGES have the pair (i0 + a p + b q, j0 + a u + b v), as
-    E_ab adds a r2 + b r3 to row 1, so p, q = r2[0], r3[0] and, in the minors of
-    rows (1, 3) and (1, 2), u, v = -c[1], -c[2], c = r2 x r3.  One bincount of
-    the pairs' keys, linear part l = p + 7 q + 49 u + 343 v and shift s = 7 i0 + j0,
-    times the (2401, 49) counts [l, 7 x + y] of the (a, b) that l sends to (x, y)
-    gives the elements by [shift s, image d], which go to bin s + d, then fold
-    by lam (_scaled_bins).  float32 is exact, as no sum passes |G| / 3 < 2^24.
-    The product is an einsum of two float32 operands, 1.2 ms (int64 13 ms,
-    mixed 7 ms), not @, whose threaded BLAS took 4-92 ms a call while a core
-    was busy."""
-    g0 = _pair_heads(np.concatenate([np.arange(lo // 49, hi // 49) for lo, hi in _PSL_RANGES]))
-    i0, j0 = _char_planes(g0)
-    _, u, v = _cross(g0[6:9], g0[3:6])  # r3 x r2 = -c
-    p, q, u, v = np.stack([g0[3], g0[6], u, v]).astype(np.int32)
-    keyed = np.bincount(49 * (p + 7 * q + 49 * u + 343 * v) + 7 * i0 + j0, minlength=2401 * 49)
-    p, q, u, v = _digit_planes(4)[:, :, None]
-    a, b = np.divmod(np.arange(49, dtype=np.uint8), 7)
-    images = 7 * _mod7(p * a + q * b) + _mod7(u * a + v * b) + 49 * np.arange(2401)[:, None]
-    linear = np.bincount(images.ravel(), minlength=2401 * 49)
-    spread = np.einsum("ls,ld->sd", keyed.reshape(2401, 49).astype(np.float32),
-                       linear.reshape(2401, 49).astype(np.float32))
-    i, j = np.divmod(np.arange(49), 7)
-    image = 7 * ((i - i[:, None]) % 7) + (j - j[:, None]) % 7  # [s, b]: the d with s + d = b
-    counts = np.take_along_axis(spread, image, axis=1).sum(axis=0).astype(np.int64)
-    return _read_only(counts[_scaled_bins()].sum(axis=0))
+    """Elements of G in the 49 bins 7 * i + j, by orbit-stabilizer, with no walk.
+    The cyclic g with characteristic polynomial f = t^3 - i t^2 + j t - 1 are
+    one GL3 class, that of f's companion, all of det 1.  Its centralizer in GL3
+    is (F7[t]/(f))*, with (7^d - 1) 7^(d (e - 1)) units per factor p^e of f,
+    deg p = d: 6 * 7^(e - 1) per root of multiplicity e, each divided out by
+    synthetic division, 48 for an irreducible quadratic left over and 342 when
+    f is irreducible.  So the class has |GL3| / units = 6|G| / units elements,
+    and _noncyclic counts the rest."""
+    counts = _noncyclic(1)[0]
+    for b in range(49):
+        f, units = [1, -(b // 7) % 7, b % 7, 6], 1  # the coefficients of f from t^3 down
+        for r in range(1, 7):  # f(0) = -1, so no root is 0
+            e = 0
+            while True:  # Horner's rule: the quotient by t - r, then the remainder f(r)
+                *q, rest = itertools.accumulate(f, lambda s, c: (s * r + c) % 7)
+                if rest:
+                    break
+                f, e = q, e + 1
+            units *= 6 * 7 ** (e - 1) if e else 1
+        counts[b] += 6 * GROUP_ORDER // (units * {1: 1, 3: 48, 4: 342}[len(f)])
+    return _read_only(counts)
 
 
 def _census_chunk(d: np.ndarray) -> np.ndarray:
@@ -395,9 +384,10 @@ def _census_chunk(d: np.ndarray) -> np.ndarray:
 
 def census(*, threads: int | None = None) -> ScanSummary:
     """Full-group census: eigenfree counts by trace and label, the rootless
-    bins of _group_histogram; _census_walk is its oracle.  threads is accepted
-    and ignored, since perfbench's sweep calls census(threads=1); an explicit
-    value below 1 is a ValueError."""
+    bins of _group_histogram, each one class of 6|G| / 342 = 98 784 elements,
+    as F7[t]/(f) is F_343 for an irreducible f; _census_walk is its oracle.
+    threads is accepted and ignored, since perfbench's sweep calls
+    census(threads=1); an explicit value below 1 is a ValueError."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     return _summary(_group_histogram() * _rootless_bins())

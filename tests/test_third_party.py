@@ -1,9 +1,11 @@
 """Group orders from sympy's Schreier-Sims, an oracle that shares no code with
 scan or subgroups: each matrix becomes the permutation v -> v g of the 342
 nonzero row vectors of F7^3, or of the 57 points of the projective plane.
-And the label layer's bin tests from sympy's polynomials over GF(7)."""
+And the label layer's bin tests and the histogram's cyclic bin counts from
+sympy's polynomials over GF(7)."""
 
 import itertools
+import math
 
 import pytest
 
@@ -90,3 +92,13 @@ class TestBinPolynomials:
         assert [divmod(k, 7) for k in irreducible] == [tuple(l) for l in eigenfree_labels()]
         assert irreducible == scan._rootless_bins().nonzero()[0].tolist()
         assert len(irreducible) == 18
+
+    def test_cyclic_bin_counts_are_gl3_over_the_units_mod_the_polynomial(self):
+        # the cyclic g of a bin are one GL3 class, |GL3| = 6|G|, with the
+        # centralizer (F7[t]/(f))*: (7^d - 1) 7^(d (e - 1)) units per factor p^e
+        # of f, deg p = d
+        cyclic = scan._group_histogram() - scan._noncyclic(1)[0]
+        for k, f in enumerate(CUBICS):
+            units = math.prod((7**p.degree() - 1) * 7 ** (p.degree() * (e - 1))
+                              for p, e in f.factor_list()[1])
+            assert divmod(6 * GROUP_ORDER, units) == (cyclic[k], 0), divmod(k, 7)
