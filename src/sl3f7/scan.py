@@ -29,8 +29,9 @@ r1_0 + a*r2 + b*r3 are the 49 solutions of r1 . (r2 x r3) = 1.  So
 (E g0) m (E g0)^-1 = E X E^-1, X = g0 m g0^-1: one conjugation per pair, and
 the 49 E X E^-1 by row and column operations (_shear_conjugate_codes).  The
 shears are a group U = F7^2, so these are the orbit U.X, and two U-orbits are
-equal or disjoint: orbit_oracle keys each pair by its least conjugate and
-expands each distinct key once, a sort of 38 304 keys, not of 1.88 M codes.
+equal or disjoint: orbit_oracle keys each pair by its least conjugate, the
+one shear that clears the top two digits (_orbit_keys), and expands each
+distinct key once, a sort of 38 304 keys, not of 1.88 M codes.
 A scan takes no setting: on a 2-core host a second thread made every
 stream scan but orbit_oracle slower (the GIL passes back and forth around
 short numpy calls), and the closure BFS of subgroups took 0.39 s on two
@@ -72,6 +73,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .classify import ClassLabel, NotEigenfree, NotInSL3, is_eigenfree_label
+from .field import _FP_INV
 from .matrix3 import (
     GROUP_ORDER,
     IDENTITY,
@@ -144,18 +146,22 @@ def _stream_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       pair_cross (114912,): the row code of c = r2 x r3;
       solution_blocks (343, 3, 49): for row code c, the entries of its 49
         r1 as planes, ascending (zeros for c = 0).
+    The first two are cut from the grid [r3, r2] by one np.compress each on
+    c != 0, which keeps its row-major order: the build took 2.3 against
+    3.1 ms with np.nonzero and a np.take per row (best of 15, 2-core x86-64).
     """
     x, y, z = rows = _digit_planes(3)
     dot = _mod7(x[:, None] * x + y[:, None] * y + z[:, None] * z)  # [c, r1] = r1 . c
     _, r1 = np.nonzero(dot[1:] == 1)  # 49 per nonzero c, ascending r1 within each
     solutions = np.concatenate([np.zeros(49, dtype=np.int64), r1]).reshape(343, 49)
     cx, cy, cz = _cross(rows[:, None, :], rows[:, :, None])  # r2 x r3 on the grid [r3, r2]
-    cross = cx + 7 * cy + 49 * cz.astype(np.int16)  # row codes reach 342
-    r3, r2 = np.nonzero(cross)  # r3 outer, r2 inner: ascending code order
-    pair_planes = np.concatenate([np.take(rows, r2, axis=1), np.take(rows, r3, axis=1)])
+    cross = (cx + 7 * cy + 49 * cz.astype(np.int16)).ravel()  # row codes reach 342
+    # rows 2 and 3 on the same grid, r3 outer and r2 inner: ascending code order
+    grid = np.concatenate(np.broadcast_arrays(rows[:, None, :], rows[:, :, None])).reshape(6, -1)
+    kept = cross != 0
     solution_blocks = np.ascontiguousarray(rows[:, solutions].transpose(1, 0, 2))
-    # the boolean cut keeps nonzero's row-major order, 0.14 against 0.8 ms for cross[r3, r2]
-    return _read_only(pair_planes), _read_only(cross[cross != 0]), _read_only(solution_blocks)
+    return (_read_only(np.compress(kept, grid, axis=1)), _read_only(np.compress(kept, cross)),
+            _read_only(solution_blocks))
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -220,15 +226,21 @@ def _map_pairs(kernel: Callable[[np.ndarray, np.ndarray], _T], m: Mat3,
         yield kernel(g0, _mul_planes(_mul_planes(g0, right), _adjugate_planes(g0)))
 
 
-def _shear_conjugate_codes(x: np.ndarray) -> np.ndarray:
-    """Codes of E x E^-1 for the 49 shears E = I + e1 (0, a, b), (7, 7, P) int32
-    indexed [a, b, p], from the planes x (9, P) of any matrices.  E x adds
-    a*row 2 + b*row 3 to row 1 (at most 6 + 36 + 36 = 78); times E^-1 then takes
-    a*column 1 from column 2 and b*column 1 from column 3, y + 42 - a*y1 in 6..48,
-    or 6..120 on row 1's unreduced sums.  Rows 2 and 3 add as (7, 1, P) and
-    (1, 7, P) terms first; P inner ran 3x faster than (P, 7, 7)."""
-    a = np.arange(7, dtype=np.uint8)[:, None, None]
-    b = a.reshape(1, 7, 1)
+# the 49 shears as a (7, 1, 1) and b (7, 1), and the inverses of F7 (0 at 0)
+_SHEARS = tuple(_read_only(np.arange(7, dtype=np.uint8).reshape(s)) for s in ((7, 1, 1), (7, 1)))
+_F7_INV = _read_only(np.array(_FP_INV, dtype=np.uint8))
+
+
+def _shear_conjugate_codes(x: np.ndarray, a: np.ndarray = _SHEARS[0],
+                           b: np.ndarray = _SHEARS[1]) -> np.ndarray:
+    """Codes of E x E^-1 for the shears E = I + e1 (0, a, b), int32, from the
+    planes x (9, P) of any matrices and uint8 a, b in 0..6 broadcast against
+    them: by default all 49, (7, 7, P) indexed [a, b, p], or with a and b of
+    shape (P,) one shear per matrix.  E x adds a*row 2 + b*row 3 to row 1 (at
+    most 6 + 36 + 36 = 78); times E^-1 then takes a*column 1 from column 2 and
+    b*column 1 from column 3, y + 42 - a*y1 in 6..48, or 6..120 on row 1's
+    unreduced sums.  Rows 2 and 3 add as (7, 1, P) and (1, 7, P) terms first;
+    P inner ran 3x faster than (P, 7, 7)."""
     y0 = _mod7(x[0] + a * x[3] + b * x[6])
     rows = [(y0, x[1] + a * x[4] + b * x[7], x[2] + a * x[5] + b * x[8]), x[3:6], x[6:9]]
     e = [y for u, v, w in rows for y in (u, _mod7(v + 42 - a * u), _mod7(w + 42 - b * u))]
@@ -533,22 +545,41 @@ def orbit_oracle(m: Mat3) -> set[int]:
 
     Independent oracle for class_size and for the fact that the label sets
     are whole conjugacy classes.  g and a scalar times g conjugate alike, so
-    it walks the pairs of _PSL_RANGES.  Each pair's 49 conjugates, its U-orbit
-    (above), are all computed and keyed by their least code.  The keys are
-    sorted and cut to the first of each run, as subgroups.generator_closure
-    cuts each level (np.unique hashes in numpy 2.4.6: 8.7 ms on a first call
+    it walks the pairs of _PSL_RANGES.  Each pair is keyed by the least code
+    of its 49 conjugates, its U-orbit (above), which _orbit_keys finds as one
+    conjugate in closed form: the 49 are computed only for the pairs whose X
+    has e1 as an eigenvector, none for an eigenfree m.  The keys are sorted
+    and cut to the first of each run, as subgroups.generator_closure cuts
+    each level (np.unique hashes in numpy 2.4.6: 8.7 ms on a first call
     against 0.2 ms), and each key, a member of its U-orbit, is expanded to
     that orbit: 2 016 keys for an eigenfree class (peak 10.0 against 18.7 MiB
     when all 1.88 M codes were sorted).
     """
     _require_sl3(m)
-    keys = np.concatenate(list(_map_pairs(lambda g0, x: _shear_conjugate_codes(x).min(axis=(0, 1)),
-                                          m, _PSL_RANGES)))
+    keys = np.concatenate(list(_map_pairs(_orbit_keys, m, _PSL_RANGES)))
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     planes = _mod7(np.compress(first, keys) // 7 ** np.arange(9, dtype=np.int32)[:, None])
     return set(_shear_conjugate_codes(planes.astype(np.uint8)).ravel().tolist())
+
+
+def _orbit_keys(g0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The least code of each U-orbit U.X, X the planes x, as one conjugate.
+    E X E^-1 keeps column 1 below row 1, (x3, x6), and its rows 3 and 2 are
+    (x6, x7 - a x6, x8 - b x6) and (x3, x4 - a x3, x5 - b x3).  For x6 != 0 the
+    top two digits, of 7^8 and 7^7, take every value of F7 as b and a vary,
+    and are both 0 at the one (a, b) = (x7, x8) / x6; for x6 = 0 the digits of
+    7^8 to 7^6 are fixed, and those of 7^5 and 7^4 are 0 at (a, b) = (x4, x5) /
+    x3.  For x3 = x6 = 0, e1 is an eigenvector of X, never so for an eigenfree
+    m, and the key is the least of the 49 conjugates."""
+    lead = np.where(x[6] == 0, x[3:6], x[6:9])  # row 3 of X unless it leads with 0
+    a, b = _mod7(np.take(_F7_INV, lead[0]) * lead[1:])
+    keys = _shear_conjugate_codes(x, a, b)
+    fixed = np.flatnonzero(lead[0] == 0)
+    if fixed.size:
+        keys[fixed] = _shear_conjugate_codes(np.take(x, fixed, axis=1)).min(axis=(0, 1))
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from sl3f7 import verify
+from sl3f7 import scan, verify
 
 
 @pytest.mark.parametrize(
@@ -37,3 +37,15 @@ def test_budgets_read_a_monotonic_clock(monkeypatch, capsys):
     seconds = re.fullmatch(r"\s+group-order: ([0-9.]+)s, walks 1 over 1\.00 \|G\|\n",
                            capsys.readouterr().err)
     assert seconds and float(seconds.group(1)) < 60
+
+
+@pytest.mark.parametrize("bin_, step", [(0, 1), (48, -1)])
+def test_group_order_fails_on_a_histogram_off_by_one(monkeypatch, bin_, step):
+    # the census and the order counts read _group_histogram, which counts no
+    # element, so check 1 holds its 49 bins to the counted order
+    ok, detail = verify.check_group_order(False)
+    assert ok
+    wrong = scan._group_histogram().copy()
+    wrong[bin_] += step
+    monkeypatch.setattr(scan, "_group_histogram", lambda: wrong)
+    assert verify.check_group_order(False) == (False, detail)

@@ -713,6 +713,39 @@ class TestOrbitOracle:
         for m in RATIONAL_FORMS:
             assert scan.orbit_oracle(m) == _whole_group_orbit(m), m
 
+    @staticmethod
+    def _keys_against_the_least_conjugates(m: Mat3, ranges: tuple[tuple[int, int], ...]) -> int:
+        """Asserts that orbit_oracle's closed-form key of each pair is the least
+        of its 49 shear conjugates; returns how many pairs had x3 = x6 = 0."""
+        fixed = 0
+        for g0, x in scan._map_pairs(lambda g0, x: (g0, x), m, ranges):
+            keys = scan._orbit_keys(g0, x)
+            assert keys.dtype == np.int32
+            assert np.array_equal(keys, scan._shear_conjugate_codes(x).min(axis=(0, 1))), m
+            fixed += int(np.count_nonzero((x[3] == 0) & (x[6] == 0)))
+        return fixed
+
+    @pytest.mark.parametrize("m, fixed", [(M0, {0}), (scalar_mat(2), {3_600}),
+                                          (mat("3 0 0; 0 3 0; 0 0 4"), set(range(1, 3_600))),
+                                          (mat("2 0 2; 0 2 0; 0 0 2"), set(range(1, 3_600)))],
+                             ids=["eigenfree", "scalar", "diag-3-3-4", "2(I+E13)"])
+    def test_closed_form_keys_are_the_least_conjugates(self, m, fixed):
+        # a pair whose X has e1 as an eigenvector (x3 = x6 = 0) takes the least
+        # of its 49 conjugates: every pair of a scalar, some of diag(a, a, b)
+        # and of a(I + E13), none of an eigenfree m; 12 seeded runs of 300
+        # pairs.  Only for a(I + E13) is the least of such a pair not X itself
+        starts = sorted(random.Random(0x0C1F).sample(range(GROUP_ORDER // 49 - 300), 12))
+        ranges = tuple((49 * s, 49 * (s + 300)) for s in starts)
+        assert self._keys_against_the_least_conjugates(m, ranges) in fixed
+
+    @pytest.mark.skipif(
+        not os.environ.get("SL3F7_SLOW"),
+        reason="76 walks of |G| / 3 keyed both ways (about 3 s); set SL3F7_SLOW=1 to run them",
+    )
+    def test_closed_form_keys_on_every_pair_of_every_form_and_representative(self):
+        for m in list(RATIONAL_FORMS) + [representative(label) for label in eigenfree_labels()]:
+            self._keys_against_the_least_conjugates(m, scan._PSL_RANGES)
+
     def test_identity_orbit(self):
         assert scan.orbit_oracle(IDENTITY) == {encode(IDENTITY)}
 

@@ -269,12 +269,15 @@ class TestClosure:
         entries += [rng.randrange(57**2 * 343) << 6 | rng.randrange(36) for _ in range(2_000)]
         steps = [s for g in gens for s in (g, mat_inv(g))]
         states = np.zeros(57**2 * 343, dtype=np.uint8)  # every node unseen: all entries kept
-        got = subgroups._children(np.array(entries, dtype=np.int32), list(map(_step_tables, steps)),
-                                  states, np.zeros(36, dtype=bool))
+        entries, tables = np.array(entries, dtype=np.int32), list(map(_step_tables, steps))
+        got = subgroups._children(entries, tables, states, np.zeros(36, dtype=bool))
         assert [piece.dtype for piece in got] == [np.int32] * len(steps)
-        members = list(map(coset_member, entries))
+        members = list(map(coset_member, entries.tolist()))
         assert [piece.tolist() for piece in got] == [
             [coset_key(mat_mul(m, s)) for m in members] for s in steps]
+        # with no Schreier marks to take, the same nodes, each with tag 0
+        untagged = subgroups._children(entries, tables, states, None)
+        assert [piece.tolist() for piece in untagged] == [(piece >> 6 << 6).tolist() for piece in got]
 
     @pytest.mark.parametrize("gens, size", [(PARABOLIC_GENERATORS, 98_784), ((M2,), 19),
                                             ((M0,), 57), (SL2_GENERATORS, 336)],
@@ -379,25 +382,35 @@ class TestCosetClosure:
         ("XYZ", GROUP_ORDER, 15), ("H", 98_784, 1), ("M2", 19, None), ("D9", 9, None)])
     def test_the_span_is_taken_once_a_level_until_it_is_all_of_d(
             self, monkeypatch, name, size, spans):
-        # {X, Y, Z}'s tags span D at level 15 of 29 and H's at level 1; a
-        # group meeting D in less takes the span after each of its levels
+        # {X, Y, Z}'s tags span D at level 15 of 29 and H's at level 1, and
+        # the levels after it run with no tags; a group meeting D in less
+        # takes the span after each of its levels, all of them tagged
         gens = {"XYZ": (X, Y, Z), "H": PARABOLIC_GENERATORS, "M2": (M2,),
                 "D9": (mat("2 0 0; 0 4 0; 0 0 1"), mat("1 0 0; 0 2 0; 0 0 4"))}[name]
-        levels, taken = [], []  # one entry per _merge call; the spans _span returned
+        tagged: dict[str, list[bool]] = {"_children": [], "_merge": []}  # one entry per call
+        taken = []  # the spans _span returned
 
         def span(tags):
             taken.append(spanned(tags))
             return taken[-1]
 
-        merged, spanned = subgroups._merge, subgroups._span
+        def recorded(name):
+            step = getattr(subgroups, name)
+            return lambda *args: tagged[name].append(args[-1] is not None) or step(*args)
+
+        spanned = subgroups._span
         monkeypatch.setattr(subgroups, "_span", span)
-        monkeypatch.setattr(subgroups, "_merge", lambda *args: levels.append(1) or merged(*args))
+        for step in tagged:
+            monkeypatch.setattr(subgroups, step, recorded(step))
         assert generator_closure(gens) == size
+        levels = tagged["_merge"]
+        assert tagged["_children"] == levels
         assert all(s < 36 for s in taken[:-1])
         if spans is None:
-            assert len(taken) == len(levels) and taken[-1] < 36
+            assert len(taken) == len(levels) and taken[-1] < 36 and all(levels)
         else:
-            assert len(taken) == spans and taken[-1] == 36 and len(levels) > spans
+            assert len(taken) == spans and taken[-1] == 36
+            assert levels == [True] * spans + [False] * (len(levels) - spans) and len(levels) > spans
 
 
 class TestReduction:
