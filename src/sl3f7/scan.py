@@ -31,11 +31,12 @@ the 49 E X E^-1 by row and column operations (_shear_conjugate_codes).  The
 shears are a group U = F7^2, so these are the orbit U.X, and two U-orbits are
 equal or disjoint: orbit_oracle keys each pair by its least conjugate, the
 one shear that clears the top two digits (_orbit_keys), and expands each
-distinct key once, a sort of 38 304 keys, not of 1.88 M codes.
-A scan takes no setting: on a 2-core host a second thread made every
-stream scan but orbit_oracle slower (the GIL passes back and forth around
-short numpy calls), and the closure BFS of subgroups took 0.39 s on two
-threads against 0.41 s with no pool, so the package starts no thread.
+distinct key once, a sort of 38 304 keys, not of 1.88 M codes;
+normalizer_oracle reads the powers of P off the orbit of P.  A scan takes
+no setting: on a 2-core host a second thread made every stream scan but
+orbit_oracle slower (the GIL passes back and forth around short numpy
+calls), and the closure BFS of subgroups took 0.39 s on two threads against
+0.41 s with no pool, so the package starts no thread.
 
 Digit planes are uint8, twice the entries per SIMD instruction of int16.
 Every kernel value stays in 0..255: a product of two digits is at most 36
@@ -55,8 +56,8 @@ slower on these masks (3.5 against 1.1 ms on nine 2^18 planes).
 
 What depends on an element's characteristic pair (i, j) alone is done
 once per bin 7 * i + j (_rootless_bins, _unity_bins, _scaled_bins).  The
-element walk _map_chunks serves only oracles: the census and power walks,
-the label scan and verify's stream check.  Only
+element walk _map_chunks serves only oracles: the histogram walk of all
+49 bins, the power walks, the label scan and verify's stream check.  Only
 count_sl3, the oracle that the stream is exactly the det-1 set, counts all
 7^9 codes, as 343 runs of 7^6 codes sharing a third row, summed from one
 histogram of the minors of rows 1 and 2.
@@ -388,33 +389,29 @@ def _group_histogram() -> np.ndarray:
     return _read_only(counts)
 
 
-def _census_chunk(d: np.ndarray) -> np.ndarray:
-    """Eigenfree counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
+def _histogram_chunk(d: np.ndarray) -> np.ndarray:
+    """Counts of the planes d in 49 bins, bin 7 * trace + minor sum."""
     tr, jc = _char_planes(d)
-    return np.bincount(tr * 7 + jc, minlength=49) * _rootless_bins()
+    return np.bincount(tr * 7 + jc, minlength=49)
 
 
 def census(*, threads: int | None = None) -> ScanSummary:
     """Full-group census: eigenfree counts by trace and label, the rootless
     bins of _group_histogram, each one class of 6|G| / 342 = 98 784 elements,
-    as F7[t]/(f) is F_343 for an irreducible f; _census_walk is its oracle.
-    threads is accepted and ignored, since perfbench's sweep calls
-    census(threads=1); an explicit value below 1 is a ValueError."""
+    as F7[t]/(f) is F_343 for an irreducible f.  threads is accepted and ignored,
+    since perfbench's sweep calls census(threads=1); a value below 1 is a ValueError."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    return _summary(_group_histogram() * _rootless_bins())
-
-
-def _census_walk() -> ScanSummary:
-    """The census by element walk, its exhaustive oracle: bin b sums the bins
-    lam * b of the _PSL_RANGES walk, lam = 1, 2, 4, as lam * g keeps g's roots."""
-    return _summary(sum(_map_chunks(_census_chunk, _PSL_RANGES))[_scaled_bins()].sum(axis=0))
-
-
-def _summary(counts: np.ndarray) -> ScanSummary:
+    counts = _group_histogram() * _rootless_bins()
     by_trace = {i: int(n) for i, n in enumerate(counts.reshape(7, 7).sum(axis=1)) if n}
     by_label = {ClassLabel(k // 7, k % 7): int(n) for k, n in enumerate(counts) if n}
     return ScanSummary(int(counts.sum()), by_trace, by_label)
+
+
+def _histogram_walk() -> np.ndarray:
+    """_group_histogram's 49 bins by element walk, its exhaustive oracle: bin b sums
+    the walk's bins lam * b, lam = 1, 2, 4, as it holds one lam * h of each h in b."""
+    return sum(_map_chunks(_histogram_chunk, _PSL_RANGES))[_scaled_bins()].sum(axis=0)
 
 
 def label_member_codes(label: ClassLabel) -> np.ndarray:
@@ -710,17 +707,17 @@ def normalizer_of_cyclic(p_generator: Mat3) -> int:
 
 
 def normalizer_oracle(p_generator: Mat3) -> int:
-    """|N(<P>)| by group scan, counting the g with g P g^-1 among the 19
-    powers of P.  Exhaustive oracle for normalizer_of_cyclic.  It counts the
-    (pair, E) with E X E^-1 in <P>, X = g0 P g0^-1, on the pair walk of
-    _PSL_RANGES, and multiplies by 3, as g, 2g and 4g conjugate P alike."""
+    """|N(<P>)| from orbit_oracle(P), the exhaustive oracle of normalizer_of_cyclic:
+    the g with g P g^-1 = P^k are a coset of C(P), |G| / |orbit| of them, when
+    P^k is in the orbit (orbit-stabilizer), else none.  The division is exact:
+    floor division would pass an orbit one code short, 3|G| // 98 783 = 171."""
     _require_order19(p_generator)
-    member_codes = np.array([encode(mat_pow(p_generator, k)) for k in range(19)], dtype=np.int32)
-
-    def kernel(g0: np.ndarray, x: np.ndarray) -> int:
-        return int(np.count_nonzero(np.isin(_shear_conjugate_codes(x), member_codes)))
-
-    return 3 * sum(_map_pairs(kernel, p_generator, _PSL_RANGES))
+    orbit = orbit_oracle(p_generator)
+    hits = sum(encode(pk) in orbit for pk in mat_powers(p_generator, 19))
+    size, rest = divmod(hits * GROUP_ORDER, len(orbit))
+    if rest:
+        raise AssertionError("the orbit size does not divide the powers' cosets")
+    return size
 
 
 def _order_absent(counts: dict[int, int], n: int) -> bool:

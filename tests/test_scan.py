@@ -201,13 +201,16 @@ class TestUint8Kernels:
         assert list(zip(tr.tolist(), jc.tolist())) == [tuple(char_poly(m)[0]) for m in MIXED]
 
     def test_census_chunk_root_test(self):
-        counts = scan._census_chunk(_planes(SL3_MIXED))
-        expected = np.zeros(49, dtype=np.int64)
+        # the walk's kernel bins every element; the census's rootless bins of
+        # it are the eigenvector-free elements, by the per-element root test
+        counts = scan._histogram_chunk(_planes(SL3_MIXED))
+        expected, eigenfree = np.zeros(49, dtype=np.int64), np.zeros(49, dtype=np.int64)
         for m in SL3_MIXED:
-            if not has_fp_eigenvalue(m):
-                i, j = char_poly(m)[0]
-                expected[7 * i + j] += 1
+            i, j = char_poly(m)[0]
+            expected[7 * i + j] += 1
+            eigenfree[7 * i + j] += not has_fp_eigenvalue(m)
         assert np.array_equal(counts, expected)
+        assert np.array_equal(counts * scan._rootless_bins(), eigenfree)
 
     @pytest.mark.parametrize("a,b", [(EXTREME[-1], EXTREME[-1]), (EXTREME[-1], EXTREME[0]),
                                      (EXTREME[0], EXTREME[-1]), (M0, M0), (M2, mat_pow(M2, 4))])
@@ -372,7 +375,9 @@ class TestSelection:
         tr, jc = scan._char_planes(d)
         ef = ~has_root
         expected = np.bincount((tr[ef] * 7 + jc[ef]).astype(np.int64), minlength=49)
-        assert np.array_equal(scan._census_chunk(d), expected)
+        counts = scan._histogram_chunk(d)
+        assert np.array_equal(counts, np.bincount(7 * tr.astype(np.int64) + jc, minlength=49))
+        assert np.array_equal(counts * scan._rootless_bins(), expected)
         if name in ("identity", "m0"):
             assert expected.sum() == (0 if name == "identity" else d.shape[1])
 
@@ -482,14 +487,14 @@ class TestElementStream:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return (scan._census_walk(), scan.intertwiner_codes(M0, M0))
+        return (scan._histogram_walk(), scan.intertwiner_codes(M0, M0))
 
     # a scan runs in the calling thread, so CHUNK is its only partitioning
     @pytest.mark.parametrize("chunk_size", [1000, 200_003])
     def test_scans_independent_of_partitioning(self, reference, chunk_size, monkeypatch):
-        census, centralizer_codes = reference
+        histogram, centralizer_codes = reference
         monkeypatch.setattr(scan, "CHUNK", chunk_size)
-        assert scan._census_walk() == census
+        assert np.array_equal(scan._histogram_walk(), histogram)
         assert np.array_equal(scan.intertwiner_codes(M0, M0), centralizer_codes)
         assert scan._power_counts((1, 3, 9, 19, 27)) == {
             1: 1, 3: 156_411, 9: 156_411, 19: 592_705, 27: 156_411}
@@ -615,10 +620,11 @@ class TestCensus:
         assert scan.order_absence_check(27)
 
     def test_deterministic_across_chunkings(self, monkeypatch):
-        # census walks nothing; its oracle, the element walk, reads CHUNK
-        base = scan._census_walk()
+        # census walks nothing; the oracle of its histogram, the element walk,
+        # reads CHUNK
+        base = scan._histogram_walk().tolist()
         monkeypatch.setattr(scan, "CHUNK", 1 << 19)
-        assert scan._census_walk() == base == scan.census()
+        assert scan._histogram_walk().tolist() == base == scan._group_histogram().tolist()
 
     def test_deterministic_across_threads(self):
         # census accepts a thread count and runs in the calling thread anyway
@@ -925,6 +931,17 @@ class TestNormalizer:
     def test_agrees_with_oracle_off_m02(self):
         p = representative(ClassLabel(3, 1))
         assert scan.normalizer_of_cyclic(p) == scan.normalizer_oracle(p) == 171
+
+    @pytest.mark.skipif(
+        not os.environ.get("SL3F7_SLOW"),
+        reason="6 whole-group conjugations (about 3 s); set SL3F7_SLOW=1 to run them",
+    )
+    def test_oracle_equals_the_whole_group_kernel_for_every_order19_label(self):
+        # the oracle reads |C(P)| off orbit_oracle's orbit; the kernel counts
+        # every g of the group with g P g^-1 among the 19 powers of P
+        for label in self.ORDER19_LABELS:
+            p = representative(label)
+            assert scan.normalizer_oracle(p) == _whole_group_normalizer(p) == 171, label
 
 
 class TestOrderAbsence:
@@ -1397,10 +1414,11 @@ class TestCosetWalk:
         for exponents in _CENTRAL_EXPONENTS + _MIXED_EXPONENTS:
             expected = {k: whole_group["powers"][k] for k in exponents}
             assert scan._power_counts(exponents) == expected == scan._unity_counts(exponents)
-        assert scan._group_histogram().tolist() == whole_group["histogram"].tolist()
-        for census in (scan.census(), scan._census_walk()):
-            assert census.by_label == whole_group["census"]
-            assert census.eigenfree_total == sum(whole_group["census"].values())
+        for histogram in (scan._group_histogram(), scan._histogram_walk()):
+            assert histogram.tolist() == whole_group["histogram"].tolist()
+        census = scan.census()
+        assert census.by_label == whole_group["census"]
+        assert census.eigenfree_total == sum(whole_group["census"].values())
         for label in _WALKED_LABELS:
             codes = scan.label_member_codes(label)
             expected = whole_group["labels"][label]
@@ -1426,7 +1444,7 @@ class TestCosetWalk:
         (lambda: scan.intertwiner_codes(M0, M0), "pairs"),
         (lambda: scan.normalizer_oracle(M2), "pairs"),
         (lambda: scan.census(), None),
-        (lambda: scan._census_walk(), "coset"),
+        (lambda: scan._histogram_walk(), "coset"),
         (lambda: scan.label_member_codes(ClassLabel(0, 4)), "coset"),
         (lambda: verify._stream_is_det1(), "whole"),
     ], ids=["absence-3", "absence-9", "absence-27", "power-3", "power-19", "power-1-3-9-27",

@@ -47,6 +47,11 @@ M2 = KNOWN_REPRESENTATIVES[ClassLabel(0, 2)]
 SL2_GENERATORS = (mat("1 1 0; 0 1 0; 0 0 1"), mat("1 0 0; 1 1 0; 0 0 1"))
 # the det-1 monomial matrices: D, of order 36, by the permutations, 216 in all
 MONOMIAL = (mat("3 0 0; 0 5 0; 0 0 1"), mat("1 0 0; 0 3 0; 0 0 5"), Y, mat("0 1 0; 1 0 0; 0 0 6"))
+# the reducers' source, read as this module is imported, so that an edit to
+# subgroups.py while the tests run cannot move the lines traced below away
+# from those of the code that was loaded
+_REDUCER_SOURCES = {f: inspect.getsourcelines(f)
+                    for f in (subgroups._reduce_to_y, subgroups._reduce_to_z)}
 
 
 def random_outside_h(rng: random.Random):
@@ -490,11 +495,16 @@ class TestMaximality:
                              [(subgroups._reduce_to_y, 3), (subgroups._reduce_to_z, 4)],
                              ids=["Y", "Z"])
     def test_every_reducer_branch_runs_both_ways(self, reducer, n_ifs):
-        lines, first = inspect.getsourcelines(reducer)
+        lines, first = _REDUCER_SOURCES[reducer]
         tree = ast.parse(textwrap.dedent("".join(lines)))
         ifs = [(first - 1 + n.lineno, first - 1 + n.body[0].lineno)
                for n in ast.walk(tree) if isinstance(n, ast.If)]
         assert len(ifs) == n_ifs
+        # the source read at import is the code that runs: same first line,
+        # and every test and body line is a line of the loaded code object
+        code = reducer.__code__
+        assert first == code.co_firstlineno
+        assert {line for pair in ifs for line in pair} <= {line for *_, line in code.co_lines()}
         runs: list[set[int]] = []
 
         def tracer(frame, event, arg):
